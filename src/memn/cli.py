@@ -28,7 +28,7 @@ from .dynamics import (
     default_conserved,
     integrate,
 )
-from .markov import build_transition_matrix, decompose_payoff, payoff
+from .markov import build_transition_matrix, payoff_split
 
 VARIANT_ALIASES = {
     "full": "full",
@@ -130,8 +130,7 @@ def cmd_payoff(args) -> int:
     p = _load_strategy(args.p, args.n)
     q = _load_strategy(args.q, args.n)
     f = _payoff_vector(args, p.n)
-    value = payoff(p, q, f)
-    a_s, a_a = decompose_payoff(p, q, f)
+    value, a_s, a_a = payoff_split(p, q, f)
     payload = {
         "version": __version__,
         "A": value,

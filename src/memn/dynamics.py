@@ -1,19 +1,19 @@
 """Adaptive-dynamics vector fields, ODE integration, and invariant checks.
 
 The field at a resident strategy ``x`` is the gradient of the mutant payoff
-with respect to the mutant's entries, evaluated at mutant = resident.  Since
-each strategy entry enters exactly one row of the transition matrix, the
-gradient of the determinant-quotient payoff is computed row by row: the
-derivative of a determinant with respect to one row is the determinant with
-that row replaced by its derivative.
+with respect to the mutant's entries, evaluated at mutant = resident, by the
+Markov-chain sensitivity formula (Schweitzer 1968; Meyer 1975).  With B =
+M - I and its last column set to 1, B^T nu = e_last gives the stationary
+distribution nu and B y = -column the Poisson vector h.  Each mutant entry
+enters one row of M, so the gradient is nu_i * dM_i . h, where dM_i is that
+row's derivative (qb, 1 - qb, -qb, -(1 - qb)) at its quadruple columns.
 
-Variants select the final determinant column: the full payoff vector, its
-player-symmetric half-sum, its anti-symmetric half-difference, or (for the
-reparametrised anti-symmetric flow) the raw numerator derivative with the
-denominator determinant divided out.  The denominator has constant sign on
-the interior of the cube, so the reparametrised field is oriented by that
-sign to keep it positively collinear with the unscaled anti-symmetric flow;
-it rescales speed, never direction.
+Variants select the column: the full payoff vector, its player-symmetric
+half-sum, its anti-symmetric half-difference, or (for the reparametrised
+anti-symmetric flow) f - f∘bar with the gradient scaled by |det B|.  As the
+anti-symmetric payoff vanishes at mutant = resident, that is the derivative
+of the determinant-quotient numerator oriented by the sign of det B; it
+rescales speed, never direction.
 """
 
 from __future__ import annotations
@@ -29,14 +29,19 @@ from .core import (
     bar_permutation,
     counting_to_full,
     encode_history,
-    n_states,
 )
 from .errors import (
     BoundaryMarginError,
     DegeneracyError,
     InvarianceViolationError,
 )
-from .markov import build_transition_matrix
+from .markov import (
+    build_transition_matrix,
+    chain_system,
+    payoff_from_column,
+    poisson_vector,
+    stationary_distribution,
+)
 
 VARIANTS = ("full", "symmetric", "antisymmetric", "antisymmetric_reparam")
 GRADIENT_METHODS = ("central_difference", "analytic_determinant")
@@ -80,7 +85,7 @@ class FieldSpec:
 
 
 def variant_column(spec: FieldSpec) -> np.ndarray:
-    """Final determinant column implied by the field variant."""
+    """Payoff column implied by the field variant."""
     f = spec.payoff.values
     swapped = f[bar_permutation(spec.n)]
     if spec.variant == "full":
@@ -100,90 +105,52 @@ def _check_margin(x: StrategyVector, margin: float):
         )
 
 
-def _field_matrices(x: StrategyVector, column: np.ndarray):
-    """Base numerator/denominator matrices and per-row derivative stacks."""
-    n = x.n
-    size = n_states(n)
-    qb = x.probs[bar_permutation(n)]
-    base = build_transition_matrix(x, x).entries - np.eye(size)
-    numerator = base.copy()
-    numerator[:, -1] = column
-    denominator = base.copy()
-    denominator[:, -1] = 1.0
-    idx = np.arange(size)
-    start = 4 * (idx % (size // 4))
-    derivative = np.zeros((size, size))
-    derivative[idx, start] = qb
-    derivative[idx, start + 1] = 1.0 - qb
-    derivative[idx, start + 2] = -qb
-    derivative[idx, start + 3] = -(1.0 - qb)
-    derivative[:, -1] = 0.0  # that column was replaced, so it is constant
-    stack_n = np.repeat(numerator[None], size, axis=0)
-    stack_d = np.repeat(denominator[None], size, axis=0)
-    stack_n[idx, idx, :] = derivative
-    stack_d[idx, idx, :] = derivative
-    return numerator, denominator, stack_n, stack_d
-
-
 def _field_analytic(x: StrategyVector, column: np.ndarray, reparam: bool):
-    numerator, denominator, stack_n, stack_d = _field_matrices(x, column)
-    sign_n, log_n = np.linalg.slogdet(stack_n)
-    sign_0d, log_0d = np.linalg.slogdet(denominator)
-    if sign_0d == 0.0:
-        raise DegeneracyError("denominator determinant vanished")
+    matrix = build_transition_matrix(x, x)
+    system = chain_system(matrix)
+    nu = stationary_distribution(matrix).weights
+    h = poisson_vector(system, column)
+    # the quadruple columns of each row, and the derivative of that row
+    # with respect to the mutant's entry: (qb, 1 - qb, -qb, -(1 - qb))
+    start = 4 * (np.arange(len(x)) % (len(x) // 4))
+    qb = x.probs[bar_permutation(x.n)]
+    grad = nu * (
+        qb * (h[start] - h[start + 2]) + (1.0 - qb) * (h[start + 1] - h[start + 3])
+    )
     if reparam:
-        # orient the raw numerator derivative along the unscaled flow
-        return sign_0d * sign_n * np.exp(log_n)
-    sign_d, log_d = np.linalg.slogdet(stack_d)
-    sign_0n, log_0n = np.linalg.slogdet(numerator)
-    dn_over_d = sign_n * sign_0d * np.exp(log_n - log_0d)
-    value = sign_0n * sign_0d * np.exp(log_0n - log_0d)
-    dd_over_d = sign_d * sign_0d * np.exp(log_d - log_0d)
-    return dn_over_d - value * dd_over_d
-
-
-def _quotient_at(p: np.ndarray, resident: StrategyVector, column: np.ndarray):
-    n = resident.n
-    size = n_states(n)
-    base = build_transition_matrix(StrategyVector(n, p), resident).entries
-    base = base - np.eye(size)
-    numerator = base.copy()
-    numerator[:, -1] = column
-    sign_n, log_n = np.linalg.slogdet(numerator)
-    return sign_n, log_n, base
-
-
-def _payoff_value(p, resident, column, reparam, denominator_sign):
-    sign_n, log_n, base = _quotient_at(p, resident, column)
-    if reparam:
-        return denominator_sign * sign_n * math.exp(log_n) if sign_n else 0.0
-    denominator = base
-    denominator[:, -1] = 1.0
-    sign_d, log_d = np.linalg.slogdet(denominator)
-    if sign_d == 0.0:
-        raise DegeneracyError("denominator determinant vanished")
-    if sign_n == 0.0:
-        return 0.0
-    return sign_n * sign_d * math.exp(log_n - log_d)
+        sign, log_det = np.linalg.slogdet(system)
+        if sign == 0.0:
+            raise DegeneracyError("denominator determinant vanished")
+        grad *= math.exp(log_det)
+    return grad
 
 
 def _field_central(x: StrategyVector, column: np.ndarray, h: float, reparam: bool):
-    size = n_states(x.n)
-    out = np.zeros(size)
-    denominator_sign = 1.0
+    """Central differences of the determinant quotient in the mutant entries.
+
+    The reparametrised variant differentiates the quotient's numerator alone,
+    oriented by the sign of det B at the resident.
+    """
     if reparam:
-        base = build_transition_matrix(x, x).entries - np.eye(size)
-        base[:, -1] = 1.0
-        denominator_sign, _ = np.linalg.slogdet(base)
-        if denominator_sign == 0.0:
+        sign, _ = np.linalg.slogdet(chain_system(build_transition_matrix(x, x)))
+        if sign == 0.0:
             raise DegeneracyError("denominator determinant vanished")
-    for i in range(size):
-        up = x.probs.copy()
-        down = x.probs.copy()
+
+        def value(p):
+            numerator = chain_system(build_transition_matrix(p, x))
+            numerator[:, -1] = column
+            sign_n, log_n = np.linalg.slogdet(numerator)
+            return sign * sign_n * math.exp(log_n)
+    else:
+        def value(p):
+            return payoff_from_column(p, x, column)
+
+    out = np.zeros(len(x))
+    for i in range(len(x)):
+        up, down = x.probs.copy(), x.probs.copy()
         up[i] += h
         down[i] -= h
-        hi = _payoff_value(up, x, column, reparam, denominator_sign)
-        lo = _payoff_value(down, x, column, reparam, denominator_sign)
+        hi, lo = value(StrategyVector(x.n, up)), value(StrategyVector(x.n, down))
         out[i] = (hi - lo) / (2.0 * h)
     return out
 
@@ -192,8 +159,8 @@ def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
     """Mutant-payoff gradient at resident ``x`` for the chosen variant.
 
     Central differences perturb only the mutant entries, keeping the
-    resident fixed at ``x``; the analytic method differentiates the two
-    determinants directly.
+    resident fixed at ``x``; the analytic method uses the stationary and
+    Poisson solves of the module docstring.
     """
     if x.n != spec.n:
         raise ValueError("point and spec memory orders differ")
@@ -221,7 +188,7 @@ def _closed_form_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
 def memory1_field_closed(p: StrategyVector, f) -> np.ndarray:
     """Polynomial closed form of the full memory-1 field.
 
-    Verified against the determinant gradient at random interior points;
+    Verified against the analytic gradient at random interior points;
     shares its denominator zero set with the quotient rule.
     """
     if p.n != 1:
@@ -621,17 +588,16 @@ _RK45_FIFTH = (
 )
 
 
-def _rk4_step(fn, y, dt):
-    k1 = fn(y)
+def _rk4_step(fn, y, dt, k1):
     k2 = fn(y + 0.5 * dt * k1)
     k3 = fn(y + 0.5 * dt * k2)
     k4 = fn(y + dt * k3)
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk45_step(fn, y, dt):
-    ks = []
-    for coeffs in _RK45_COEFFS:
+def _rk45_step(fn, y, dt, k1):
+    ks = [k1]
+    for coeffs in _RK45_COEFFS[1:]:
         point = y + dt * sum(c * k for c, k in zip(coeffs, ks))
         ks.append(fn(point))
     fourth = y + dt * sum(c * k for c, k in zip(_RK45_FOURTH, ks))
@@ -652,8 +618,10 @@ def integrate_path(
     """Integrate a field over the unit cube until t_max or the boundary.
 
     ``observers`` maps names to scalar functions of the state, recorded per
-    step.  The trajectory stops when any coordinate comes within
-    ``boundary_margin`` of 0 or 1, and the stop reason is recorded.
+    step.  The field at each accepted state is evaluated once: it gives the
+    recorded field norm and the next step's first stage.  The trajectory
+    stops when any coordinate comes within ``boundary_margin`` of 0 or 1,
+    and the stop reason is recorded.
     """
     observers = observers or {}
     y = np.asarray(y0, dtype=float).copy()
@@ -662,7 +630,8 @@ def integrate_path(
     times = [0.0]
     states = [y.copy()]
     steps = [0.0]
-    norms = [float(np.abs(fn(y)).max())]
+    slope = fn(y)
+    norms = [float(np.abs(slope).max())]
     distances = [_cube_distance(y)]
     conserved = {name: [obs(y)] for name, obs in observers.items()}
     stop_reason = "t_max"
@@ -672,7 +641,7 @@ def integrate_path(
         if method == "rk4":
             h = min(dt, t_max - t)
             try:
-                candidate = _rk4_step(fn, y, h)
+                candidate = _rk4_step(fn, y, h, slope)
             except BoundaryMarginError:
                 stop_reason = "boundary"
                 break
@@ -682,7 +651,7 @@ def integrate_path(
         elif method == "rk45-adaptive":
             h = min(h, t_max - t)
             try:
-                candidate, err = _rk45_step(fn, y, h)
+                candidate, err = _rk45_step(fn, y, h, slope)
             except BoundaryMarginError:
                 stop_reason = "boundary"
                 break
@@ -702,7 +671,8 @@ def integrate_path(
         times.append(t)
         states.append(y.copy())
         steps.append(h)
-        norms.append(float(np.abs(fn(y)).max()))
+        slope = fn(y)
+        norms.append(float(np.abs(slope).max()))
         distances.append(_cube_distance(y))
         for name, obs in observers.items():
             conserved[name].append(obs(y))

@@ -10,6 +10,9 @@ appending the new joint action, so the nonzeros of row ``i`` sit at columns
 
 where ``qb`` is the co-player's cooperation probability at the mirrored
 history ``bar(i)``.
+
+Payoffs, their split and the adaptive field solve one system
+(:func:`chain_system`); the determinant quotient is kept as their oracle.
 """
 
 from __future__ import annotations
@@ -138,23 +141,15 @@ def stationary_distribution(
 ) -> StationaryDistribution:
     """Left unit eigenvector of the transition matrix, normalized to sum 1.
 
-    ``linear-solve`` replaces one equation of (M^T - I) nu = 0 by the
-    normalization; ``power-iteration`` starts uniform and multiplies until
-    the residual drops below ``tol``.
+    ``linear-solve`` solves B^T nu = e_last with B from :func:`chain_system`;
+    ``power-iteration`` starts uniform and multiplies until the residual
+    drops below ``tol``.
     """
     size = matrix.size
     if method == "linear-solve":
-        a = matrix.entries.T - np.eye(size)
-        a[-1, :] = 1.0
-        b = np.zeros(size)
-        b[-1] = 1.0
-        try:
-            nu = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise DegeneracyError(
-                "singular stationary system; strategies are degenerate"
-            ) from exc
-        return StationaryDistribution(matrix.n, nu)
+        unit = np.zeros(size)
+        unit[-1] = 1.0
+        return StationaryDistribution(matrix.n, _solve(chain_system(matrix).T, unit))
     if method == "power-iteration":
         nu = np.full(size, 1.0 / size)
         mt = matrix.entries.T
@@ -191,21 +186,46 @@ def _det_ratio(numerator: np.ndarray, denominator: np.ndarray) -> float:
     return float(sign_n * sign_d * np.exp(log_n - log_d))
 
 
-def _replaced_last_column(
-    matrix: TransitionMatrix, column: np.ndarray
-) -> np.ndarray:
+def chain_system(matrix: TransitionMatrix) -> np.ndarray:
+    """B = M - I with its last column set to 1.
+
+    B is the determinant-quotient denominator and the one matrix behind the
+    stationary and Poisson solves: nu B = e_last says nu (M - I) = 0 and
+    nu . 1 = 1.
+    """
     out = matrix.entries - np.eye(matrix.size)
-    out[:, -1] = column
+    out[:, -1] = 1.0
     return out
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise DegeneracyError(
+            "singular chain system; strategies are degenerate"
+        ) from exc
+
+
+def poisson_vector(system: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """h with (I - M) h = column - (nu . column) * 1 and h[-1] = 0.
+
+    It is the solution y of B y = -column, B from :func:`chain_system`, with
+    its last entry zeroed: that entry multiplies the all-ones column of B and
+    equals -(nu . column).
+    """
+    h = _solve(system, -column)
+    h[-1] = 0.0
+    return h
 
 
 def payoff_from_column(
     p: StrategyVector, q: StrategyVector, column: np.ndarray
 ) -> float:
-    """Determinant-quotient payoff with an arbitrary final column."""
-    matrix = build_transition_matrix(p, q)
-    numerator = _replaced_last_column(matrix, column)
-    denominator = _replaced_last_column(matrix, np.ones(matrix.size))
+    """Determinant-quotient payoff with an arbitrary final column (oracle)."""
+    denominator = chain_system(build_transition_matrix(p, q))
+    numerator = denominator.copy()
+    numerator[:, -1] = column
     return _det_ratio(numerator, denominator)
 
 
@@ -213,18 +233,19 @@ def payoff(
     p: StrategyVector,
     q: StrategyVector,
     f: PayoffVector,
-    method: str = "determinant",
+    method: str = "stationary",
     allow_boundary: bool = False,
     tol: float = 1e-12,
 ) -> float:
     """Long-run average payoff of the focal player.
 
-    ``determinant`` computes the quotient of two determinants obtained by
-    replacing the last column of (M - I) with the payoff vector and with the
-    all-ones vector; ``stationary`` computes the inner product of the
-    invariant distribution with the payoff vector.  ``allow_boundary``
-    bypasses the interiority gate and always evaluates through power
-    iteration; uniqueness of the result is then the caller's concern.
+    ``stationary`` computes the inner product of the invariant distribution
+    with the payoff vector; ``determinant`` computes the quotient of two
+    determinants obtained by replacing the last column of (M - I) with the
+    payoff vector and with the all-ones vector, and is kept as the oracle.
+    ``allow_boundary`` bypasses the interiority gate and always evaluates
+    through power iteration; uniqueness of the result is then the caller's
+    concern.
     """
     if not (p.n == q.n == f.n):
         raise ValueError("memory orders of p, q, f must agree")
@@ -232,13 +253,11 @@ def payoff(
         matrix = build_transition_matrix(p, q)
         nu = stationary_distribution(matrix, method="power-iteration", tol=tol)
         return float(nu.weights @ f.values)
-    _require_interior(p, q, INTERIOR_THRESHOLD)
     if method == "determinant":
+        _require_interior(p, q, INTERIOR_THRESHOLD)
         return payoff_from_column(p, q, f.values)
     if method == "stationary":
-        matrix = build_transition_matrix(p, q)
-        nu = stationary_distribution(matrix, method="linear-solve", tol=tol)
-        return float(nu.weights @ f.values)
+        return payoff_split(p, q, f)[0]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -248,20 +267,30 @@ def swap_column(f: PayoffVector) -> np.ndarray:
     return f.values[perm]
 
 
+def payoff_split(
+    p: StrategyVector, q: StrategyVector, f: PayoffVector
+) -> tuple[float, float, float]:
+    """(A, A_s, A_a) from one stationary solve; see :func:`decompose_payoff`."""
+    _require_interior(p, q, INTERIOR_THRESHOLD)
+    nu = stationary_distribution(build_transition_matrix(p, q)).weights
+    swapped = swap_column(f)
+    return (
+        float(nu @ f.values),
+        float(nu @ (0.5 * (f.values + swapped))),
+        float(nu @ (0.5 * (f.values - swapped))),
+    )
+
+
 def decompose_payoff(
     p: StrategyVector, q: StrategyVector, f: PayoffVector
 ) -> tuple[float, float]:
     """Split the payoff into player-symmetric and anti-symmetric parts.
 
     Returns (A_s, A_a) where A_s(p,q) = A_s(q,p), A_a(p,q) = -A_a(q,p) and
-    A_s + A_a equals the payoff; the parts only differ in the final column
-    of the determinant: (f + f∘bar)/2 versus (f - f∘bar)/2.
+    A_s + A_a equals the payoff; the parts are the stationary averages of
+    (f + f∘bar)/2 and (f - f∘bar)/2.
     """
-    _require_interior(p, q, INTERIOR_THRESHOLD)
-    swapped = swap_column(f)
-    a_s = payoff_from_column(p, q, 0.5 * (f.values + swapped))
-    a_a = payoff_from_column(p, q, 0.5 * (f.values - swapped))
-    return a_s, a_a
+    return payoff_split(p, q, f)[1:]
 
 
 def reactive_payoff(

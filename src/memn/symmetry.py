@@ -204,14 +204,16 @@ def check_admissible(
 
 
 def admissible_set_bruteforce_memory1(
-    trials: int = 5, rng: np.random.Generator | None = None
+    trials: int = 5,
+    rng: np.random.Generator | None = None,
+    rank1_tol: float = 1e-10,
 ):
     """All permutations of the 4 memory-1 states that pass admissibility."""
     if rng is None:
         rng = np.random.default_rng(0)
     passing = []
     for perm in all_permutations(range(4)):
-        if check_admissible(np.array(perm), 1, trials=trials, rng=rng):
+        if check_admissible(np.array(perm), 1, trials, rng, rank1_tol):
             passing.append(tuple(perm))
     return passing
 

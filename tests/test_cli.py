@@ -7,8 +7,8 @@ import pytest
 
 from memn import __version__
 from memn.cli import main
-from memn.core import GameParams, StrategyVector, build_payoff_vector
-from memn.markov import decompose_payoff, payoff
+from memn.core import GameParams, StrategyVector, bar_permutation, build_payoff_vector
+from memn.markov import decompose_payoff, payoff, payoff_from_column
 
 
 @pytest.fixture
@@ -57,6 +57,27 @@ def test_payoff_command(strategy_files, capsys):
     assert payload["A_s"] == pytest.approx(a_s, abs=1e-12)
     assert payload["A_a"] == pytest.approx(a_a, abs=1e-12)
     assert payload["A"] == pytest.approx(payload["A_s"] + payload["A_a"], abs=1e-10)
+
+
+def test_payoff_command_memory5_matches_determinant_quotient(tmp_path, capsys):
+    rng = np.random.default_rng(55)
+    paths = []
+    strategies = []
+    for name in ("p", "q"):
+        probs = rng.uniform(0.05, 0.95, 4**5)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": 5, "probs": probs.tolist()}))
+        paths.append(str(path))
+        strategies.append(StrategyVector(5, probs))
+    assert main(["payoff", "--n", "5", "--p", paths[0], "--q", paths[1]]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    f = build_payoff_vector(GameParams.donation(2, 1), 5).values
+    swapped = f[bar_permutation(5)]
+    columns = {"A": f, "A_s": 0.5 * (f + swapped), "A_a": 0.5 * (f - swapped)}
+    for key, column in columns.items():
+        assert payload[key] == pytest.approx(
+            payoff_from_column(*strategies, column), abs=1e-9
+        )
 
 
 def test_field_command(strategy_files, capsys):
@@ -193,6 +214,27 @@ def test_tolerance_override_env(tmp_path, monkeypatch):
     monkeypatch.delenv("MEMN_TOLERANCES")
     baseline = json.loads((tmp_path / "strict.json").read_text())
     assert baseline["tolerance_hash"]
+
+
+def test_admissible_rank1_override_governs_admissibility(tmp_path, monkeypatch):
+    """With the rank-1 bound relaxed to 1, every memory-1 permutation passes
+    the structure test, so the check's count of eight must fail."""
+    argv = ["verify", "symmetry", "--n-max", "1", "--trials", "3"]
+    overrides = tmp_path / "tol.json"
+    overrides.write_text(json.dumps({"admissible_rank1": 1.0}))
+    outcomes = {}
+    for label, env in (("default", None), ("relaxed", str(overrides))):
+        if env is None:
+            monkeypatch.delenv("MEMN_TOLERANCES", raising=False)
+        else:
+            monkeypatch.setenv("MEMN_TOLERANCES", env)
+        path = tmp_path / f"{label}.json"
+        main(argv + ["--out", str(path)])
+        checks = json.loads(path.read_text())["checks"]
+        outcomes[label] = next(c for c in checks if c["check_id"] == "admissibility")
+    assert outcomes["default"]["passed"]
+    assert not outcomes["relaxed"]["passed"]
+    assert outcomes["relaxed"]["detail"]["memory1_admissible_count"] == 24
 
 
 def test_tolerance_override_rejects_unknown_names(tmp_path, monkeypatch):

@@ -33,6 +33,8 @@ from memn.dynamics import (
     z2_mirror_check,
 )
 from memn.errors import BoundaryMarginError, DegeneracyError
+from memn.markov import build_transition_matrix, chain_system
+from memn.tolerances import DEFAULTS
 
 DONATION = GameParams.donation(2.0, 1.0)
 F1 = build_payoff_vector(DONATION, 1)
@@ -59,6 +61,34 @@ def test_gradient_methods_agree(n, variant):
         c = adaptive_field(x, central)
         scale = max(np.abs(a).max(), 1e-12)
         assert np.abs(a - c).max() / scale <= tolerance
+
+
+def test_gradient_methods_agree_memory4():
+    """The Poisson-vector field matches central differences of the
+    determinant quotient at n = 4, for every variant."""
+    rng = np.random.default_rng(404)
+    f = build_payoff_vector(DONATION, 4)
+    x = random_point(rng, 4)
+    for variant in ("full", "symmetric", "antisymmetric", "antisymmetric_reparam"):
+        a = adaptive_field(x, FieldSpec(4, f, variant, "analytic_determinant"))
+        c = adaptive_field(x, FieldSpec(4, f, variant, "central_difference"))
+        scale = max(np.abs(a).max(), 1e-12)
+        assert np.abs(a - c).max() / scale <= DEFAULTS["gradient_relative"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reparam_is_scaled_antisymmetric_field(n):
+    """antisymmetric_reparam = 2 |det B| * antisymmetric, B = M - I with its
+    last column set to 1."""
+    rng = np.random.default_rng(50 + n)
+    f = build_payoff_vector(DONATION, n)
+    for _ in range(5):
+        x = random_point(rng, n)
+        anti = adaptive_field(x, FieldSpec(n, f, "antisymmetric"))
+        reparam = adaptive_field(x, FieldSpec(n, f, "antisymmetric_reparam"))
+        det = abs(np.linalg.det(chain_system(build_transition_matrix(x, x))))
+        assert det > 0.0
+        np.testing.assert_allclose(reparam, 2.0 * det * anti, rtol=1e-9, atol=0.0)
 
 
 def test_field_spec_validation():
@@ -327,6 +357,24 @@ def test_rk45_matches_rk4():
         spec, x0, dt=1e-2, t_max=0.5, method="rk45-adaptive"
     ).final_state()
     assert np.abs(fine - adaptive).max() <= 1e-8
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45-adaptive"])
+def test_integrate_path_field_evaluations(method):
+    """One evaluation per accepted state, reused as the next first stage:
+    RK4 makes 3 more per step and RK45 (no rejections here) 5 more."""
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        return np.full_like(v, 0.01)
+
+    trajectory = integrate_path(fn, np.full(4, 0.5), 1e-2, 0.1, method=method)
+    steps = len(trajectory.times) - 1
+    assert steps == 10
+    stages = 4 if method == "rk4" else 6
+    assert calls[0] == 1 + stages * steps
+    np.testing.assert_allclose(trajectory.final_state(), 0.501, rtol=1e-12)
 
 
 def test_trajectory_diagnostics_shape():

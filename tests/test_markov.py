@@ -5,6 +5,7 @@ import pytest
 
 from memn.core import (
     GameParams,
+    bar_permutation,
     StrategyVector,
     build_payoff_vector,
     n_states,
@@ -15,8 +16,12 @@ from memn.errors import ConvergenceError, DegeneracyError
 from memn.markov import (
     build_transition_matrix,
     build_transition_matrix_recursive,
+    chain_system,
     decompose_payoff,
     payoff,
+    payoff_from_column,
+    payoff_split,
+    poisson_vector,
     reactive_payoff,
     stationary_distribution,
 )
@@ -160,6 +165,38 @@ def test_payoff_methods_agree(n):
         d = payoff(p, q, f, method="determinant")
         s = payoff(p, q, f, method="stationary")
         assert abs(d - s) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_poisson_vector_solves_poisson_equation(n):
+    """(I - M) h = f - A 1 with h pinned to 0 at the last state, where A is
+    the determinant-quotient payoff."""
+    rng = np.random.default_rng(31 + n)
+    f = build_payoff_vector(DONATION, n)
+    p, q = random_pair(rng, n)
+    m = build_transition_matrix(p, q)
+    h = poisson_vector(chain_system(m), f.values)
+    value = payoff_from_column(p, q, f.values)
+    assert h[-1] == 0.0
+    residual = h - m.entries @ h - (f.values - value)
+    assert np.abs(residual).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_payoff_split_matches_determinant_quotients(n):
+    rng = np.random.default_rng(37 + n)
+    f = build_payoff_vector(DONATION, n)
+    swapped = f.values[bar_permutation(n)]
+    for _ in range(5):
+        p, q = random_pair(rng, n)
+        a, a_s, a_a = payoff_split(p, q, f)
+        assert a == pytest.approx(payoff(p, q, f, method="determinant"), abs=1e-10)
+        assert a_s == pytest.approx(
+            payoff_from_column(p, q, 0.5 * (f.values + swapped)), abs=1e-10
+        )
+        assert a_a == pytest.approx(
+            payoff_from_column(p, q, 0.5 * (f.values - swapped)), abs=1e-10
+        )
 
 
 def test_payoff_constant_shift():
