@@ -50,12 +50,14 @@ from .symmetry import (
     payoff_vector_reflection_residual,
 )
 from .dynamics import (
+    Ensemble,
     FieldSpec,
     Trajectory,
     adaptive_field,
     conserved_pair_difference,
     conserved_quantities_memory1,
     counting_field,
+    field_batch,
     integrate,
     memory1_antisym_field_closed,
     memory1_field_closed,

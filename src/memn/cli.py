@@ -165,14 +165,7 @@ def cmd_integrate(args) -> int:
     x0 = _load_strategy(args.x0, args.n)
     f = _payoff_vector(args, x0.n)
     variant = VARIANT_ALIASES[args.variant]
-    override = None
-    if x0.n == 1 and variant == "antisymmetric":
-        override = "memory1_antisym"
-    elif x0.n == 1 and variant == "full":
-        override = "memory1_full"
-    spec = FieldSpec(
-        n=x0.n, payoff=f, variant=variant, closed_form_override=override
-    )
+    spec = FieldSpec(n=x0.n, payoff=f, variant=variant)
     trajectory = integrate(
         spec,
         x0,
@@ -183,7 +176,10 @@ def cmd_integrate(args) -> int:
     )
     names = list(default_conserved(x0.n))
     with open(args.out, "w", encoding="utf8") as handle:
-        handle.write(f"# memn {__version__} variant={variant} stop={trajectory.stop_reason}\n")
+        handle.write(
+            f"# memn {__version__} variant={variant} stop={trajectory.stop_reason} "
+            f"rejected={trajectory.rejected_steps} floor={trajectory.floor_steps}\n"
+        )
         state_cols = ",".join(f"p{i}" for i in range(trajectory.states.shape[1]))
         handle.write(f"t,{state_cols},{','.join(names)},field_norm\n")
         for k in range(len(trajectory.times)):

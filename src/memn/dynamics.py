@@ -14,12 +14,24 @@ anti-symmetric flow) f - f∘bar with the gradient scaled by |det B|.  As the
 anti-symmetric payoff vanishes at mutant = resident, that is the derivative
 of the determinant-quotient numerator oriented by the sign of det B; it
 rescales speed, never direction.
+
+One kernel, :func:`field_batch`, evaluates this field at every row of a
+(batch, size) array of points, with a payoff column and a sign per row; its
+index layout is cached per size and its solves are one stacked call.
+:func:`adaptive_field` is its batch-of-one call behind the validation of
+the API edge.  The RK4/RK45 steppers of :func:`integrate_path` advance a
+whole ensemble of starts in lockstep, each member stopping on its own, so
+the checks that sample several starts (the mirror check, the conserved
+drift, the perturbation envelope) integrate them together.  The printed
+memory-1 and counting closed forms are oracles only: the checks compare the
+kernel against them, and no integration runs on them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,19 +51,10 @@ from .markov import (
     build_transition_matrix,
     chain_system,
     payoff_from_column,
-    poisson_vector,
-    stationary_distribution,
 )
 
 VARIANTS = ("full", "symmetric", "antisymmetric", "antisymmetric_reparam")
 GRADIENT_METHODS = ("central_difference", "analytic_determinant")
-CLOSED_FORMS = (
-    "memory1_full",
-    "memory1_antisym",
-    "counting_antisym",
-    "reactive_sym",
-    "reactive_antisym",
-)
 
 ANALYTIC_MARGIN = 1e-10
 COUNTING_INVARIANCE_TOL = 1e-9
@@ -66,7 +69,6 @@ class FieldSpec:
     variant: str = "full"
     gradient_method: str = "analytic_determinant"
     h: float = 1e-5
-    closed_form_override: str | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -75,11 +77,6 @@ class FieldSpec:
             raise ValueError(f"unknown gradient method {self.gradient_method!r}")
         if not 1e-8 <= self.h <= 1e-4:
             raise ValueError("central-difference step must lie in [1e-8, 1e-4]")
-        if self.closed_form_override is not None:
-            if self.closed_form_override not in CLOSED_FORMS:
-                raise ValueError(
-                    f"unknown closed form {self.closed_form_override!r}"
-                )
         if self.payoff.n != self.n:
             raise ValueError("payoff vector memory order disagrees with spec")
 
@@ -105,23 +102,97 @@ def _check_margin(x: StrategyVector, margin: float):
         )
 
 
-def _field_analytic(x: StrategyVector, column: np.ndarray, reparam: bool):
-    matrix = build_transition_matrix(x, x)
-    system = chain_system(matrix)
-    nu = stationary_distribution(matrix).weights
-    h = poisson_vector(system, column)
-    # the quadruple columns of each row, and the derivative of that row
-    # with respect to the mutant's entry: (qb, 1 - qb, -qb, -(1 - qb))
-    start = 4 * (np.arange(len(x)) % (len(x) // 4))
-    qb = x.probs[bar_permutation(x.n)]
-    grad = nu * (
-        qb * (h[start] - h[start + 2]) + (1.0 - qb) * (h[start + 1] - h[start + 3])
+@lru_cache(maxsize=None)
+def _layout(size: int):
+    """Index layout of the stacked pair (B^T, B) at ``size`` states.
+
+    Returns the bar permutation, each row's four quadruple columns, the
+    positions in the flattened (size, 4) quadruple array of the entries
+    outside B's last column (which is all ones), once for B^T and once for
+    B, and the flat row-major indices in the pair of those entries followed
+    by the constant ones.  The last array holds the -1 that B = M - I adds
+    to the quadruple entries (0 off the diagonal) and then the constants:
+    -1 on the rest of the diagonal and 1 in the last column.
+    """
+    n = (size.bit_length() - 1) // 2
+    rows = np.arange(size)
+    cols = 4 * (rows % (size // 4))[:, None] + np.arange(4)
+    keep = np.flatnonzero(cols.ravel() != size - 1)
+    row, col = np.repeat(rows, 4)[keep], cols.ravel()[keep]
+    template = -np.eye(size)  # B with M = 0
+    template[:, -1] = 1.0
+    in_quad = np.zeros((size, size), dtype=bool)
+    in_quad[row, col] = True
+    crow, ccol = np.nonzero((template != 0.0) & ~in_quad)
+    flat = np.concatenate([
+        col * size + row,
+        size * size + row * size + col,
+        ccol * size + crow,
+        size * size + crow * size + ccol,
+    ])
+    values = np.concatenate([
+        np.tile(template[row, col], 2), np.tile(template[crow, ccol], 2)
+    ])
+    return bar_permutation(n), cols, np.tile(keep, 2), flat, values
+
+
+# x * _FLIP[0] + _FLIP[1] = (x, 1 - x), exactly
+_FLIP = np.array([[1.0, -1.0], [0.0, 1.0]])
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a stack of systems; a singular member's solution is all NaN."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for k in range(len(a)):
+            try:
+                out[k] = np.linalg.solve(a[k], b[k])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def field_batch(points, column, reparam: bool = False, sign=1.0) -> np.ndarray:
+    """Analytic field at each row of a (batch, size) array of interior points.
+
+    ``column`` is one payoff column or one per row, ``sign`` a scalar or one
+    per row; ``reparam`` scales each gradient by |det B| (the
+    ``antisymmetric_reparam`` variant, given its column f - f∘bar).  Rows
+    are neither validated nor margin-checked; a row whose chain system is
+    singular comes back as NaN.  B^T and B are put together from the
+    quadruples in one flat assignment, B^T nu = e_last and B y = -column
+    are one stacked solve, and the gradient is that of the module
+    docstring.
+    """
+    x = np.asarray(points, dtype=float)
+    batch, size = x.shape
+    bar, cols, keep, flat, values = _layout(size)
+    # mutant = resident: row i's quadruple is (p, 1 - p) x (qb, 1 - qb)
+    mutant = x[:, :, None] * _FLIP[0] + _FLIP[1]
+    resident = mutant[:, bar]
+    quad = (mutant[:, :, :, None] * resident[:, :, None, :]).reshape(batch, 4 * size)
+    entries = np.empty((batch, len(flat)))
+    entries[:] = values
+    entries[:, : len(keep)] += quad[:, keep]
+    pair = np.zeros((batch, 2 * size * size))
+    pair[:, flat] = entries
+    pair = pair.reshape(batch, 2, size, size)
+    rhs = np.zeros((batch, 2, size, 1))
+    rhs[:, 0, -1] = 1.0
+    rhs[:, 1, :, 0] = -np.asarray(column, dtype=float)
+    solution = _solve_stack(
+        pair.reshape(2 * batch, size, size), rhs.reshape(2 * batch, size, 1)
     )
+    nu, h = solution[0::2, :, 0], solution[1::2, :, 0]
+    h[:, -1] = 0.0
+    hq = h[:, cols]
+    grad = nu * (resident * (hq[:, :, :2] - hq[:, :, 2:])).sum(axis=2)
     if reparam:
-        sign, log_det = np.linalg.slogdet(system)
-        if sign == 0.0:
-            raise DegeneracyError("denominator determinant vanished")
-        grad *= math.exp(log_det)
+        det_sign, log_det = np.linalg.slogdet(pair[:, 1])
+        grad *= np.where(det_sign == 0.0, np.nan, np.exp(log_det))[:, None]
+    grad *= np.reshape(sign, (-1, 1))
     return grad
 
 
@@ -159,30 +230,21 @@ def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
     """Mutant-payoff gradient at resident ``x`` for the chosen variant.
 
     Central differences perturb only the mutant entries, keeping the
-    resident fixed at ``x``; the analytic method uses the stationary and
-    Poisson solves of the module docstring.
+    resident fixed at ``x``; the analytic method is :func:`field_batch` on
+    a batch of one.
     """
     if x.n != spec.n:
         raise ValueError("point and spec memory orders differ")
-    if spec.closed_form_override is not None:
-        return _closed_form_field(x, spec)
     column = variant_column(spec)
     reparam = spec.variant == "antisymmetric_reparam"
     if spec.gradient_method == "central_difference":
         _check_margin(x, 2.0 * spec.h)
         return _field_central(x, column, spec.h, reparam)
     _check_margin(x, ANALYTIC_MARGIN)
-    return _field_analytic(x, column, reparam)
-
-
-def _closed_form_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
-    name = spec.closed_form_override
-    f = spec.payoff.values
-    if name == "memory1_full":
-        return memory1_field_closed(x, tuple(f))
-    if name == "memory1_antisym":
-        return memory1_antisym_field_closed(x, f[1], f[2])
-    raise ValueError(f"closed form {name!r} is not a 2^(2n)-dimensional field")
+    grad = field_batch(x.probs[None], column, reparam)[0]
+    if not np.all(np.isfinite(grad)):
+        raise DegeneracyError("singular chain system; strategies are degenerate")
+    return grad
 
 
 def memory1_field_closed(p: StrategyVector, f) -> np.ndarray:
@@ -343,6 +405,26 @@ def counting_antisym_closed(q2: float, q1: float, q0: float) -> np.ndarray:
     return np.array([dq2, dq1, dq0])
 
 
+def _restrict_to_counting(full: np.ndarray) -> np.ndarray:
+    """(dq2, dq1, dq0) rows of memory-1 fields at counting points.
+
+    Checks that the two middle components agree (the hyperplane is
+    invariant) before averaging them.
+    """
+    gap = float(np.abs(full[:, 1] - full[:, 2]).max())
+    if gap > COUNTING_INVARIANCE_TOL:
+        raise InvarianceViolationError(
+            f"field components across the counting hyperplane differ by {gap:.2e}"
+        )
+    return np.stack([full[:, 0], 0.5 * (full[:, 1] + full[:, 2]), full[:, 3]], axis=1)
+
+
+def _counting_batch(points, column) -> np.ndarray:
+    """Counting field at each row (q2, q1, q0) of ``points``, by :func:`field_batch`."""
+    q = np.asarray(points, dtype=float)
+    return _restrict_to_counting(field_batch(q[:, [0, 1, 1, 2]], column))
+
+
 def counting_field(
     q2: float,
     q1: float,
@@ -369,12 +451,7 @@ def counting_field(
         raise ValueError(f"unknown counting variant {variant!r}")
     spec = FieldSpec(n=1, payoff=f, variant=mapping[variant])
     full = adaptive_field(counting_to_full(q2, q1, q0), spec)
-    gap = abs(full[1] - full[2])
-    if gap > COUNTING_INVARIANCE_TOL:
-        raise InvarianceViolationError(
-            f"field components across the counting hyperplane differ by {gap:.2e}"
-        )
-    return np.array([full[0], 0.5 * (full[1] + full[2]), full[3]])
+    return _restrict_to_counting(full[None])[0]
 
 
 def counting_sign_study(
@@ -478,9 +555,13 @@ def reactive_fields(p1: float, p2: float, b: float, c: float):
 
 
 def conserved_quantities_memory1(p) -> tuple[float, float, float]:
-    """The three invariants of the memory-1 anti-symmetric flow."""
+    """The three invariants of the memory-1 anti-symmetric flow.
+
+    ``p`` is a strategy, a state, or an array of states (one per row), for
+    which each invariant comes back as one value per row.
+    """
     probs = p.probs if isinstance(p, StrategyVector) else np.asarray(p)
-    a, x, y, d = probs
+    a, x, y, d = np.moveaxis(probs, -1, 0)
     g1 = x - y
     g2 = (-(a**3) + 3 * a - 3 * x * y**2 + y**3 - d**3) / 3.0
     g3 = (1 - a) ** 2 + x**2 + (1 - y) ** 2 + d**2
@@ -517,7 +598,10 @@ def conserved_pair_difference(p: StrategyVector, suffix) -> float:
 
 
 def default_conserved(n: int):
-    """Named invariant functions recorded along trajectories."""
+    """Named invariants recorded along trajectories.
+
+    Each maps an array of states (one per row) to one value per state.
+    """
     if n == 1:
         return {
             "G1": lambda v: conserved_quantities_memory1(v)[0],
@@ -529,12 +613,19 @@ def default_conserved(n: int):
         label = "pair_" + "".join(a + b for a, b in suffix)
         i_cd = encode_history([("C", "D")] + list(suffix), n)
         i_dc = encode_history([("D", "C")] + list(suffix), n)
-        out[label] = lambda v, i=i_cd, j=i_dc: float(v[i] - v[j])
+        out[label] = lambda v, i=i_cd, j=i_dc: v[..., i] - v[..., j]
     return out
 
 
 @dataclass
 class Trajectory:
+    """Accepted states of one integration, with per-step diagnostics.
+
+    ``rejected_steps`` counts RK45 steps retried at half the step size and
+    ``floor_steps`` those accepted at the 1e-8 step floor although their
+    error estimate exceeded the tolerance.
+    """
+
     times: np.ndarray
     states: np.ndarray
     step_sizes: np.ndarray
@@ -542,9 +633,24 @@ class Trajectory:
     cube_distances: np.ndarray
     conserved: dict
     stop_reason: str
+    rejected_steps: int = 0
+    floor_steps: int = 0
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+
+@dataclass
+class Ensemble:
+    """Trajectories of one lockstep integration, one per row of the starts."""
+
+    members: list
+
+    @property
+    def times(self) -> np.ndarray:
+        """Every time at which some member has a state: the common clock of
+        an RK4 ensemble, the union of the members' clocks under RK45."""
+        return np.unique(np.concatenate([m.times for m in self.members]))
 
 
 @dataclass
@@ -564,8 +670,9 @@ def conserved_report(trajectory: Trajectory, quantity: str) -> ConservedReport:
     return ConservedReport(quantity, initial, max_drift, max_drift / scale)
 
 
-def _cube_distance(v: np.ndarray) -> float:
-    return float(min(v.min(), 1.0 - v.max()))
+def _cube_distance(v: np.ndarray) -> np.ndarray:
+    """Distance of each row to the cube boundary, negative outside it."""
+    return np.minimum(v.min(axis=-1), 1.0 - v.max(axis=-1))
 
 
 _RK45_NODES = (0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
@@ -586,13 +693,14 @@ _RK45_FIFTH = (
     -9.0 / 50.0,
     2.0 / 55.0,
 )
+_RK45_FLOOR = 1e-8
 
 
 def _rk4_step(fn, y, dt, k1):
     k2 = fn(y + 0.5 * dt * k1)
     k3 = fn(y + 0.5 * dt * k2)
     k4 = fn(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), None
 
 
 def _rk45_step(fn, y, dt, k1):
@@ -602,7 +710,7 @@ def _rk45_step(fn, y, dt, k1):
         ks.append(fn(point))
     fourth = y + dt * sum(c * k for c, k in zip(_RK45_FOURTH, ks))
     fifth = y + dt * sum(c * k for c, k in zip(_RK45_FIFTH, ks))
-    return fifth, float(np.linalg.norm(fifth - fourth))
+    return fifth, np.linalg.norm(fifth - fourth, axis=1)
 
 
 def integrate_path(
@@ -617,108 +725,171 @@ def integrate_path(
 ):
     """Integrate a field over the unit cube until t_max or the boundary.
 
-    ``observers`` maps names to scalar functions of the state, recorded per
-    step.  The field at each accepted state is evaluated once: it gives the
-    recorded field norm and the next step's first stage.  The trajectory
-    stops when any coordinate comes within ``boundary_margin`` of 0 or 1,
-    and the stop reason is recorded.
+    ``y0`` is one start, giving a :class:`Trajectory`, or a (batch, size)
+    array of starts, giving an :class:`Ensemble` whose members advance in
+    lockstep: ``fn`` maps the (batch, size) array of stage points to one
+    field row per member.  Each member stops on its own, with stop reason
+    ``t_max``, ``boundary`` (an accepted state within ``boundary_margin``
+    of 0 or 1, or a stage point within ``ANALYTIC_MARGIN`` of the boundary
+    or outside the cube) or ``field_error`` (a field row that is not
+    finite).  A stopped member stays frozen at its last accepted state and
+    keeps its row, so rows line up with per-member columns inside ``fn``.
+
+    The field at each accepted state is evaluated once: it gives the
+    recorded field norm and the next step's first stage.  ``observers``
+    maps names to functions of an array of states (one per row), recorded
+    for every accepted state.
     """
+    if method == "rk4":
+        step = _rk4_step
+    elif method == "rk45-adaptive":
+        step = _rk45_step
+    else:
+        raise ValueError(f"unknown method {method!r}")
     observers = observers or {}
-    y = np.asarray(y0, dtype=float).copy()
-    if _cube_distance(y) < boundary_margin:
+    y = np.array(y0, dtype=float, ndmin=2)
+    if np.any(_cube_distance(y) < boundary_margin):
         raise BoundaryMarginError("initial point violates the boundary margin")
-    times = [0.0]
-    states = [y.copy()]
-    steps = [0.0]
+    batch = len(y)
+    stop = np.full(batch, "t_max", dtype=object)
+    running = np.ones(batch, dtype=bool)
+
+    def halt(members, reason):
+        if members.any():
+            stop[members] = reason
+            running[members] = False
+
+    def evaluate(points):
+        if not min(points.min(), 1.0 - points.max()) >= ANALYTIC_MARGIN:
+            halt(running & ~(_cube_distance(points) >= ANALYTIC_MARGIN), "boundary")
+            if not running.any():
+                return np.zeros_like(points)
+        if not running.all():
+            points = np.where(running[:, None], points, y)
+        k = fn(points)
+        if not math.isfinite(k.sum()):
+            halt(running & ~np.all(np.isfinite(k), axis=1), "field_error")
+        return k
+
     slope = fn(y)
-    norms = [float(np.abs(slope).max())]
-    distances = [_cube_distance(y)]
-    conserved = {name: [obs(y)] for name, obs in observers.items()}
-    stop_reason = "t_max"
-    t = 0.0
-    h = dt
-    while t < t_max - 1e-15:
-        if method == "rk4":
-            h = min(dt, t_max - t)
-            try:
-                candidate = _rk4_step(fn, y, h, slope)
-            except BoundaryMarginError:
-                stop_reason = "boundary"
-                break
-            except DegeneracyError:
-                stop_reason = "field_error"
-                break
-        elif method == "rk45-adaptive":
-            h = min(h, t_max - t)
-            try:
-                candidate, err = _rk45_step(fn, y, h, slope)
-            except BoundaryMarginError:
-                stop_reason = "boundary"
-                break
-            except DegeneracyError:
-                stop_reason = "field_error"
-                break
-            if err > rk45_tol and h > 1e-8:
-                h = max(h * 0.5, 1e-8)
-                continue
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        if _cube_distance(candidate) < boundary_margin:
-            stop_reason = "boundary"
+    norm = np.abs(slope).max(axis=1)
+    halt(~np.isfinite(norm), "field_error")
+    t = np.zeros(batch)
+    h = np.full(batch, float(dt))
+    rejected = np.zeros(batch, dtype=int)
+    floor = np.zeros(batch, dtype=int)
+    # one row per round that accepted a step: each member's state, time,
+    # step size, field norm and whether it moved; grown by doubling
+    width = y.shape[1]
+    log = np.empty((64, batch, width + 4))
+    log[0] = np.column_stack([y, t, np.zeros(batch), norm, np.ones(batch)])
+    rounds = 1
+    while True:
+        running &= t < t_max - 1e-15
+        if not running.any():
             break
-        y = candidate
-        t += h
-        times.append(t)
-        states.append(y.copy())
-        steps.append(h)
-        slope = fn(y)
-        norms.append(float(np.abs(slope).max()))
-        distances.append(_cube_distance(y))
-        for name, obs in observers.items():
-            conserved[name].append(obs(y))
-        if method == "rk45-adaptive" and err < 0.1 * rk45_tol:
-            h = min(h * 2.0, dt)
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        step_sizes=np.array(steps),
-        field_norms=np.array(norms),
-        cube_distances=np.array(distances),
-        conserved={k: np.array(v) for k, v in conserved.items()},
-        stop_reason=stop_reason,
-    )
+        h = np.minimum(dt if method == "rk4" else h, t_max - t)
+        candidate, err = step(evaluate, y, h[:, None], slope)
+        accept = running.copy()
+        if err is not None:
+            retry = accept & (err > rk45_tol) & (h > _RK45_FLOOR)
+            rejected += retry
+            h = np.where(retry, np.maximum(h * 0.5, _RK45_FLOOR), h)
+            accept &= ~retry
+        if not min(candidate.min(), 1.0 - candidate.max()) >= boundary_margin:
+            halt(accept & (_cube_distance(candidate) < boundary_margin), "boundary")
+            accept &= running
+        if not accept.any():
+            continue
+        # accepted members move; the others keep their rows
+        np.copyto(y, candidate, where=accept[:, None])
+        np.add(t, h, out=t, where=accept)
+        fresh = fn(y)
+        np.copyto(slope, fresh, where=accept[:, None])
+        norm = np.abs(fresh).max(axis=1)
+        halt(accept & ~np.isfinite(norm), "field_error")
+        if rounds == len(log):
+            log = np.concatenate([log, np.empty_like(log)])
+        np.concatenate(
+            [y, t[:, None], h[:, None], norm[:, None], accept[:, None]],
+            axis=1,
+            out=log[rounds],
+        )
+        rounds += 1
+        if err is not None:
+            floor += accept & (err > rk45_tol)
+            grow = accept & (err < 0.1 * rk45_tol)
+            h = np.where(grow, np.minimum(h * 2.0, dt), h)
+    members = []
+    for k in range(batch):
+        rows = np.flatnonzero(log[:rounds, k, -1])
+        if rows[-1] == len(rows) - 1:  # moved in every round until it stopped
+            rows = slice(len(rows))  # so its entries are a view, not a copy
+        entries = log[rows, k]
+        path = entries[:, :width]
+        members.append(
+            Trajectory(
+                times=entries[:, width],
+                states=path,
+                step_sizes=entries[:, width + 1],
+                field_norms=entries[:, width + 2],
+                cube_distances=_cube_distance(path),
+                conserved={
+                    name: np.asarray(obs(path), dtype=float)
+                    for name, obs in observers.items()
+                },
+                stop_reason=stop[k],
+                rejected_steps=int(rejected[k]),
+                floor_steps=int(floor[k]),
+            )
+        )
+    return members[0] if np.ndim(y0) == 1 else Ensemble(members)
 
 
-def field_function(spec: FieldSpec):
-    """Plain ndarray -> ndarray field for the integrators.
+def field_function(spec: FieldSpec, sign=1.0):
+    """(batch, size) -> (batch, size) analytic field for the integrators.
 
-    Points outside the cube (integrator stages can overshoot) surface as
-    boundary events rather than validation errors.
+    ``sign`` is a scalar or one per row; -1 runs that member backward.
     """
+    if spec.gradient_method != "analytic_determinant":
+        raise ValueError("integration uses the analytic field")
+    column = variant_column(spec)
+    reparam = spec.variant == "antisymmetric_reparam"
 
     def fn(v: np.ndarray) -> np.ndarray:
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise BoundaryMarginError("evaluation point left the cube")
-        return adaptive_field(StrategyVector(spec.n, v), spec)
+        return field_batch(v, column, reparam, sign)
 
     return fn
 
 
+def _starts(spec: FieldSpec, x0) -> np.ndarray:
+    """One start's probabilities, or a (batch, size) array of several."""
+    points = [x0] if isinstance(x0, StrategyVector) else list(x0)
+    if any(x.n != spec.n for x in points):
+        raise ValueError("start and spec memory orders differ")
+    probs = np.array([x.probs for x in points])
+    return probs[0] if isinstance(x0, StrategyVector) else probs
+
+
 def integrate(
     spec: FieldSpec,
-    x0: StrategyVector,
+    x0,
     dt: float,
     t_max: float,
     method: str = "rk4",
     boundary_margin: float = 1e-6,
     observers=None,
-) -> Trajectory:
-    """Integrate the adaptive dynamics from ``x0``; see :func:`integrate_path`."""
+):
+    """Integrate the adaptive dynamics from ``x0``; see :func:`integrate_path`.
+
+    ``x0`` is one strategy (giving a :class:`Trajectory`) or a sequence of
+    them, integrated in lockstep (giving an :class:`Ensemble`).
+    """
     if observers is None:
         observers = default_conserved(spec.n)
     return integrate_path(
         field_function(spec),
-        x0.probs,
+        _starts(spec, x0),
         dt,
         t_max,
         method=method,
@@ -729,31 +900,37 @@ def integrate(
 
 def z2_mirror_check(
     spec: FieldSpec,
-    x0: StrategyVector,
+    x0,
     t_max: float,
     dt: float,
     boundary_margin: float = 1e-6,
 ) -> float:
     """Deviation of the flow from its mirror-and-time-reverse twin.
 
-    One trajectory starts at the label-swapped point and runs forward; the
-    other starts at ``x0`` and runs backward (negated field).  If the
-    dynamics are equivariant the label swap of the backward path reproduces
-    the forward one; the maximum gap over the common interval is returned.
+    For each start one trajectory starts at the label-swapped point and runs
+    forward; the other starts at the start and runs backward (negated
+    field).  If the dynamics are equivariant the label swap of the backward
+    path reproduces the forward one.  ``x0`` is one strategy or a sequence
+    of them, all integrated as one ensemble; the largest gap over each
+    pair's common interval is returned.
     """
-    fn = field_function(spec)
-    mirrored_start = 1.0 - x0.probs[::-1]
-    forward = integrate_path(
-        fn, mirrored_start, dt, t_max,
-        boundary_margin=boundary_margin, observers={},
+    starts = np.array(_starts(spec, x0), ndmin=2)
+    count = len(starts)
+    ensemble = integrate_path(
+        field_function(spec, np.repeat([1.0, -1.0], count)),
+        np.concatenate([1.0 - starts[:, ::-1], starts]),
+        dt,
+        t_max,
+        boundary_margin=boundary_margin,
+        observers={},
     )
-    backward = integrate_path(
-        lambda v: -fn(v), x0.probs, dt, t_max,
-        boundary_margin=boundary_margin, observers={},
-    )
-    common = min(len(forward.times), len(backward.times))
-    mirrored_backward = 1.0 - backward.states[:common, ::-1]
-    return float(np.abs(forward.states[:common] - mirrored_backward).max())
+    worst = 0.0
+    for forward, backward in zip(ensemble.members[:count], ensemble.members[count:]):
+        common = min(len(forward.times), len(backward.times))
+        mirrored_backward = 1.0 - backward.states[:common, ::-1]
+        gap = np.abs(forward.states[:common] - mirrored_backward).max()
+        worst = max(worst, float(gap))
+    return worst
 
 
 def _cubic_monomials(states: np.ndarray):
@@ -799,6 +976,9 @@ def fit_polynomial_invariant(states: np.ndarray, reference: dict | None = None):
     return result
 
 
+_JACOBIAN_STEP = 1e-6
+
+
 @dataclass
 class DivergenceCurve:
     times: np.ndarray
@@ -812,17 +992,6 @@ class DivergenceCurve:
         return bool(np.all(self.divergence <= self.envelope + 1e-15))
 
 
-def _counting_jacobian_norm(fn, point: np.ndarray, h: float = 1e-6) -> float:
-    jac = np.zeros((3, 3))
-    for j in range(3):
-        up = point.copy()
-        down = point.copy()
-        up[j] += h
-        down[j] -= h
-        jac[:, j] = (fn(up) - fn(down)) / (2.0 * h)
-    return float(np.linalg.norm(jac, 2))
-
-
 def perturbation_experiment(
     q0_point,
     b: float,
@@ -834,10 +1003,12 @@ def perturbation_experiment(
     """Compare full counting dynamics against their anti-symmetric part.
 
     The symmetric part scales with eps = b - c, so the full flow is a small
-    perturbation of the anti-symmetric one.  The Lipschitz constant of the
-    anti-symmetric field and the bound on the perturbation are estimated by
-    sampling along the reference trajectory, giving the exponential envelope
-    eps*M/K*(exp(Kt) - 1) that must dominate the observed divergence.
+    perturbation of the anti-symmetric one.  The two flows are integrated
+    as one ensemble.  The Lipschitz constant of the anti-symmetric field
+    (central-difference Jacobians) and the bound on the perturbation are
+    estimated by sampling along the reference trajectory, giving the
+    exponential envelope eps*M/K*(exp(Kt) - 1) that must dominate the
+    observed divergence.
     """
     from .core import GameParams, build_payoff_vector
 
@@ -846,33 +1017,40 @@ def perturbation_experiment(
     eps = b - c
     # direct construction so eps = 0 (b = c) stays admissible
     f = build_payoff_vector(GameParams(R=b - c, S=-c, T=b, P=0.0), 1)
-
-    def full_fn(v):
-        return counting_field(v[0], v[1], v[2], f, variant="restriction")
-
-    def anti_fn(v):
-        return counting_field(v[0], v[1], v[2], f, variant="restriction_antisym")
+    full_col, anti_col = (
+        variant_column(FieldSpec(1, f, v)) for v in ("full", "antisymmetric")
+    )
+    columns = np.stack([full_col, anti_col])
 
     start = np.asarray(q0_point, dtype=float)
-    full_traj = integrate_path(
-        full_fn, start, dt, t_max, boundary_margin=boundary_margin, observers={}
-    )
-    anti_traj = integrate_path(
-        anti_fn, start, dt, t_max, boundary_margin=boundary_margin, observers={}
-    )
+    full_traj, anti_traj = integrate_path(
+        lambda v: _counting_batch(v, columns),
+        np.stack([start, start]),
+        dt,
+        t_max,
+        boundary_margin=boundary_margin,
+        observers={},
+    ).members
     common = min(len(full_traj.times), len(anti_traj.times))
     times = full_traj.times[:common]
     gap = np.linalg.norm(
         full_traj.states[:common] - anti_traj.states[:common], axis=1
     )
     samples = anti_traj.states[:: max(1, common // 25)]
-    lipschitz = max(
-        _counting_jacobian_norm(anti_fn, point) for point in samples
-    )
+    # shifted[i, s, j]: sample i moved along axis j by +step (s = 0) or -step (s = 1)
+    shift = _JACOBIAN_STEP * np.eye(3)
+    shifted = samples[:, None, None, :] + np.stack([shift, -shift])
+    values = _counting_batch(shifted.reshape(-1, 3), anti_col).reshape(-1, 2, 3, 3)
+    slopes = (values[:, 0] - values[:, 1]) / (2.0 * _JACOBIAN_STEP)
+    jacobians = slopes.transpose(0, 2, 1)  # column j: derivative along axis j
+    lipschitz = float(np.linalg.norm(jacobians, 2, axis=(1, 2)).max())
     if eps > 0:
-        sym_bound = max(
-            float(np.linalg.norm(full_fn(point) - anti_fn(point)) / eps)
-            for point in samples
+        rows = len(samples)
+        split = _counting_batch(
+            np.concatenate([samples, samples]), np.repeat(columns, rows, axis=0)
+        )
+        sym_bound = float(
+            (np.linalg.norm(split[:rows] - split[rows:], axis=1) / eps).max()
         )
     else:
         sym_bound = 0.0

@@ -27,6 +27,7 @@ DEFAULTS = {
     "field_decomposition": 1e-8,
     "counting_invariance": 1e-9,
     "collinearity_angle": 1e-6,
+    "reactive_fields": 1e-10,
     "conserved_drift_per_time": 1e-7,
     "tft_order_minimum": 1.0,
     "z2_deviation_n1": 1e-6,

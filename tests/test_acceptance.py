@@ -253,7 +253,7 @@ def test_criterion_06_gradient_and_field_consistency():
 def test_criterion_07_conserved_quantities():
     rng = np.random.default_rng(107)
     f1 = build_payoff_vector(DONATION, 1)
-    spec1 = FieldSpec(1, f1, "antisymmetric", closed_form_override="memory1_antisym")
+    spec1 = FieldSpec(1, f1, "antisymmetric")
     rates = {"G1": 0.0, "G2": 0.0, "G3": 0.0}
     diag = None
     for _ in range(3):
@@ -328,7 +328,7 @@ def test_criterion_08_tft_stationarity():
 def test_criterion_09_z2_mirror():
     rng = np.random.default_rng(109)
     f1 = build_payoff_vector(DONATION, 1)
-    spec1 = FieldSpec(1, f1, "full", closed_form_override="memory1_full")
+    spec1 = FieldSpec(1, f1, "full")
     worst1 = 0.0
     for _ in range(10):
         x0 = StrategyVector(1, rng.uniform(0.3, 0.7, 4))

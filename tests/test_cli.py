@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from memn import __version__
+from memn.battery import FAULT_DELTA
 from memn.cli import main
 from memn.core import GameParams, StrategyVector, bar_permutation, build_payoff_vector
 from memn.markov import decompose_payoff, payoff, payoff_from_column
@@ -102,6 +103,7 @@ def test_integrate_deterministic(tmp_path, capsys):
     assert text == out2.read_text()
     lines = text.splitlines()
     assert lines[0].startswith(f"# memn {__version__}")
+    assert lines[0].endswith(" stop=t_max rejected=0 floor=0")
     assert lines[1] == "t,p0,p1,p2,p3,G1,G2,G3,field_norm"
     assert len(lines) == 503  # header comment + column row + 501 states
 
@@ -175,6 +177,11 @@ def test_verify_fault_injection_fails(tmp_path):
     assert payload["passed"] == all(c["passed"] for c in payload["checks"])
     failed = [c for c in payload["checks"] if not c["passed"]]
     assert [c["check_id"] for c in failed] == ["matrix-structure"]
+    # the residual is the row-sum defect of the perturbed transition entry
+    fault = failed[0]["detail"]["fault_injected"]
+    assert fault == {"n": 1, "row": 0, "column": 0, "delta": FAULT_DELTA}
+    assert failed[0]["max_residual"] == pytest.approx(FAULT_DELTA, rel=1e-12)
+    assert failed[0]["detail"]["recursion_bit_exact"] is True
 
 
 def test_usage_errors_exit_two(tmp_path):
@@ -235,6 +242,20 @@ def test_admissible_rank1_override_governs_admissibility(tmp_path, monkeypatch):
     assert outcomes["default"]["passed"]
     assert not outcomes["relaxed"]["passed"]
     assert outcomes["relaxed"]["detail"]["memory1_admissible_count"] == 24
+
+
+def test_reactive_fields_override_governs_reactive_fields(tmp_path, monkeypatch):
+    """The reactive-fields check reads its own ledger key: tightening it
+    fails that check alone."""
+    overrides = tmp_path / "tol.json"
+    overrides.write_text(json.dumps({"reactive_fields": 1e-30}))
+    monkeypatch.setenv("MEMN_TOLERANCES", str(overrides))
+    path = tmp_path / "strict.json"
+    assert main(["verify", "--trials", "3", "--out", str(path)]) == 1
+    checks = json.loads(path.read_text())["checks"]
+    assert {c["check_id"] for c in checks if not c["passed"]} == {"reactive-fields"}
+    reactive = next(c for c in checks if c["check_id"] == "reactive-fields")
+    assert reactive["tolerance"] == 1e-30
 
 
 def test_tolerance_override_rejects_unknown_names(tmp_path, monkeypatch):

@@ -22,6 +22,7 @@ from memn.dynamics import (
     counting_antisym_closed,
     counting_field,
     counting_sign_study,
+    field_batch,
     fit_polynomial_invariant,
     integrate,
     integrate_path,
@@ -30,6 +31,7 @@ from memn.dynamics import (
     perturbation_experiment,
     reactive_fields,
     valid_pair_suffixes,
+    variant_column,
     z2_mirror_check,
 )
 from memn.errors import BoundaryMarginError, DegeneracyError
@@ -327,9 +329,7 @@ def test_integrate_zero_field_is_constant():
 
 def test_antisym_trajectory_leaves_cube():
     rng = np.random.default_rng(18)
-    spec = FieldSpec(
-        1, F1, "antisymmetric", closed_form_override="memory1_antisym"
-    )
+    spec = FieldSpec(1, F1, "antisymmetric")
     for _ in range(3):
         x0 = random_point(rng, 1, 0.3, 0.7)
         trajectory = integrate(spec, x0, dt=1e-3, t_max=500.0)
@@ -338,7 +338,7 @@ def test_antisym_trajectory_leaves_cube():
 
 
 def test_richardson_step_halving():
-    spec = FieldSpec(1, F1, "full", closed_form_override="memory1_full")
+    spec = FieldSpec(1, F1, "full")
     x0 = StrategyVector(1, np.array([0.55, 0.5, 0.45, 0.5]))
     finals = [
         integrate(spec, x0, dt=dt, t_max=0.5).final_state()
@@ -350,7 +350,7 @@ def test_richardson_step_halving():
 
 
 def test_rk45_matches_rk4():
-    spec = FieldSpec(1, F1, "full", closed_form_override="memory1_full")
+    spec = FieldSpec(1, F1, "full")
     x0 = StrategyVector(1, np.array([0.55, 0.5, 0.45, 0.5]))
     fine = integrate(spec, x0, dt=2e-4, t_max=0.5).final_state()
     adaptive = integrate(
@@ -377,8 +377,113 @@ def test_integrate_path_field_evaluations(method):
     np.testing.assert_allclose(trajectory.final_state(), 0.501, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_field_batch_matches_adaptive_field(n):
+    """One batch mixing the full, symmetric and anti-symmetric columns row by
+    row (and one reparametrised batch) equals adaptive_field point by point."""
+    rng = np.random.default_rng(30 + n)
+    f = build_payoff_vector(DONATION, n)
+    plain = ["full", "symmetric", "antisymmetric"] * 2
+    points = rng.uniform(0.05, 0.95, (len(plain), n_states(n)))
+    columns = np.stack([variant_column(FieldSpec(n, f, v)) for v in plain])
+    signs = np.where(np.arange(len(plain)) % 2, -1.0, 1.0)
+    batched = field_batch(points, columns, sign=signs)
+    for row, variant, sign, x in zip(batched, plain, signs, points):
+        expected = sign * adaptive_field(StrategyVector(n, x), FieldSpec(n, f, variant))
+        np.testing.assert_allclose(row, expected, rtol=1e-13, atol=1e-15)
+    reparam = FieldSpec(n, f, "antisymmetric_reparam")
+    batched = field_batch(points, variant_column(reparam), reparam=True)
+    for row, x in zip(batched, points):
+        expected = adaptive_field(StrategyVector(n, x), reparam)
+        np.testing.assert_allclose(row, expected, rtol=1e-13, atol=1e-15)
+
+
+def test_field_batch_singular_member_is_nan():
+    column = variant_column(FieldSpec(1, F1, "full"))
+    points = np.stack([np.full(4, 0.4), tft_strategy(1).probs, np.full(4, 0.6)])
+    rows = field_batch(points, column)
+    assert np.all(np.isnan(rows[1]))
+    for k in (0, 2):
+        np.testing.assert_array_equal(
+            rows[k], adaptive_field(StrategyVector(1, points[k]), FieldSpec(1, F1))
+        )
+
+
+# per-member speeds of a smooth test field, and the first coordinate past
+# which a member's field is NaN (only member 3 gets there)
+_SPEEDS = np.array([0.2, 1.5, -3.0, 0.7, -0.8])
+_FAIL_AT = np.array([2.0, 2.0, 2.0, 0.58, 2.0])
+
+
+def _lockstep_field(rows):
+    def fn(v):
+        out = _SPEEDS[rows, None] * np.sin(3.0 * v + 1.0) + 0.3 * (0.5 - v)
+        out[v[:, 0] > _FAIL_AT[rows]] = np.nan
+        return out
+
+    return fn
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45-adaptive"])
+def test_lockstep_matches_batch_of_one(method):
+    """Each ensemble member takes the steps, stop reason and states it takes
+    alone; members stop at different steps (boundary) and one member's field
+    fails (field_error) while the rest carry on."""
+    rows = np.arange(len(_SPEEDS))
+    starts = np.tile([0.5, 0.55, 0.45], (len(rows), 1))
+    kwargs = dict(method=method, observers={"s": lambda v: v.sum(axis=-1)})
+    ensemble = integrate_path(_lockstep_field(rows), starts, 0.05, 3.0, **kwargs)
+    reasons = [m.stop_reason for m in ensemble.members]
+    assert sorted(reasons) == ["boundary", "boundary", "field_error", "t_max", "t_max"]
+    boundary = [m for m in ensemble.members if m.stop_reason == "boundary"]
+    assert len(boundary[0].times) != len(boundary[1].times)
+    for k, member in enumerate(ensemble.members):
+        fn = _lockstep_field(rows[k : k + 1])
+        alone = integrate_path(fn, starts[k], 0.05, 3.0, **kwargs)
+        assert len(member.times) == len(alone.times)
+        assert member.stop_reason == alone.stop_reason
+        assert member.rejected_steps == alone.rejected_steps
+        assert member.floor_steps == alone.floor_steps
+        np.testing.assert_allclose(member.states, alone.states, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(member.times, alone.times, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            member.conserved["s"], alone.conserved["s"], rtol=0, atol=1e-12
+        )
+    np.testing.assert_array_equal(
+        ensemble.times, np.unique(np.concatenate([m.times for m in ensemble.members]))
+    )
+
+
+def test_rk45_counts_rejected_and_floor_steps():
+    """A field that varies on a 1e-6 scale: the first step is halved from
+    5e-8 to the 1e-8 floor (three rejections), and every step is then
+    accepted at the floor although its error estimate exceeds the tolerance."""
+
+    def fn(v):
+        return 1e3 * np.sin(1e6 * v)
+
+    start = np.full(4, 0.5)
+    trajectory = integrate_path(fn, start, 1e-2, 5e-8, method="rk45-adaptive")
+    assert trajectory.stop_reason == "t_max"
+    assert trajectory.rejected_steps == 3
+    assert trajectory.floor_steps == 5
+    np.testing.assert_allclose(trajectory.step_sizes[1:], 1e-8, rtol=1e-12)
+    smooth = integrate_path(
+        lambda v: np.full_like(v, 0.01), start, 1e-2, 0.1, method="rk45-adaptive"
+    )
+    assert (smooth.rejected_steps, smooth.floor_steps) == (0, 0)
+
+
+def test_z2_mirror_ensemble_equals_single_starts():
+    rng = np.random.default_rng(24)
+    spec = FieldSpec(1, F1, "full")
+    starts = [random_point(rng, 1, 0.3, 0.7) for _ in range(3)]
+    singles = [z2_mirror_check(spec, x0, t_max=0.2, dt=1e-3) for x0 in starts]
+    assert z2_mirror_check(spec, starts, t_max=0.2, dt=1e-3) == max(singles)
+
+
 def test_trajectory_diagnostics_shape():
-    spec = FieldSpec(1, F1, "antisymmetric", closed_form_override="memory1_antisym")
+    spec = FieldSpec(1, F1, "antisymmetric")
     x0 = StrategyVector(1, np.array([0.6, 0.45, 0.5, 0.4]))
     trajectory = integrate(spec, x0, dt=1e-2, t_max=0.1)
     steps = len(trajectory.times)
@@ -398,9 +503,7 @@ def test_conserved_quantities_memory1_values():
 
 
 def test_conserved_drift_memory1():
-    spec = FieldSpec(
-        1, F1, "antisymmetric", closed_form_override="memory1_antisym"
-    )
+    spec = FieldSpec(1, F1, "antisymmetric")
     x0 = StrategyVector(1, np.array([0.6, 0.45, 0.5, 0.4]))
     trajectory = integrate(spec, x0, dt=1e-3, t_max=5.0)
     duration = trajectory.times[-1]
@@ -452,14 +555,14 @@ def test_pair_difference_drift_memory2():
 
 def test_z2_mirror_memory1():
     rng = np.random.default_rng(21)
-    spec = FieldSpec(1, F1, "full", closed_form_override="memory1_full")
+    spec = FieldSpec(1, F1, "full")
     for _ in range(5):
         x0 = random_point(rng, 1, 0.3, 0.7)
         assert z2_mirror_check(spec, x0, t_max=1.0, dt=1e-3) <= 1e-6
 
 
 def test_z2_mirror_symmetric_point():
-    spec = FieldSpec(1, F1, "full", closed_form_override="memory1_full")
+    spec = FieldSpec(1, F1, "full")
     probs = np.array([0.7, 0.45, 0.55, 0.3])  # fixed point of the label swap
     np.testing.assert_allclose(1 - probs[::-1], probs)
     x0 = StrategyVector(1, probs)
@@ -534,9 +637,7 @@ def test_integrate_path_rejects_boundary_start():
 
 def test_fit_polynomial_invariant_diagnostic():
     """The SVD diagnostic recognises the cubic invariant subspace."""
-    spec = FieldSpec(
-        1, F1, "antisymmetric", closed_form_override="memory1_antisym"
-    )
+    spec = FieldSpec(1, F1, "antisymmetric")
     x0 = StrategyVector(1, np.array([0.6, 0.45, 0.5, 0.4]))
     trajectory = integrate(spec, x0, dt=1e-3, t_max=0.5)
     g2_coeffs = {
