@@ -2,7 +2,9 @@
 and the verification battery.
 
 Exit codes: 0 on success (and all checks passing), 1 when a verification
-check fails, 2 on usage errors.
+check fails or the model refuses its inputs (a ``MemnError``), 2 on usage
+errors, which include every ``ValueError`` the library raises for an
+invalid argument.
 """
 
 from __future__ import annotations
@@ -307,6 +309,8 @@ def main(argv=None) -> int:
     except MemnError as exc:
         print(f"memn: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        parser_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -16,8 +16,10 @@ of the determinant-quotient numerator oriented by the sign of det B; it
 rescales speed, never direction.
 
 One kernel, :func:`field_batch`, evaluates this field at every row of a
-(batch, size) array of points, with a payoff column and a sign per row; its
-index layout is cached per size and its solves are one stacked call.
+(batch, size) array of points, with a payoff column and a sign per row.  It
+takes the quadruples, the stack of B and the quadruple columns from
+:mod:`markov`, which alone knows the chain layout, and solves for nu and h
+in one stacked call.
 :func:`adaptive_field` is its batch-of-one call behind the validation of
 the API edge.  The RK4/RK45 steppers of :func:`integrate_path` advance a
 whole ensemble of starts in lockstep, each member stopping on its own, so
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,9 @@ from .markov import (
     build_transition_matrix,
     chain_system,
     payoff_from_column,
+    quad_columns,
+    quadruples,
+    solve_systems,
 )
 
 VARIANTS = ("full", "symmetric", "antisymmetric", "antisymmetric_reparam")
@@ -102,58 +106,6 @@ def _check_margin(x: StrategyVector, margin: float):
         )
 
 
-@lru_cache(maxsize=None)
-def _layout(size: int):
-    """Index layout of the stacked pair (B^T, B) at ``size`` states.
-
-    Returns the bar permutation, each row's four quadruple columns, the
-    positions in the flattened (size, 4) quadruple array of the entries
-    outside B's last column (which is all ones), once for B^T and once for
-    B, and the flat row-major indices in the pair of those entries followed
-    by the constant ones.  The last array holds the -1 that B = M - I adds
-    to the quadruple entries (0 off the diagonal) and then the constants:
-    -1 on the rest of the diagonal and 1 in the last column.
-    """
-    n = (size.bit_length() - 1) // 2
-    rows = np.arange(size)
-    cols = 4 * (rows % (size // 4))[:, None] + np.arange(4)
-    keep = np.flatnonzero(cols.ravel() != size - 1)
-    row, col = np.repeat(rows, 4)[keep], cols.ravel()[keep]
-    template = -np.eye(size)  # B with M = 0
-    template[:, -1] = 1.0
-    in_quad = np.zeros((size, size), dtype=bool)
-    in_quad[row, col] = True
-    crow, ccol = np.nonzero((template != 0.0) & ~in_quad)
-    flat = np.concatenate([
-        col * size + row,
-        size * size + row * size + col,
-        ccol * size + crow,
-        size * size + crow * size + ccol,
-    ])
-    values = np.concatenate([
-        np.tile(template[row, col], 2), np.tile(template[crow, ccol], 2)
-    ])
-    return bar_permutation(n), cols, np.tile(keep, 2), flat, values
-
-
-# x * _FLIP[0] + _FLIP[1] = (x, 1 - x), exactly
-_FLIP = np.array([[1.0, -1.0], [0.0, 1.0]])
-
-
-def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a stack of systems; a singular member's solution is all NaN."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for k in range(len(a)):
-            try:
-                out[k] = np.linalg.solve(a[k], b[k])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def field_batch(points, column, reparam: bool = False, sign=1.0) -> np.ndarray:
     """Analytic field at each row of a (batch, size) array of interior points.
 
@@ -161,36 +113,32 @@ def field_batch(points, column, reparam: bool = False, sign=1.0) -> np.ndarray:
     per row; ``reparam`` scales each gradient by |det B| (the
     ``antisymmetric_reparam`` variant, given its column f - f∘bar).  Rows
     are neither validated nor margin-checked; a row whose chain system is
-    singular comes back as NaN.  B^T and B are put together from the
-    quadruples in one flat assignment, B^T nu = e_last and B y = -column
-    are one stacked solve, and the gradient is that of the module
-    docstring.
+    singular comes back as NaN.  B from :func:`markov.chain_system` and
+    B^T are copied into one (2 batch, size, size) array, on which B^T nu =
+    e_last and B y = -column are one stacked solve; the gradient is that of
+    the module docstring.  The pair is allocated before B: with B allocated
+    first, malloc could return the large blocks to the system after each
+    call and fault them in again on the next, hundreds of page faults a call
+    at n = 4.
     """
     x = np.asarray(points, dtype=float)
     batch, size = x.shape
-    bar, cols, keep, flat, values = _layout(size)
     # mutant = resident: row i's quadruple is (p, 1 - p) x (qb, 1 - qb)
-    mutant = x[:, :, None] * _FLIP[0] + _FLIP[1]
-    resident = mutant[:, bar]
-    quad = (mutant[:, :, :, None] * resident[:, :, None, :]).reshape(batch, 4 * size)
-    entries = np.empty((batch, len(flat)))
-    entries[:] = values
-    entries[:, : len(keep)] += quad[:, keep]
-    pair = np.zeros((batch, 2 * size * size))
-    pair[:, flat] = entries
-    pair = pair.reshape(batch, 2, size, size)
-    rhs = np.zeros((batch, 2, size, 1))
-    rhs[:, 0, -1] = 1.0
-    rhs[:, 1, :, 0] = -np.asarray(column, dtype=float)
-    solution = _solve_stack(
-        pair.reshape(2 * batch, size, size), rhs.reshape(2 * batch, size, 1)
-    )
-    nu, h = solution[0::2, :, 0], solution[1::2, :, 0]
+    qb = x[:, bar_permutation((size.bit_length() - 1) // 2)]
+    pair = np.empty((2 * batch, size, size))
+    pair[batch:] = chain_system(quadruples(x, qb))
+    system = pair[batch:]
+    pair[:batch] = system.swapaxes(1, 2)
+    rhs = np.zeros((2 * batch, size, 1))
+    rhs[:batch, -1] = 1.0
+    rhs[batch:, :, 0] = -np.asarray(column, dtype=float)
+    solution = solve_systems(pair, rhs)
+    nu, h = solution[:batch, :, 0], solution[batch:, :, 0]
     h[:, -1] = 0.0
-    hq = h[:, cols]
-    grad = nu * (resident * (hq[:, :, :2] - hq[:, :, 2:])).sum(axis=2)
+    hq = h[:, quad_columns(size)]
+    grad = nu * (qb * (hq[..., 0] - hq[..., 2]) + (1 - qb) * (hq[..., 1] - hq[..., 3]))
     if reparam:
-        det_sign, log_det = np.linalg.slogdet(pair[:, 1])
+        det_sign, log_det = np.linalg.slogdet(system)
         grad *= np.where(det_sign == 0.0, np.nan, np.exp(log_det))[:, None]
     grad *= np.reshape(sign, (-1, 1))
     return grad
@@ -203,12 +151,12 @@ def _field_central(x: StrategyVector, column: np.ndarray, h: float, reparam: boo
     oriented by the sign of det B at the resident.
     """
     if reparam:
-        sign, _ = np.linalg.slogdet(chain_system(build_transition_matrix(x, x)))
+        sign, _ = np.linalg.slogdet(chain_system(build_transition_matrix(x, x).quads))
         if sign == 0.0:
             raise DegeneracyError("denominator determinant vanished")
 
         def value(p):
-            numerator = chain_system(build_transition_matrix(p, x))
+            numerator = chain_system(build_transition_matrix(p, x).quads)
             numerator[:, -1] = column
             sign_n, log_n = np.linalg.slogdet(numerator)
             return sign * sign_n * math.exp(log_n)
@@ -372,19 +320,25 @@ def memory1_antisym_field_closed(
     """
     if p.n != 1:
         raise ValueError("closed form is specific to memory 1")
-    a, x, y, d = p.probs
+    denom, w_cc, w_cd, w_dd = _antisym_terms(*p.probs)
+    if abs(denom) < 1e-300:
+        raise DegeneracyError("closed-form denominator vanished")
+    return (f2 - f3) / denom * np.array([w_cc, w_cd, w_cd, w_dd])
+
+
+def _antisym_terms(a, x, y, d):
+    """Denominator and numerators (CC, CD = DC, DD) of the memory-1
+    anti-symmetric field per unit f2 - f3; array-safe."""
     shared = (
         2 * d * (a**2 - x * y - 1)
         + d**2 * (-2 * a + x + y + 1)
         - (a - 1) * (a * (x + y - 1) - 2 * x * y + x + y - 1)
     )
     denom = 2 * (x - y - 1) * shared
-    if abs(denom) < 1e-300:
-        raise DegeneracyError("closed-form denominator vanished")
     w_cc = d * (-d * (x + y) + 2 * x * y + d)
     w_cd = -(a - 1) * d * (a - d + 1)
     w_dd = (a - 1) * (a * (x + y - 1) - 2 * x * y + x + y - 1)
-    return (f2 - f3) / denom * np.array([w_cc, w_cd, w_cd, w_dd])
+    return denom, w_cc, w_cd, w_dd
 
 
 def counting_antisym_closed(q2: float, q1: float, q0: float) -> np.ndarray:
@@ -460,46 +414,33 @@ def counting_sign_study(
     """Signs of dq2 and dq0 on an interior grid, for both orientations.
 
     Evaluates the anti-symmetric counting field through the memory-1 closed
-    form (vectorized) and the printed polynomial form, and counts the signs
-    of the first and last components over a resolution^3 grid.
+    form and the printed polynomial form, one q2 slice of the grid at a
+    time (the whole grid at once would add megabytes to the battery's peak
+    memory), and counts the signs of the first and last components over a
+    resolution^3 grid.
     """
     from .core import GameParams, build_payoff_vector
 
     f = build_payoff_vector(GameParams.donation(b, c), 1)
     grid = np.linspace(margin, 1.0 - margin, resolution)
-    q2g, q1g, q0g = np.meshgrid(grid, grid, grid, indexing="ij")
-    a, x, y, d = q2g, q1g, q1g, q0g
-    shared = (
-        2 * d * (a**2 - x * y - 1)
-        + d**2 * (-2 * a + x + y + 1)
-        - (a - 1) * (a * (x + y - 1) - 2 * x * y + x + y - 1)
-    )
-    denom = 2 * (x - y - 1) * shared
-    scale = (f.values[1] - f.values[2]) / denom
-    dq2 = scale * d * (-d * (x + y) + 2 * x * y + d)
-    dq0 = scale * (a - 1) * (a * (x + y - 1) - 2 * x * y + x + y - 1)
-    delta = (
-        -2 * q0g * (-(q2g**2) + q1g**2 + 1)
-        + q0g**2 * (-2 * q2g + 2 * q1g + 1)
-        + (q2g - 1) * (2 * q1g * (-q2g + q1g - 1) + q2g + 1)
-    )
-    printed_dq2 = -0.5 * q0g * (2 * q1g * (q1g - q0g) + q0g) * delta
-    printed_dq0 = (
-        0.5 * (q2g - 1) * (2 * q1g * (-q2g + q1g - 1) + q2g + 1) * delta
-    )
-    total = resolution**3
+    q1g, q0g = np.meshgrid(grid, grid, indexing="ij")
+    # rows: restriction dq2, dq0, printed dq2, dq0; columns: -, +, 0
+    signs = np.zeros((4, 3), dtype=int)
+    for q2 in grid:
+        q2g = np.full_like(q1g, q2)
+        denom, w_cc, _, w_dd = _antisym_terms(q2g, q1g, q1g, q0g)
+        scale = (f.values[1] - f.values[2]) / denom
+        printed = counting_antisym_closed(q2g, q1g, q0g)
+        for row, arr in enumerate((scale * w_cc, scale * w_dd, printed[0], printed[2])):
+            signs[row] += (arr < 0).sum(), (arr > 0).sum(), (arr == 0).sum()
 
-    def counts(arr):
-        return {
-            "negative": int((arr < 0).sum()),
-            "positive": int((arr > 0).sum()),
-            "zero": int((arr == 0).sum()),
-        }
+    def counts(row):
+        return dict(zip(("negative", "positive", "zero"), signs[row].tolist()))
 
     return {
-        "grid_points": total,
-        "restriction": {"dq2": counts(dq2), "dq0": counts(dq0)},
-        "printed": {"dq2": counts(printed_dq2), "dq0": counts(printed_dq0)},
+        "grid_points": resolution**3,
+        "restriction": {"dq2": counts(0), "dq0": counts(1)},
+        "printed": {"dq2": counts(2), "dq0": counts(3)},
     }
 
 
@@ -738,8 +679,11 @@ def integrate_path(
     The field at each accepted state is evaluated once: it gives the
     recorded field norm and the next step's first stage.  ``observers``
     maps names to functions of an array of states (one per row), recorded
-    for every accepted state.
+    for every accepted state.  ``dt`` must be finite and positive and
+    ``t_max`` finite; a backward run negates the field instead.
     """
+    if not (math.isfinite(dt) and dt > 0.0 and math.isfinite(t_max)):
+        raise ValueError(f"need finite dt > 0 and finite t_max; got {dt} and {t_max}")
     if method == "rk4":
         step = _rk4_step
     elif method == "rk45-adaptive":

@@ -11,13 +11,20 @@ appending the new joint action, so the nonzeros of row ``i`` sit at columns
 where ``qb`` is the co-player's cooperation probability at the mirrored
 history ``bar(i)``.
 
-Payoffs, their split and the adaptive field solve one system
-(:func:`chain_system`); the determinant quotient is kept as their oracle.
+A chain is stored as these (size, 4) quadruples and nothing else; this is
+the only module that knows where they sit.  The dense matrix is derived on
+demand (``TransitionMatrix.entries``) for the oracles and tests alone.
+Payoffs, their split and the adaptive field solve one system, B = M - I
+with its last column set to 1, assembled from the quadruples by
+:func:`chain_system` for one chain or a stack of them; the determinant
+quotient and the block recursion are kept as its oracles.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,65 +41,78 @@ INTERIOR_THRESHOLD = 1e-12
 POWER_MAX_ITER = 1_000_000
 
 
+@lru_cache(maxsize=None)
+def quad_columns(size: int) -> np.ndarray:
+    """(size, 4) read-only array of the columns of each row's quadruple."""
+    cols = 4 * (np.arange(size) % (size // 4))[:, None] + np.arange(4)
+    cols.flags.writeable = False
+    return cols
+
+
+def quadruples(p: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """(..., size, 4) row quadruples of focal probabilities ``p`` against the
+    co-player's probabilities ``qb`` read at the mirrored histories."""
+    out = np.empty(np.shape(p) + (4,))
+    not_p, not_qb = 1 - p, 1 - qb
+    np.multiply(p, qb, out=out[..., 0])
+    np.multiply(p, not_qb, out=out[..., 1])
+    np.multiply(not_p, qb, out=out[..., 2])
+    np.multiply(not_p, not_qb, out=out[..., 3])
+    return out
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic 2^(2n) x 2^(2n) matrix; dense storage, 4 nonzeros per row."""
+    """Row-stochastic 2^(2n) x 2^(2n) matrix, stored as its row quadruples."""
 
     n: int
-    entries: np.ndarray
+    quads: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
+        quads = np.asarray(self.quads, dtype=float)
         size = n_states(self.n)
-        if entries.shape != (size, size):
-            raise ValueError(f"expected {size}x{size} matrix for n={self.n}")
-        object.__setattr__(self, "entries", entries)
+        if quads.shape != (size, 4):
+            raise ValueError(f"expected {size}x4 quadruples for n={self.n}")
+        object.__setattr__(self, "quads", quads)
 
     @property
     def size(self) -> int:
-        return self.entries.shape[0]
+        return self.quads.shape[0]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense matrix, built on every access; for oracles and tests only."""
+        out = np.zeros((self.size, self.size))
+        np.put_along_axis(out, quad_columns(self.size), self.quads, axis=1)
+        return out
 
     def quadruple_columns(self, row: int) -> np.ndarray:
         """Columns allowed to be nonzero in ``row``."""
-        start = 4 * (row % (self.size // 4))
-        return np.arange(start, start + 4)
+        return quad_columns(self.size)[row]
 
     def sparse_rows(self):
         """Per-row list of (column, value) pairs at the quadruple positions."""
-        rows = []
-        for i in range(self.size):
-            cols = self.quadruple_columns(i)
-            rows.append([[int(c), float(self.entries[i, c])] for c in cols])
-        return rows
+        rows = zip(quad_columns(self.size).tolist(), self.quads.tolist())
+        return [[list(pair) for pair in zip(cols, values)] for cols, values in rows]
 
 
-def _quadruples(p: StrategyVector, q: StrategyVector) -> np.ndarray:
-    """(size, 4) array of the row quadruples for the pair (p, q)."""
-    pi = p.probs
-    qb = q.probs[bar_permutation(p.n)]
-    return np.stack(
-        [pi * qb, pi * (1 - qb), (1 - pi) * qb, (1 - pi) * (1 - qb)], axis=1
-    )
+def _left_product(weights: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """nu M without the dense M: row i's weight lands on its quadruple columns."""
+    size = len(quads)
+    return (weights[:, None] * quads).reshape(4, size // 4, 4).sum(0).ravel()
 
 
 def build_transition_matrix(p: StrategyVector, q: StrategyVector) -> TransitionMatrix:
-    """Direct per-entry construction from the quadruple rule."""
+    """Direct construction from the quadruple rule."""
     if p.n != q.n:
         raise ValueError(f"memory orders differ: {p.n} vs {q.n}")
-    size = n_states(p.n)
-    quad = _quadruples(p, q)
-    entries = np.zeros((size, size))
-    rows = np.arange(size)
-    start = 4 * (rows % (size // 4))
-    for k in range(4):
-        entries[rows, start + k] = quad[:, k]
-    return TransitionMatrix(p.n, entries)
+    return TransitionMatrix(p.n, quadruples(p.probs, q.probs[bar_permutation(p.n)]))
 
 
 def build_transition_matrix_recursive(
     p: StrategyVector, q: StrategyVector
-) -> TransitionMatrix:
-    """Block-recursive construction, used as the structural test oracle.
+) -> np.ndarray:
+    """Dense block-recursive construction, used as the structural test oracle.
 
     The memory-``n`` matrix is assembled from four memory-``(n-1)`` matrices,
     one per prefix round CC/CD/DC/DD: each is cut into four horizontal strips
@@ -104,7 +124,7 @@ def build_transition_matrix_recursive(
         raise ValueError(f"memory orders differ: {p.n} vs {q.n}")
     n = p.n
     if n == 1:
-        return build_transition_matrix(p, q)
+        return build_transition_matrix(p, q).entries
     sub = n_states(n - 1)
     strip = sub // 4
     size = n_states(n)
@@ -114,14 +134,56 @@ def build_transition_matrix_recursive(
         p_slice = StrategyVector(n - 1, p.probs[t * sub : (t + 1) * sub])
         tb = prefix_bar[t]
         q_slice = StrategyVector(n - 1, q.probs[tb * sub : (tb + 1) * sub])
-        block = build_transition_matrix_recursive(p_slice, q_slice).entries
+        block = build_transition_matrix_recursive(p_slice, q_slice)
         for s in range(4):
             row0 = (4 * t + s) * strip
             col0 = s * sub
             entries[row0 : row0 + strip, col0 : col0 + sub] = block[
                 s * strip : (s + 1) * strip, :
             ]
-    return TransitionMatrix(n, entries)
+    return entries
+
+
+def chain_system(quads: np.ndarray) -> np.ndarray:
+    """B = M - I with its last column set to 1, from the quadruples.
+
+    ``quads`` is one chain's (size, 4) array or a (batch, size, 4) stack,
+    giving B or a (batch, size, size) stack of B.  B is the
+    determinant-quotient denominator and the one matrix behind the
+    stationary and Poisson solves: nu B = e_last says nu (M - I) = 0 and
+    nu . 1 = 1.
+    """
+    quads = np.asarray(quads)
+    *lead, size, _ = quads.shape
+    out = np.zeros((*lead, size, size))
+    rows = np.arange(size)
+    out[..., rows[:, None], quad_columns(size)] = quads
+    out[..., rows, rows] -= 1.0
+    out[..., -1] = 1.0
+    return out
+
+
+def solve_systems(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` on one system or a stack of them.
+
+    A singular system's solution comes back all NaN; the other members of
+    a stack are still solved.
+    """
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(np.shape(b), np.nan)
+        for k in np.ndindex(a.shape[:-2]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[k] = np.linalg.solve(a[k], b[k])
+        return out
+
+
+def _solved(x: np.ndarray) -> np.ndarray:
+    """``x`` from :func:`solve_systems`, unless its system was singular."""
+    if np.isnan(x).any():
+        raise DegeneracyError("singular chain system; strategies are degenerate")
+    return x
 
 
 @dataclass(frozen=True)
@@ -132,7 +194,7 @@ class StationaryDistribution:
     def residual(self, matrix: TransitionMatrix) -> float:
         """Max-norm defect of the left-eigenvector equation."""
         return float(
-            np.abs(self.weights @ matrix.entries - self.weights).max()
+            np.abs(_left_product(self.weights, matrix.quads) - self.weights).max()
         )
 
 
@@ -149,12 +211,12 @@ def stationary_distribution(
     if method == "linear-solve":
         unit = np.zeros(size)
         unit[-1] = 1.0
-        return StationaryDistribution(matrix.n, _solve(chain_system(matrix).T, unit))
+        system = chain_system(matrix.quads)
+        return StationaryDistribution(matrix.n, _solved(solve_systems(system.T, unit)))
     if method == "power-iteration":
         nu = np.full(size, 1.0 / size)
-        mt = matrix.entries.T
         for _ in range(POWER_MAX_ITER):
-            nxt = mt @ nu
+            nxt = _left_product(nu, matrix.quads)
             residual = float(np.abs(nxt - nu).max())
             nu = nxt / nxt.sum()
             if residual < tol:
@@ -186,27 +248,6 @@ def _det_ratio(numerator: np.ndarray, denominator: np.ndarray) -> float:
     return float(sign_n * sign_d * np.exp(log_n - log_d))
 
 
-def chain_system(matrix: TransitionMatrix) -> np.ndarray:
-    """B = M - I with its last column set to 1.
-
-    B is the determinant-quotient denominator and the one matrix behind the
-    stationary and Poisson solves: nu B = e_last says nu (M - I) = 0 and
-    nu . 1 = 1.
-    """
-    out = matrix.entries - np.eye(matrix.size)
-    out[:, -1] = 1.0
-    return out
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError(
-            "singular chain system; strategies are degenerate"
-        ) from exc
-
-
 def poisson_vector(system: np.ndarray, column: np.ndarray) -> np.ndarray:
     """h with (I - M) h = column - (nu . column) * 1 and h[-1] = 0.
 
@@ -214,7 +255,7 @@ def poisson_vector(system: np.ndarray, column: np.ndarray) -> np.ndarray:
     its last entry zeroed: that entry multiplies the all-ones column of B and
     equals -(nu . column).
     """
-    h = _solve(system, -column)
+    h = _solved(solve_systems(system, -column))
     h[-1] = 0.0
     return h
 
@@ -223,7 +264,7 @@ def payoff_from_column(
     p: StrategyVector, q: StrategyVector, column: np.ndarray
 ) -> float:
     """Determinant-quotient payoff with an arbitrary final column (oracle)."""
-    denominator = chain_system(build_transition_matrix(p, q))
+    denominator = chain_system(build_transition_matrix(p, q).quads)
     numerator = denominator.copy()
     numerator[:, -1] = column
     return _det_ratio(numerator, denominator)

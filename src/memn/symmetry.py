@@ -24,7 +24,7 @@ from .core import (
     bar_index,
     n_states,
 )
-from .markov import TransitionMatrix, build_transition_matrix
+from .markov import TransitionMatrix, build_transition_matrix, quad_columns
 
 KINDS = ("J1", "J2", "J3", "J4", "J5", "J6", "J7", "J8")
 
@@ -125,14 +125,34 @@ def compose(a: SymmetryPermutation, b: SymmetryPermutation) -> np.ndarray:
     return b.perm[a.perm]
 
 
+def _conjugation_layout(perm: np.ndarray) -> np.ndarray | None:
+    """Where J M J^T takes each quadruple entry from, in quadruple space.
+
+    Row ``i`` of J M J^T is row ``perm[i]`` of M with its columns relabeled;
+    its quadruple columns ``c`` read M at column ``perm[c]``, which is entry
+    ``k = perm[c] - (first quadruple column of row perm[i])`` of that row's
+    quadruple.  The conjugate keeps the quadruple layout iff every ``k`` lies
+    in [0, 3]; then ``quads[perm[:, None], k]`` are its quadruples, and
+    otherwise None is returned.
+    """
+    cols = quad_columns(len(perm))
+    k = perm[cols] - cols[perm, 0][:, None]
+    return k if k.min() >= 0 and k.max() <= 3 else None
+
+
 def conjugate_matrix(
     matrix: TransitionMatrix, j: SymmetryPermutation
 ) -> TransitionMatrix:
-    """J M J^T as a pure relabeling of rows and columns (no arithmetic)."""
+    """J M J^T as a pure relabeling of the quadruples (no arithmetic).
+
+    Raises ValueError when ``j`` does not keep the quadruple layout.
+    """
     if n_states(j.n) != matrix.size:
         raise ValueError("permutation and matrix dimensions differ")
-    entries = matrix.entries[np.ix_(j.perm, j.perm)]
-    return TransitionMatrix(matrix.n, entries)
+    k = _conjugation_layout(j.perm)
+    if k is None:
+        raise ValueError(f"{j.kind} does not keep the quadruple layout")
+    return TransitionMatrix(matrix.n, matrix.quads[j.perm[:, None], k])
 
 
 def payoff_vector_reflection_residual(f: PayoffVector) -> float:
@@ -147,26 +167,12 @@ def payoff_vector_reflection_residual(f: PayoffVector) -> float:
     return float(np.abs(-f.values + k - reflected).max())
 
 
-def _quadruple_residuals(entries: np.ndarray) -> tuple[float, float, float]:
+def _quadruple_residuals(quads: np.ndarray) -> tuple[float, float, float]:
     """(worst negative entry, worst row-sum defect, worst rank-1 defect)."""
-    size = entries.shape[0]
-    rows = np.arange(size)
-    start = 4 * (rows % (size // 4))
-    quads = np.stack([entries[rows, start + k] for k in range(4)], axis=1)
     neg = float(max(0.0, -quads.min()))
     row_sum = float(np.abs(quads.sum(axis=1) - 1.0).max())
     rank1 = float(np.abs(quads[:, 0] * quads[:, 3] - quads[:, 1] * quads[:, 2]).max())
     return neg, row_sum, rank1
-
-
-def _has_quadruple_sparsity(entries: np.ndarray) -> bool:
-    size = entries.shape[0]
-    mask = np.zeros_like(entries, dtype=bool)
-    rows = np.arange(size)
-    start = 4 * (rows % (size // 4))
-    for k in range(4):
-        mask[rows, start + k] = True
-    return not np.any(entries[~mask] != 0.0)
 
 
 def check_admissible(
@@ -190,13 +196,14 @@ def check_admissible(
         raise ValueError("perm is not a bijection on the index set")
     if rng is None:
         rng = np.random.default_rng(0)
+    k = _conjugation_layout(perm)
     for _ in range(trials):
         p = StrategyVector(n, rng.uniform(0.05, 0.95, size))
         q = StrategyVector(n, rng.uniform(0.05, 0.95, size))
-        m = build_transition_matrix(p, q).entries
-        conj = m[np.ix_(perm, perm)]
-        if not _has_quadruple_sparsity(conj):
+        # the pair is drawn first, so later draws do not depend on the layout
+        if k is None:
             return False
+        conj = build_transition_matrix(p, q).quads[perm[:, None], k]
         neg, row_sum, rank1 = _quadruple_residuals(conj)
         if neg > 0.0 or row_sum > 1e-12 or rank1 > rank1_tol:
             return False

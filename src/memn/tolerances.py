@@ -1,8 +1,9 @@
 """Central tolerance ledger for the verification battery.
 
 Every numerical check reads its tolerance from here so that a run is fully
-reproducible from one place.  Set the environment variable MEMN_TOLERANCES
-to a JSON file of overrides ({"name": value, ...}) to adjust them.
+reproducible from one place; every key here is read by a check.  Set the
+environment variable MEMN_TOLERANCES to a JSON file of overrides
+({"name": value, ...}) to adjust them.
 """
 
 from __future__ import annotations
@@ -13,19 +14,16 @@ import os
 
 DEFAULTS = {
     "row_sum": 1e-12,
-    "recursion_equality": 0.0,
     "conjugation_equality": 0.0,
     "admissible_rank1": 1e-10,
     "payoff_methods": 1e-8,
     "reactive_closed_form": 1e-10,
     "constant_shift": 1e-10,
     "decomposition_closure": 1e-10,
-    "decomposition_symmetry": 1e-10,
     "reflection_residual": 1e-12,
     "gradient_relative": 1e-6,
     "closed_form_relative": 1e-6,
     "field_decomposition": 1e-8,
-    "counting_invariance": 1e-9,
     "collinearity_angle": 1e-6,
     "reactive_fields": 1e-10,
     "conserved_drift_per_time": 1e-7,

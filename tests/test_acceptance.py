@@ -72,7 +72,7 @@ def test_criterion_01_structure_and_recursion():
             p, q = random_pair(rng, n, 0.0, 1.0)
             direct = build_transition_matrix(p, q)
             recursive = build_transition_matrix_recursive(p, q)
-            identical &= np.array_equal(direct.entries, recursive.entries)
+            identical &= np.array_equal(direct.entries, recursive)
             worst_row_sum = max(
                 worst_row_sum, float(np.abs(direct.entries.sum(axis=1) - 1).max())
             )

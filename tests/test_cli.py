@@ -1,15 +1,21 @@
 """Command-line interface tests: schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memn
 from memn import __version__
-from memn.battery import FAULT_DELTA
+from memn.battery import _BATTERY, FAULT_DELTA
 from memn.cli import main
 from memn.core import GameParams, StrategyVector, bar_permutation, build_payoff_vector
 from memn.markov import decompose_payoff, payoff, payoff_from_column
+from memn.tolerances import DEFAULTS
 
 
 @pytest.fixture
@@ -206,6 +212,41 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["matrix", "--n", "1", "--p", str(wrong_n), "--q", str(wrong_n)])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--x0", "{x}", "--dt", "0", "--out", "{out}"],
+        ["integrate", "--x0", "{x}", "--dt", "0", "--method", "rk45-adaptive",
+         "--out", "{out}"],
+        ["field", "--at", "{x}", "--h", "1"],
+        ["verify", "--trials", "0"],
+        ["verify", "--n-max", "0"],
+    ],
+)
+def test_invalid_arguments_exit_two_without_traceback(argv, tmp_path):
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"n": 1, "probs": [0.6, 0.45, 0.5, 0.4]}))
+    args = [a.format(x=x, out=tmp_path / "out.csv") for a in argv]
+    src = str(Path(memn.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "memn.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("memn: ")
+    assert "Traceback" not in done.stderr
+
+
+def test_every_ledger_key_governs_a_check():
+    named = set()
+    for *_, key in _BATTERY:
+        named.update(key if isinstance(key, tuple) else (key,))
+    assert set(DEFAULTS) == named
 
 
 def test_tolerance_override_env(tmp_path, monkeypatch):

@@ -88,7 +88,7 @@ def test_reparam_is_scaled_antisymmetric_field(n):
         x = random_point(rng, n)
         anti = adaptive_field(x, FieldSpec(n, f, "antisymmetric"))
         reparam = adaptive_field(x, FieldSpec(n, f, "antisymmetric_reparam"))
-        det = abs(np.linalg.det(chain_system(build_transition_matrix(x, x))))
+        det = abs(np.linalg.det(chain_system(build_transition_matrix(x, x).quads)))
         assert det > 0.0
         np.testing.assert_allclose(reparam, 2.0 * det * anti, rtol=1e-9, atol=0.0)
 
@@ -633,6 +633,16 @@ def test_perturbation_linear_scaling_and_envelope():
 def test_integrate_path_rejects_boundary_start():
     with pytest.raises(BoundaryMarginError):
         integrate_path(lambda v: v, np.array([0.0, 0.5]), 1e-2, 1.0)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45-adaptive"])
+@pytest.mark.parametrize(
+    "dt, t_max", [(0.0, 1.0), (-1e-3, 1.0), (float("nan"), 1.0), (1e-2, float("inf"))]
+)
+def test_integrate_path_rejects_bad_step(dt, t_max, method):
+    """A zero step never advances time; a negative or NaN one must not run."""
+    with pytest.raises(ValueError):
+        integrate_path(lambda v: v, np.array([0.5, 0.5]), dt, t_max, method=method)
 
 
 def test_fit_polynomial_invariant_diagnostic():

@@ -80,7 +80,7 @@ def test_recursive_construction_bit_exact(n):
     for _ in range(20):
         p, q = random_pair(rng, n, 0.0, 1.0)
         direct = build_transition_matrix(p, q).entries
-        recursive = build_transition_matrix_recursive(p, q).entries
+        recursive = build_transition_matrix_recursive(p, q)
         assert np.array_equal(direct, recursive)
 
 
@@ -175,7 +175,7 @@ def test_poisson_vector_solves_poisson_equation(n):
     f = build_payoff_vector(DONATION, n)
     p, q = random_pair(rng, n)
     m = build_transition_matrix(p, q)
-    h = poisson_vector(chain_system(m), f.values)
+    h = poisson_vector(chain_system(m.quads), f.values)
     value = payoff_from_column(p, q, f.values)
     assert h[-1] == 0.0
     residual = h - m.entries @ h - (f.values - value)
