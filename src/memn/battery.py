@@ -496,8 +496,9 @@ def check_perturbation(rng, n_max, trials, tol_pair):
     """Full counting flow diverges linearly in eps from its core."""
     low, high = tol_pair
     start = (0.55, 0.5, 0.45)
-    small = perturbation_experiment(start, b=1.0005, c=0.9995, t_max=2.0)
-    large = perturbation_experiment(start, b=1.005, c=0.995, t_max=2.0)
+    small, large = perturbation_experiment(
+        start, b=(1.0005, 1.005), c=(0.9995, 0.995), t_max=2.0
+    )
     k = min(len(small.divergence), len(large.divergence)) - 1
     ratio = float(large.divergence[k] / small.divergence[k])
     dominated = small.dominated() and large.dominated()

@@ -30,7 +30,7 @@ from .dynamics import (
     default_conserved,
     integrate,
 )
-from .markov import build_transition_matrix, payoff_split
+from .markov import build_transition_matrix, payoff_solve
 
 VARIANT_ALIASES = {
     "full": "full",
@@ -132,12 +132,17 @@ def cmd_payoff(args) -> int:
     p = _load_strategy(args.p, args.n)
     q = _load_strategy(args.q, args.n)
     f = _payoff_vector(args, p.n)
-    value, a_s, a_a = payoff_split(p, q, f)
+    (value, a_s, a_a), solve = payoff_solve(p, q, f)
     payload = {
         "version": __version__,
         "A": value,
         "A_s": a_s,
         "A_a": a_a,
+        "solve": {
+            "method": solve.method(),
+            "iterations": int(solve.iterations[0]),
+            "residual": float(solve.residual[0]),
+        },
     }
     _write_json(args.out, payload)
     return 0

@@ -18,8 +18,11 @@ rescales speed, never direction.
 One kernel, :func:`field_batch`, evaluates this field at every row of a
 (batch, size) array of points, with a payoff column and a sign per row.  It
 takes the quadruples, the stack of B and the quadruple columns from
-:mod:`markov`, which alone knows the chain layout, and solves for nu and h
-in one stacked call.
+:mod:`markov`, which alone knows the chain layout.  Below memory 5 it
+solves for nu and h in one stacked dense call; from memory 5 up it takes
+them from the matrix-free :func:`markov.solve_chain` (dense only for a
+member that mixes too slowly), and the reparametrised variant alone still
+builds B for its determinant.
 :func:`adaptive_field` is its batch-of-one call behind the validation of
 the API edge.  The RK4/RK45 steppers of :func:`integrate_path` advance a
 whole ensemble of starts in lockstep, each member stopping on its own, so
@@ -45,15 +48,19 @@ from .core import (
 )
 from .errors import (
     BoundaryMarginError,
+    ConvergenceError,
     DegeneracyError,
     InvarianceViolationError,
 )
 from .markov import (
+    DENSE_FALLBACK_SIZE,
+    MATRIX_FREE_SIZE,
     build_transition_matrix,
     chain_system,
     payoff_from_column,
     quad_columns,
     quadruples,
+    solve_chain,
     solve_systems,
 )
 
@@ -113,32 +120,51 @@ def field_batch(points, column, reparam: bool = False, sign=1.0) -> np.ndarray:
     per row; ``reparam`` scales each gradient by |det B| (the
     ``antisymmetric_reparam`` variant, given its column f - f∘bar).  Rows
     are neither validated nor margin-checked; a row whose chain system is
-    singular comes back as NaN.  B from :func:`markov.chain_system` and
-    B^T are copied into one (2 batch, size, size) array, on which B^T nu =
-    e_last and B y = -column are one stacked solve; the gradient is that of
-    the module docstring.  The pair is allocated before B: with B allocated
-    first, malloc could return the large blocks to the system after each
-    call and fault them in again on the next, hundreds of page faults a call
-    at n = 4.
+    singular, or whose matrix-free solve neither converges nor may fall
+    back to dense, comes back as NaN.  The gradient is that of the module
+    docstring.
+
+    From ``MATRIX_FREE_SIZE`` states up nu and h come from
+    :func:`markov.solve_chain`, and |det B| from one dense B per row, which
+    is refused above ``DENSE_FALLBACK_SIZE`` states.  Below, B from
+    :func:`markov.chain_system` and B^T are copied into one (2 batch, size,
+    size) array, on which B^T nu = e_last and B y = -column are one stacked
+    solve.  The pair is allocated before B: with B allocated first, malloc
+    could return the large blocks to the system after each call and fault
+    them in again on the next, hundreds of page faults a call at n = 4.
     """
     x = np.asarray(points, dtype=float)
     batch, size = x.shape
     # mutant = resident: row i's quadruple is (p, 1 - p) x (qb, 1 - qb)
     qb = x[:, bar_permutation((size.bit_length() - 1) // 2)]
-    pair = np.empty((2 * batch, size, size))
-    pair[batch:] = chain_system(quadruples(x, qb))
-    system = pair[batch:]
-    pair[:batch] = system.swapaxes(1, 2)
-    rhs = np.zeros((2 * batch, size, 1))
-    rhs[:batch, -1] = 1.0
-    rhs[batch:, :, 0] = -np.asarray(column, dtype=float)
-    solution = solve_systems(pair, rhs)
-    nu, h = solution[:batch, :, 0], solution[batch:, :, 0]
-    h[:, -1] = 0.0
+    if size >= MATRIX_FREE_SIZE:
+        if reparam and size > DENSE_FALLBACK_SIZE:
+            raise ValueError(
+                "the reparametrised field needs det B, which is dense; "
+                f"refused above {DENSE_FALLBACK_SIZE} states"
+            )
+        quads = quadruples(x, qb)
+        solve = solve_chain(quads, column)
+        nu, h = solve.nu, solve.h
+    else:
+        pair = np.empty((2 * batch, size, size))
+        pair[batch:] = chain_system(quadruples(x, qb))
+        system = pair[batch:]
+        pair[:batch] = system.swapaxes(1, 2)
+        rhs = np.zeros((2 * batch, size, 1))
+        rhs[:batch, -1] = 1.0
+        rhs[batch:, :, 0] = -np.asarray(column, dtype=float)
+        solution = solve_systems(pair, rhs)
+        nu, h = solution[:batch, :, 0], solution[batch:, :, 0]
+        h[:, -1] = 0.0
     hq = h[:, quad_columns(size)]
     grad = nu * (qb * (hq[..., 0] - hq[..., 2]) + (1 - qb) * (hq[..., 1] - hq[..., 3]))
     if reparam:
-        det_sign, log_det = np.linalg.slogdet(system)
+        if size >= MATRIX_FREE_SIZE:
+            logdets = [np.linalg.slogdet(chain_system(q)) for q in quads]
+            det_sign, log_det = np.array(logdets).T
+        else:
+            det_sign, log_det = np.linalg.slogdet(system)
         grad *= np.where(det_sign == 0.0, np.nan, np.exp(log_det))[:, None]
     grad *= np.reshape(sign, (-1, 1))
     return grad
@@ -191,6 +217,11 @@ def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
     _check_margin(x, ANALYTIC_MARGIN)
     grad = field_batch(x.probs[None], column, reparam)[0]
     if not np.all(np.isfinite(grad)):
+        if len(grad) > DENSE_FALLBACK_SIZE:
+            raise ConvergenceError(
+                "the matrix-free solve did not converge; "
+                f"no dense fallback above {DENSE_FALLBACK_SIZE} states"
+            )
         raise DegeneracyError("singular chain system; strategies are degenerate")
     return grad
 
@@ -680,10 +711,13 @@ def integrate_path(
     recorded field norm and the next step's first stage.  ``observers``
     maps names to functions of an array of states (one per row), recorded
     for every accepted state.  ``dt`` must be finite and positive and
-    ``t_max`` finite; a backward run negates the field instead.
+    ``t_max`` finite and not negative; a backward run negates the field
+    instead.
     """
-    if not (math.isfinite(dt) and dt > 0.0 and math.isfinite(t_max)):
-        raise ValueError(f"need finite dt > 0 and finite t_max; got {dt} and {t_max}")
+    if not (math.isfinite(dt) and dt > 0.0 and math.isfinite(t_max) and t_max >= 0.0):
+        raise ValueError(
+            f"need finite dt > 0 and finite t_max >= 0; got {dt} and {t_max}"
+        )
     if method == "rk4":
         step = _rk4_step
     elif method == "rk45-adaptive":
@@ -938,43 +972,60 @@ class DivergenceCurve:
 
 def perturbation_experiment(
     q0_point,
-    b: float,
-    c: float,
+    b,
+    c,
     t_max: float,
     dt: float = 1e-3,
     boundary_margin: float = 1e-3,
-) -> DivergenceCurve:
+):
     """Compare full counting dynamics against their anti-symmetric part.
 
     The symmetric part scales with eps = b - c, so the full flow is a small
-    perturbation of the anti-symmetric one.  The two flows are integrated
-    as one ensemble.  The Lipschitz constant of the anti-symmetric field
-    (central-difference Jacobians) and the bound on the perturbation are
-    estimated by sampling along the reference trajectory, giving the
-    exponential envelope eps*M/K*(exp(Kt) - 1) that must dominate the
-    observed divergence.
+    perturbation of the anti-symmetric one.  ``b`` and ``c`` are numbers,
+    giving one :class:`DivergenceCurve`, or sequences of them, giving one
+    curve per (b, c) pair; the full and anti-symmetric flows of every pair
+    are integrated as one ensemble.  The Lipschitz constant of the
+    anti-symmetric field (central-difference Jacobians) and the bound on
+    the perturbation are estimated by sampling along the reference
+    trajectory, giving the exponential envelope eps*M/K*(exp(Kt) - 1) that
+    must dominate the observed divergence.
     """
     from .core import GameParams, build_payoff_vector
 
-    if b < c:
+    bs, cs = np.broadcast_arrays(np.atleast_1d(b), np.atleast_1d(c))
+    pairs = list(zip(bs.tolist(), cs.tolist()))
+    if any(b_k < c_k for b_k, c_k in pairs):
         raise ValueError("perturbation experiment needs b >= c")
-    eps = b - c
-    # direct construction so eps = 0 (b = c) stays admissible
-    f = build_payoff_vector(GameParams(R=b - c, S=-c, T=b, P=0.0), 1)
-    full_col, anti_col = (
-        variant_column(FieldSpec(1, f, v)) for v in ("full", "antisymmetric")
-    )
-    columns = np.stack([full_col, anti_col])
+    columns = []
+    for b_k, c_k in pairs:
+        # direct construction so eps = 0 (b = c) stays admissible
+        f = build_payoff_vector(GameParams(R=b_k - c_k, S=-c_k, T=b_k, P=0.0), 1)
+        columns += [
+            variant_column(FieldSpec(1, f, v)) for v in ("full", "antisymmetric")
+        ]
+    columns = np.stack(columns)
 
     start = np.asarray(q0_point, dtype=float)
-    full_traj, anti_traj = integrate_path(
+    members = integrate_path(
         lambda v: _counting_batch(v, columns),
-        np.stack([start, start]),
+        np.tile(start, (len(columns), 1)),
         dt,
         t_max,
         boundary_margin=boundary_margin,
         observers={},
     ).members
+    curves = [
+        _divergence_curve(
+            b_k - c_k, *members[2 * k : 2 * k + 2], columns[2 * k : 2 * k + 2]
+        )
+        for k, (b_k, c_k) in enumerate(pairs)
+    ]
+    return curves[0] if np.ndim(b) == np.ndim(c) == 0 else curves
+
+
+def _divergence_curve(eps, full_traj, anti_traj, columns) -> DivergenceCurve:
+    """Divergence of the full flow from the anti-symmetric one, with its envelope."""
+    anti_col = columns[1]
     common = min(len(full_traj.times), len(anti_traj.times))
     times = full_traj.times[:common]
     gap = np.linalg.norm(

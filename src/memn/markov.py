@@ -14,10 +14,19 @@ history ``bar(i)``.
 A chain is stored as these (size, 4) quadruples and nothing else; this is
 the only module that knows where they sit.  The dense matrix is derived on
 demand (``TransitionMatrix.entries``) for the oracles and tests alone.
-Payoffs, their split and the adaptive field solve one system, B = M - I
-with its last column set to 1, assembled from the quadruples by
-:func:`chain_system` for one chain or a stack of them; the determinant
-quotient and the block recursion are kept as its oracles.
+
+Payoffs, their split and the adaptive field need the stationary
+distribution nu, nu (M - I) = 0, and the Poisson vector h, (I - M) h =
+column - (nu . column) 1 with h[-1] = 0.  :func:`solve_chain` gives both
+for a stack of chains.  From ``MATRIX_FREE_SIZE`` states (memory 5) up it
+iterates on the quadruples (:func:`iterate_chain`): nu by power iteration,
+h by the Poisson series, each step O(size).  Below that, and for a member
+whose iteration does not converge within its budget (a slowly mixing
+chain near the boundary) up to ``DENSE_FALLBACK_SIZE`` states, it solves
+the dense system B = M - I with its last column set to 1, assembled by
+:func:`chain_system`.  Above ``DENSE_FALLBACK_SIZE`` such a member comes
+back NaN: the dense B would take gigabytes.  The determinant quotient,
+the dense solves and the block recursion are kept as oracles.
 """
 
 from __future__ import annotations
@@ -39,6 +48,11 @@ from .errors import ConvergenceError, DegeneracyError
 
 INTERIOR_THRESHOLD = 1e-12
 POWER_MAX_ITER = 1_000_000
+# the dense LU costs O(size^3), an iteration O(size); they tie at memory 4
+MATRIX_FREE_SIZE = 1024
+# the largest chain that may fall back to dense: B is 134 MB at 4,096 states
+DENSE_FALLBACK_SIZE = 4096
+ITERATION_TOL = 4 * np.finfo(float).eps
 
 
 @lru_cache(maxsize=None)
@@ -97,9 +111,28 @@ class TransitionMatrix:
 
 
 def _left_product(weights: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """nu M without the dense M: row i's weight lands on its quadruple columns."""
-    size = len(quads)
-    return (weights[:, None] * quads).reshape(4, size // 4, 4).sum(0).ravel()
+    """nu M without the dense M: row i's weight lands on its quadruple columns.
+
+    ``weights`` is (..., size) and ``quads`` (..., size, 4), one chain or a
+    stack.  Rows i and i + size/4 share their columns, so the (4, size/4, 4)
+    view sums over its first axis.
+    """
+    *lead, size, _ = quads.shape
+    spread = (weights[..., None] * quads).reshape(*lead, 4, size // 4, 4)
+    return spread.sum(-3).reshape(*lead, size)
+
+
+def _right_product(quads: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v without the dense M: row i reads ``v`` at its quadruple columns.
+
+    The contraction of the (4, size/4, 4) view with ``v`` as (size/4, 4);
+    einsum takes a third of the time of a product and a sum over the last
+    axis at 4,096 states.
+    """
+    *lead, size, _ = quads.shape
+    tiles = quads.reshape(*lead, 4, size // 4, 4)
+    product = np.einsum("...ajk,...jk->...aj", tiles, v.reshape(*lead, size // 4, 4))
+    return product.reshape(*lead, size)
 
 
 def build_transition_matrix(p: StrategyVector, q: StrategyVector) -> TransitionMatrix:
@@ -186,6 +219,178 @@ def _solved(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _dense_solve(quads: np.ndarray, column=None):
+    """nu and h (None without a column) of one chain by dense LU.
+
+    B^T nu = e_last and B y = -column with B from :func:`chain_system`; h is
+    y with its last entry zeroed, as in :func:`poisson_vector`.  A singular
+    system gives NaN.
+    """
+    system = chain_system(quads)
+    unit = np.zeros(len(quads))
+    unit[-1] = 1.0
+    nu = solve_systems(system.T, unit)
+    if column is None:
+        return nu, None
+    h = solve_systems(system, -column)
+    h[-1] = 0.0
+    return nu, h
+
+
+@dataclass(frozen=True)
+class ChainSolve:
+    """nu and h of a (batch, size, 4) stack of chains, one row per member.
+
+    ``h`` is None when no column was given.  Per member: ``iterations`` of
+    the matrix-free solve (the longer of the nu and h iterations; 0 below
+    ``MATRIX_FREE_SIZE``), whether it ``converged``, whether the member was
+    solved ``dense`` instead, and the max-norm ``residual`` of nu M = nu
+    and, with h, of (I - M) h = column - (nu . column) 1.
+    """
+
+    nu: np.ndarray
+    h: np.ndarray | None
+    iterations: np.ndarray
+    converged: np.ndarray
+    dense: np.ndarray
+    residual: np.ndarray
+
+    def method(self, member: int = 0) -> str:
+        return "dense" if self.dense[member] else "matrix-free"
+
+
+def iteration_budget(size: int) -> int:
+    """Iterations a chain of ``size`` states gets before it counts as not
+    converged: 1,000 per 1,024 states, about what the dense solve it
+    replaces costs (and far less than it from 4,096 states up)."""
+    return 1000 * max(1, size // 1024)
+
+
+def _settle(quads: np.ndarray, state: tuple, advance, max_iter: int):
+    """Iterate ``state <- advance(quads, state)`` on each member of a stack
+    until ``advance`` reports the member settled, at most ``max_iter`` times.
+
+    ``state`` is a tuple of (batch, size) arrays and is overwritten with
+    each member's last iterate.  A settled member leaves the stack, so its
+    result does not depend on the other members.  Returns the iterations
+    and whether each member settled.
+    """
+    batch = len(quads)
+    iterations = np.full(batch, max_iter)
+    settled = np.zeros(batch, dtype=bool)
+    live = np.arange(batch)
+    current = state
+    for k in range(1, max_iter + 1):
+        current, done = advance(quads, current)
+        if done.any():
+            finished = live[done]
+            for out, rows in zip(state, current):
+                out[finished] = rows[done]
+            iterations[finished] = k
+            settled[finished] = True
+            keep = ~done
+            live = live[keep]
+            if not len(live):
+                return iterations, settled
+            quads = quads[keep]
+            current = tuple(rows[keep] for rows in current)
+    for out, rows in zip(state, current):
+        out[live] = rows
+    return iterations, settled
+
+
+def _residual(quads, nu, column, h) -> np.ndarray:
+    """Max-norm defects of nu M = nu and of the Poisson equation, per row."""
+    residual = np.abs(_left_product(nu, quads) - nu).max(-1)
+    if h is not None:
+        column = np.broadcast_to(column, h.shape)
+        drift = (nu * column).sum(-1, keepdims=True)
+        defect = h - _right_product(quads, h) - column + drift
+        residual = np.maximum(residual, np.abs(defect).max(-1))
+    return residual
+
+
+def iterate_chain(
+    quads, column=None, tol: float = ITERATION_TOL, max_iter: int | None = None
+) -> ChainSolve:
+    """Matrix-free nu and h of each chain of a (batch, size, 4) stack.
+
+    nu is iterated as nu <- nu M / |nu M|_1 from the uniform start until
+    |nu_{k+1} - nu_k|_1 <= ``tol``.  Given a ``column`` (one, or one per
+    member), h is the Poisson series: v <- M v - (M v)[-1] from v = column -
+    column[-1], summed into h, until the span of v is at most ``tol`` times
+    |h|_inf.  The drift nu . column is constant across states, so it
+    cancels from v without being known, and v[-1] and so h[-1] are exactly
+    0.  Each of the two runs at most ``max_iter`` times (default
+    :func:`iteration_budget`); a member that has not settled keeps its last
+    iterate and ``converged`` False.  No member is solved dense.
+    """
+    quads = np.asarray(quads, dtype=float)
+    batch, size, _ = quads.shape
+    if max_iter is None:
+        max_iter = iteration_budget(size)
+
+    def power_step(q, state):
+        (nu,) = state
+        nxt = _left_product(nu, q)
+        nxt /= nxt.sum(-1, keepdims=True)
+        return (nxt,), np.abs(nxt - nu).sum(-1) <= tol
+
+    def series_step(q, state):
+        v, h = state
+        w = _right_product(q, v)
+        w = w - w[:, -1:]
+        h = h + w
+        return (w, h), np.ptp(w, axis=-1) <= tol * np.abs(h).max(-1)
+
+    nu = np.full((batch, size), 1.0 / size)
+    iterations, converged = _settle(quads, (nu,), power_step, max_iter)
+    h = None
+    if column is not None:
+        start = np.broadcast_to(np.asarray(column, dtype=float), (batch, size))
+        v = start - start[:, -1:]
+        h = v.copy()
+        series, settled = _settle(quads, (v, h), series_step, max_iter)
+        iterations = np.maximum(iterations, series)
+        converged &= settled
+    return ChainSolve(
+        nu, h, iterations, converged, np.zeros(batch, dtype=bool),
+        _residual(quads, nu, column, h),
+    )
+
+
+def solve_chain(quads, column=None) -> ChainSolve:
+    """nu and, given a column, h of each chain of a (batch, size, 4) stack.
+
+    From ``MATRIX_FREE_SIZE`` states up by :func:`iterate_chain`; a member
+    that does not converge within its budget is solved dense, alone, up to
+    ``DENSE_FALLBACK_SIZE`` states and comes back NaN above.  Below
+    ``MATRIX_FREE_SIZE`` no iteration runs and every member is solved
+    dense.  A singular member of a dense solve comes back NaN as well.
+    """
+    quads = np.asarray(quads, dtype=float)
+    batch, size, _ = quads.shape
+    budget = iteration_budget(size) if size >= MATRIX_FREE_SIZE else 0
+    solve = iterate_chain(quads, column, max_iter=budget)
+    failed = np.flatnonzero(~solve.converged)
+    if size > DENSE_FALLBACK_SIZE:
+        for rows in (solve.nu, solve.h, solve.residual):
+            if rows is not None:
+                rows[failed] = np.nan
+        return solve
+    columns = [None] * batch
+    if column is not None:
+        columns = np.broadcast_to(column, (batch, size))
+    for k in failed:
+        nu, h = _dense_solve(quads[k], columns[k])
+        solve.nu[k] = nu
+        if h is not None:
+            solve.h[k] = h
+        solve.residual[k] = _residual(quads[k], nu, columns[k], h)
+    solve.dense[failed] = True
+    return solve
+
+
 @dataclass(frozen=True)
 class StationaryDistribution:
     n: int
@@ -203,28 +408,22 @@ def stationary_distribution(
 ) -> StationaryDistribution:
     """Left unit eigenvector of the transition matrix, normalized to sum 1.
 
-    ``linear-solve`` solves B^T nu = e_last with B from :func:`chain_system`;
-    ``power-iteration`` starts uniform and multiplies until the residual
-    drops below ``tol``.
+    ``linear-solve`` solves B^T nu = e_last with B from :func:`chain_system`
+    (the dense oracle); ``power-iteration`` is :func:`iterate_chain` until
+    successive iterates differ by at most ``tol`` in the 1-norm, within
+    ``POWER_MAX_ITER`` iterations.
     """
-    size = matrix.size
     if method == "linear-solve":
-        unit = np.zeros(size)
-        unit[-1] = 1.0
-        system = chain_system(matrix.quads)
-        return StationaryDistribution(matrix.n, _solved(solve_systems(system.T, unit)))
+        nu, _ = _dense_solve(matrix.quads)
+        return StationaryDistribution(matrix.n, _solved(nu))
     if method == "power-iteration":
-        nu = np.full(size, 1.0 / size)
-        for _ in range(POWER_MAX_ITER):
-            nxt = _left_product(nu, matrix.quads)
-            residual = float(np.abs(nxt - nu).max())
-            nu = nxt / nxt.sum()
-            if residual < tol:
-                return StationaryDistribution(matrix.n, nu)
-        raise ConvergenceError(
-            f"power iteration did not reach tol={tol} "
-            f"within {POWER_MAX_ITER} iterations"
-        )
+        solve = iterate_chain(matrix.quads[None], tol=tol, max_iter=POWER_MAX_ITER)
+        if not solve.converged[0]:
+            raise ConvergenceError(
+                f"power iteration did not reach tol={tol} "
+                f"within {POWER_MAX_ITER} iterations"
+            )
+        return StationaryDistribution(matrix.n, solve.nu[0])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -308,18 +507,37 @@ def swap_column(f: PayoffVector) -> np.ndarray:
     return f.values[perm]
 
 
-def payoff_split(
+def payoff_solve(
     p: StrategyVector, q: StrategyVector, f: PayoffVector
-) -> tuple[float, float, float]:
-    """(A, A_s, A_a) from one stationary solve; see :func:`decompose_payoff`."""
+) -> tuple[tuple[float, float, float], ChainSolve]:
+    """(A, A_s, A_a) from one stationary solve, and that solve.
+
+    Raises ``ConvergenceError`` for a chain above ``DENSE_FALLBACK_SIZE``
+    states whose iteration did not converge, and ``DegeneracyError`` for a
+    singular dense system.
+    """
     _require_interior(p, q, INTERIOR_THRESHOLD)
-    nu = stationary_distribution(build_transition_matrix(p, q)).weights
+    solve = solve_chain(build_transition_matrix(p, q).quads[None])
+    if not (solve.converged[0] or solve.dense[0]):
+        raise ConvergenceError(
+            f"the matrix-free solve did not converge within {solve.iterations[0]} "
+            f"iterations; no dense fallback above {DENSE_FALLBACK_SIZE} states"
+        )
+    nu = _solved(solve.nu[0])
     swapped = swap_column(f)
-    return (
+    values = (
         float(nu @ f.values),
         float(nu @ (0.5 * (f.values + swapped))),
         float(nu @ (0.5 * (f.values - swapped))),
     )
+    return values, solve
+
+
+def payoff_split(
+    p: StrategyVector, q: StrategyVector, f: PayoffVector
+) -> tuple[float, float, float]:
+    """(A, A_s, A_a) from one stationary solve; see :func:`decompose_payoff`."""
+    return payoff_solve(p, q, f)[0]
 
 
 def decompose_payoff(

@@ -87,6 +87,31 @@ def test_payoff_command_memory5_matches_determinant_quotient(tmp_path, capsys):
         )
 
 
+def test_payoff_command_reports_the_solve(strategy_files, tmp_path, capsys):
+    """The payoff JSON names the solve behind it, and reruns are identical."""
+    p, q = strategy_files
+    assert main(["payoff", "--n", "1", "--p", str(p), "--q", str(q)]) == 0
+    solve = json.loads(capsys.readouterr().out)["solve"]
+    assert solve["method"] == "dense" and solve["iterations"] == 0
+    assert solve["residual"] <= 1e-15
+    rng = np.random.default_rng(56)
+    paths = []
+    for name in ("p5", "q5"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": 5, "probs": rng.uniform(0.05, 0.95, 4**5).tolist()}))
+        paths.append(str(path))
+    outputs = []
+    for _ in range(2):
+        assert main(["payoff", "--n", "5", "--p", paths[0], "--q", paths[1]]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0])
+    assert set(payload) == {"version", "A", "A_s", "A_a", "solve"}
+    assert payload["solve"]["method"] == "matrix-free"
+    assert 0 < payload["solve"]["iterations"] < 1000
+    assert payload["solve"]["residual"] <= 1e-15
+
+
 def test_field_command(strategy_files, capsys):
     p, _ = strategy_files
     assert main(["field", "--at", str(p), "--variant", "antisym", "--b", "2", "--c", "1"]) == 0
@@ -223,6 +248,7 @@ def test_usage_errors_exit_two(tmp_path):
         ["field", "--at", "{x}", "--h", "1"],
         ["verify", "--trials", "0"],
         ["verify", "--n-max", "0"],
+        ["integrate", "--x0", "{x}", "--tmax", "-1", "--out", "{out}"],
     ],
 )
 def test_invalid_arguments_exit_two_without_traceback(argv, tmp_path):

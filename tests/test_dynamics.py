@@ -7,6 +7,7 @@ from memn.core import (
     GameParams,
     PayoffVector,
     StrategyVector,
+    bar_permutation,
     build_payoff_vector,
     counting_to_full,
     encode_history,
@@ -35,12 +36,22 @@ from memn.dynamics import (
     z2_mirror_check,
 )
 from memn.errors import BoundaryMarginError, DegeneracyError
-from memn.markov import build_transition_matrix, chain_system
+from memn.markov import (
+    build_transition_matrix,
+    chain_system,
+    iteration_budget,
+    payoff_from_column,
+    quad_columns,
+    quadruples,
+    solve_chain,
+    solve_systems,
+)
 from memn.tolerances import DEFAULTS
 
 DONATION = GameParams.donation(2.0, 1.0)
 F1 = build_payoff_vector(DONATION, 1)
 F2 = build_payoff_vector(DONATION, 2)
+F5 = build_payoff_vector(DONATION, 5)
 
 
 def random_point(rng, n, low=0.1, high=0.9):
@@ -409,6 +420,82 @@ def test_field_batch_singular_member_is_nan():
         )
 
 
+
+def dense_field(points, column, reparam=False):
+    """The field of each row by dense solves of B from chain_system, row by row."""
+    rows = []
+    for x in points:
+        size = len(x)
+        qb = x[bar_permutation((size.bit_length() - 1) // 2)]
+        system = chain_system(quadruples(x, qb))
+        unit = np.zeros(size)
+        unit[-1] = 1.0
+        nu = solve_systems(system.T, unit)
+        h = solve_systems(system, -column)
+        h[-1] = 0.0
+        hq = h[quad_columns(size)]
+        grad = nu * (qb * (hq[:, 0] - hq[:, 2]) + (1 - qb) * (hq[:, 1] - hq[:, 3]))
+        if reparam:
+            grad *= np.exp(np.linalg.slogdet(system)[1])
+        rows.append(grad)
+    return np.array(rows)
+
+
+def test_field_batch_memory5_matches_dense_formula():
+    """At n = 5 the matrix-free field equals the dense formula in every
+    variant, and central differences of the determinant quotient (of its
+    numerator, oriented by sign det B, for the reparametrised variant) at
+    four seeded coordinates."""
+    rng = np.random.default_rng(505)
+    points = rng.uniform(0.1, 0.9, (2, n_states(5)))
+    x = StrategyVector(5, points[0])
+    coords = rng.choice(n_states(5), 4, replace=False)
+    step = 1e-5
+    det_sign = np.linalg.slogdet(chain_system(build_transition_matrix(x, x).quads))[0]
+    for variant in ("full", "symmetric", "antisymmetric", "antisymmetric_reparam"):
+        column = variant_column(FieldSpec(5, F5, variant))
+        reparam = variant == "antisymmetric_reparam"
+        rows = field_batch(points, column, reparam)
+        np.testing.assert_allclose(rows, dense_field(points, column, reparam), rtol=1e-10)
+
+        def value(probs):
+            mutant = StrategyVector(5, probs)
+            if not reparam:
+                return payoff_from_column(mutant, x, column)
+            numerator = chain_system(build_transition_matrix(mutant, x).quads)
+            numerator[:, -1] = column
+            sign, log_det = np.linalg.slogdet(numerator)
+            return det_sign * sign * np.exp(log_det)
+
+        for i in coords:
+            up, down = x.probs.copy(), x.probs.copy()
+            up[i] += step
+            down[i] -= step
+            central = (value(up) - value(down)) / (2 * step)
+            scale = np.abs(rows[0]).max()
+            assert abs(rows[0][i] - central) <= DEFAULTS["gradient_relative"] * scale
+
+
+def test_slow_member_falls_back_to_dense_alone():
+    """A near-tit-for-tat member (eps = 1e-4) of an n = 5 batch exhausts its
+    iteration budget and is solved dense; the other members stay matrix-free
+    and every row equals the dense formula."""
+    rng = np.random.default_rng(506)
+    points = np.stack(
+        [
+            rng.uniform(0.1, 0.9, n_states(5)),
+            tft_strategy(5, eps=1e-4).probs,
+            rng.uniform(0.1, 0.9, n_states(5)),
+        ]
+    )
+    column = variant_column(FieldSpec(5, F5, "full"))
+    solve = solve_chain(quadruples(points, points[:, bar_permutation(5)]), column)
+    assert solve.dense.tolist() == [False, True, False]
+    assert solve.converged.tolist() == [True, False, True]
+    assert solve.iterations[1] == iteration_budget(n_states(5))
+    np.testing.assert_allclose(field_batch(points, column), dense_field(points, column), rtol=1e-10)
+
+
 # per-member speeds of a smooth test field, and the first coordinate past
 # which a member's field is NaN (only member 3 gets there)
 _SPEEDS = np.array([0.2, 1.5, -3.0, 0.7, -0.8])
@@ -630,6 +717,24 @@ def test_perturbation_linear_scaling_and_envelope():
     assert 8.0 <= ratio <= 12.0
 
 
+def test_perturbation_pairs_equal_single_pairs():
+    """Several (b, c) pairs integrate as one ensemble and give, pair by
+    pair, the curves of separate runs."""
+    start = (0.55, 0.5, 0.45)
+    pairs = ((1.0005, 0.9995), (1.005, 0.995), (1.0, 1.0))
+    curves = perturbation_experiment(
+        start, b=[b for b, _ in pairs], c=[c for _, c in pairs], t_max=0.5
+    )
+    assert len(curves) == len(pairs)
+    for curve, (b, c) in zip(curves, pairs):
+        single = perturbation_experiment(start, b=b, c=c, t_max=0.5)
+        for name in ("times", "divergence", "envelope"):
+            np.testing.assert_array_equal(getattr(curve, name), getattr(single, name))
+        assert (curve.eps, curve.lipschitz, curve.sym_bound) == (
+            single.eps, single.lipschitz, single.sym_bound
+        )
+
+
 def test_integrate_path_rejects_boundary_start():
     with pytest.raises(BoundaryMarginError):
         integrate_path(lambda v: v, np.array([0.0, 0.5]), 1e-2, 1.0)
@@ -637,10 +742,12 @@ def test_integrate_path_rejects_boundary_start():
 
 @pytest.mark.parametrize("method", ["rk4", "rk45-adaptive"])
 @pytest.mark.parametrize(
-    "dt, t_max", [(0.0, 1.0), (-1e-3, 1.0), (float("nan"), 1.0), (1e-2, float("inf"))]
+    "dt, t_max",
+    [(0.0, 1.0), (-1e-3, 1.0), (float("nan"), 1.0), (1e-2, float("inf")), (1e-2, -1.0)],
 )
 def test_integrate_path_rejects_bad_step(dt, t_max, method):
-    """A zero step never advances time; a negative or NaN one must not run."""
+    """A zero step never advances time; a negative or NaN one must not run,
+    and neither may a run that ends before it starts."""
     with pytest.raises(ValueError):
         integrate_path(lambda v: v, np.array([0.5, 0.5]), dt, t_max, method=method)
 

@@ -1,5 +1,7 @@
 """Transition matrix, stationary distribution, and payoff tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,16 @@ from memn.markov import (
     build_transition_matrix_recursive,
     chain_system,
     decompose_payoff,
+    iterate_chain,
+    iteration_budget,
     payoff,
     payoff_from_column,
+    payoff_solve,
     payoff_split,
     poisson_vector,
+    quad_columns,
     reactive_payoff,
+    solve_chain,
     stationary_distribution,
 )
 
@@ -295,3 +302,93 @@ def test_sparse_rows_schema():
     for i, row in enumerate(rows):
         assert [col for col, _ in row] == list(m.quadruple_columns(i))
         assert sum(v for _, v in row) == pytest.approx(1.0, abs=1e-12)
+
+
+def sticky_strategy(n):
+    """Repeat one's own last action, leaving C with probability 1e-6 and D
+    with 1e-5: an interior chain that mixes in about 1e5 rounds, while the
+    uniform start is far from its stationary distribution."""
+    own_c = (np.arange(n_states(n)) >> 1) & 1 == 0
+    return StrategyVector(n, np.where(own_c, 1 - 1e-6, 1e-5))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_iterate_chain_matches_dense_solves(n):
+    """The matrix-free nu and h of each member of a stack, with a column per
+    member, equal the dense solves: nu to 1e-12 and h to 1e-11 relative."""
+    rng = np.random.default_rng(60 + n)
+    f = build_payoff_vector(DONATION, n)
+    swapped = f.values[bar_permutation(n)]
+    columns = np.stack([f.values, 0.5 * (f.values + swapped), 0.5 * (f.values - swapped)])
+    pairs = [random_pair(rng, n) for _ in columns]
+    quads = np.stack([build_transition_matrix(p, q).quads for p, q in pairs])
+    solve = iterate_chain(quads, columns)
+    assert solve.converged.all() and not solve.dense.any()
+    assert np.all((solve.iterations > 0) & (solve.iterations < iteration_budget(n_states(n))))
+    assert np.all(solve.residual <= 1e-13)
+    for k, (p, q) in enumerate(pairs):
+        m = build_transition_matrix(p, q)
+        nu = stationary_distribution(m).weights
+        h = poisson_vector(chain_system(m.quads), columns[k])
+        assert np.abs(solve.nu[k] - nu).max() <= 1e-12 * nu.max()
+        assert np.abs(solve.h[k] - h).max() <= 1e-11 * np.abs(h).max()
+
+
+def test_payoff_split_memory5_matches_determinant_quotients():
+    rng = np.random.default_rng(75)
+    f = build_payoff_vector(DONATION, 5)
+    swapped = f.values[bar_permutation(5)]
+    columns = (f.values, 0.5 * (f.values + swapped), 0.5 * (f.values - swapped))
+    for _ in range(2):
+        p, q = random_pair(rng, 5)
+        values, solve = payoff_solve(p, q, f)
+        assert solve.method() == "matrix-free"
+        assert payoff_split(p, q, f) == values
+        for value, column in zip(values, columns):
+            assert value == pytest.approx(payoff_from_column(p, q, column), abs=1e-12)
+
+
+def test_memory6_residuals_on_the_quadruples():
+    """nu and h satisfy their equations at n = 6, checked on the quadruples
+    by scattering and gathering at their columns, with no dense matrix."""
+    rng = np.random.default_rng(66)
+    f = build_payoff_vector(DONATION, 6)
+    p, q = random_pair(rng, 6)
+    quads = build_transition_matrix(p, q).quads
+    solve = solve_chain(quads[None], f.values)
+    assert solve.method() == "matrix-free" and solve.converged[0]
+    nu, h = solve.nu[0], solve.h[0]
+    cols = quad_columns(len(nu))
+    nu_m = np.zeros_like(nu)
+    np.add.at(nu_m, cols, nu[:, None] * quads)
+    m_h = (quads * h[cols]).sum(axis=1)
+    assert nu.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(nu_m - nu).max() <= 1e-15
+    assert h[-1] == 0.0
+    assert np.abs(h - m_h - (f.values - nu @ f.values)).max() <= 1e-12
+
+
+def test_slow_chain_falls_back_to_dense_at_memory5():
+    """A chain that mixes too slowly for the iteration budget is solved
+    dense, and its payoff still equals the determinant quotient."""
+    p = sticky_strategy(5)
+    f = build_payoff_vector(DONATION, 5)
+    (value, _, _), solve = payoff_solve(p, p, f)
+    assert solve.method() == "dense" and not solve.converged[0]
+    assert solve.iterations[0] == iteration_budget(n_states(5))
+    assert value == pytest.approx(payoff_from_column(p, p, f.values), abs=1e-10)
+
+
+def test_nonconverging_chain_at_memory7_raises_without_dense_matrix():
+    """Above 4,096 states there is no dense fallback: the payoff ends in a
+    ConvergenceError, and B (2.1 GB at n = 7) is never allocated."""
+    p = sticky_strategy(7)
+    f = build_payoff_vector(DONATION, 7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError):
+            payoff_split(p, p, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
