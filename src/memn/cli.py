@@ -214,17 +214,16 @@ def cmd_verify(args) -> int:
         fault_injection=args.inject_fault,
         only=SUITES[args.suite],
     )
-    payload = report.to_dict()
-    for check in payload["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
+    for check in report.checks:
+        status = "PASS" if check.passed else "FAIL"
         print(
-            f"{status} {check['check_id']:24s} residual {check['max_residual']:.3e} "
-            f"tolerance {check['tolerance']:.3e} ({check['wall_time']:.2f}s)"
+            f"{status} {check.check_id:24s} residual {check.max_residual:.3e} "
+            f"tolerance {check.tolerance:.3e} ({check.wall_time:.2f}s)"
         )
-    print(f"{'PASS' if payload['passed'] else 'FAIL'} overall ({payload['wall_time']:.1f}s)")
+    print(f"{'PASS' if report.passed else 'FAIL'} overall ({report.wall_time:.1f}s)")
     if args.out:
-        _write_json(args.out, payload)
-    return 0 if payload["passed"] else 1
+        _write_json(args.out, report.to_dict())
+    return 0 if report.passed else 1
 
 
 def _write_json(path, payload) -> None:

@@ -17,12 +17,9 @@ rescales speed, never direction.
 
 One kernel, :func:`field_batch`, evaluates this field at every row of a
 (batch, size) array of points, with a payoff column and a sign per row.  It
-takes the quadruples, the stack of B and the quadruple columns from
-:mod:`markov`, which alone knows the chain layout.  Below memory 5 it
-solves for nu and h in one stacked dense call; from memory 5 up it takes
-them from the matrix-free :func:`markov.solve_chain` (dense only for a
-member that mixes too slowly), and the reparametrised variant alone still
-builds B for its determinant.
+builds the quadruples and takes nu and h from :func:`markov.solve_chain`
+and |det B| from :func:`markov.det_magnitude`: :mod:`markov` alone knows
+the chain layout and how, and at what sizes, its systems are solved.
 :func:`adaptive_field` is its batch-of-one call behind the validation of
 the API edge.  The RK4/RK45 steppers of :func:`integrate_path` advance a
 whole ensemble of starts in lockstep, each member stopping on its own, so
@@ -46,22 +43,16 @@ from .core import (
     counting_to_full,
     encode_history,
 )
-from .errors import (
-    BoundaryMarginError,
-    ConvergenceError,
-    DegeneracyError,
-    InvarianceViolationError,
-)
+from .errors import BoundaryMarginError, DegeneracyError, InvarianceViolationError
 from .markov import (
-    DENSE_FALLBACK_SIZE,
-    MATRIX_FREE_SIZE,
     build_transition_matrix,
     chain_system,
+    det_magnitude,
     payoff_from_column,
     quad_columns,
     quadruples,
     solve_chain,
-    solve_systems,
+    solved,
 )
 
 VARIANTS = ("full", "symmetric", "antisymmetric", "antisymmetric_reparam")
@@ -118,55 +109,28 @@ def field_batch(points, column, reparam: bool = False, sign=1.0) -> np.ndarray:
 
     ``column`` is one payoff column or one per row, ``sign`` a scalar or one
     per row; ``reparam`` scales each gradient by |det B| (the
-    ``antisymmetric_reparam`` variant, given its column f - f∘bar).  Rows
-    are neither validated nor margin-checked; a row whose chain system is
-    singular, or whose matrix-free solve neither converges nor may fall
-    back to dense, comes back as NaN.  The gradient is that of the module
-    docstring.
-
-    From ``MATRIX_FREE_SIZE`` states up nu and h come from
-    :func:`markov.solve_chain`, and |det B| from one dense B per row, which
-    is refused above ``DENSE_FALLBACK_SIZE`` states.  Below, B from
-    :func:`markov.chain_system` and B^T are copied into one (2 batch, size,
-    size) array, on which B^T nu = e_last and B y = -column are one stacked
-    solve.  The pair is allocated before B: with B allocated first, malloc
-    could return the large blocks to the system after each call and fault
-    them in again on the next, hundreds of page faults a call at n = 4.
+    ``antisymmetric_reparam`` variant, given its column f - f∘bar), which
+    :func:`markov.det_magnitude` refuses above 4,096 states before any
+    solve runs.  Rows are neither validated nor margin-checked.  nu and h
+    of every row come from one :func:`markov.solve_chain`; a row whose
+    solve failed (a singular chain system, or a matrix-free solve that
+    neither converged nor could fall back to dense) comes back NaN.  The
+    gradient is that of the module docstring.
     """
     x = np.asarray(points, dtype=float)
-    batch, size = x.shape
+    size = x.shape[1]
     # mutant = resident: row i's quadruple is (p, 1 - p) x (qb, 1 - qb)
     qb = x[:, bar_permutation((size.bit_length() - 1) // 2)]
-    if size >= MATRIX_FREE_SIZE:
-        if reparam and size > DENSE_FALLBACK_SIZE:
-            raise ValueError(
-                "the reparametrised field needs det B, which is dense; "
-                f"refused above {DENSE_FALLBACK_SIZE} states"
-            )
-        quads = quadruples(x, qb)
-        solve = solve_chain(quads, column)
-        nu, h = solve.nu, solve.h
-    else:
-        pair = np.empty((2 * batch, size, size))
-        pair[batch:] = chain_system(quadruples(x, qb))
-        system = pair[batch:]
-        pair[:batch] = system.swapaxes(1, 2)
-        rhs = np.zeros((2 * batch, size, 1))
-        rhs[:batch, -1] = 1.0
-        rhs[batch:, :, 0] = -np.asarray(column, dtype=float)
-        solution = solve_systems(pair, rhs)
-        nu, h = solution[:batch, :, 0], solution[batch:, :, 0]
-        h[:, -1] = 0.0
-    hq = h[:, quad_columns(size)]
-    grad = nu * (qb * (hq[..., 0] - hq[..., 2]) + (1 - qb) * (hq[..., 1] - hq[..., 3]))
+    quads = quadruples(x, qb)
+    scale = det_magnitude(quads)[:, None] if reparam else None
+    solve = solve_chain(quads, column)
+    hq = solve.h[:, quad_columns(size)]
+    grad = solve.nu * (
+        qb * (hq[..., 0] - hq[..., 2]) + (1 - qb) * (hq[..., 1] - hq[..., 3])
+    )
     if reparam:
-        if size >= MATRIX_FREE_SIZE:
-            logdets = [np.linalg.slogdet(chain_system(q)) for q in quads]
-            det_sign, log_det = np.array(logdets).T
-        else:
-            det_sign, log_det = np.linalg.slogdet(system)
-        grad *= np.where(det_sign == 0.0, np.nan, np.exp(log_det))[:, None]
-    grad *= np.reshape(sign, (-1, 1))
+        grad *= scale
+    np.multiply(grad.T, sign, out=grad.T)  # a scalar or one sign per row
     return grad
 
 
@@ -215,15 +179,7 @@ def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
         _check_margin(x, 2.0 * spec.h)
         return _field_central(x, column, spec.h, reparam)
     _check_margin(x, ANALYTIC_MARGIN)
-    grad = field_batch(x.probs[None], column, reparam)[0]
-    if not np.all(np.isfinite(grad)):
-        if len(grad) > DENSE_FALLBACK_SIZE:
-            raise ConvergenceError(
-                "the matrix-free solve did not converge; "
-                f"no dense fallback above {DENSE_FALLBACK_SIZE} states"
-            )
-        raise DegeneracyError("singular chain system; strategies are degenerate")
-    return grad
+    return solved(field_batch(x.probs[None], column, reparam)[0])
 
 
 def memory1_field_closed(p: StrategyVector, f) -> np.ndarray:

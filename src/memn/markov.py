@@ -17,16 +17,18 @@ demand (``TransitionMatrix.entries``) for the oracles and tests alone.
 
 Payoffs, their split and the adaptive field need the stationary
 distribution nu, nu (M - I) = 0, and the Poisson vector h, (I - M) h =
-column - (nu . column) 1 with h[-1] = 0.  :func:`solve_chain` gives both
-for a stack of chains.  From ``MATRIX_FREE_SIZE`` states (memory 5) up it
-iterates on the quadruples (:func:`iterate_chain`): nu by power iteration,
-h by the Poisson series, each step O(size).  Below that, and for a member
-whose iteration does not converge within its budget (a slowly mixing
-chain near the boundary) up to ``DENSE_FALLBACK_SIZE`` states, it solves
-the dense system B = M - I with its last column set to 1, assembled by
-:func:`chain_system`.  Above ``DENSE_FALLBACK_SIZE`` such a member comes
-back NaN: the dense B would take gigabytes.  The determinant quotient,
-the dense solves and the block recursion are kept as oracles.
+column - (nu . column) 1 with h[-1] = 0.  :func:`solve_chain` alone gives
+both, for a stack of chains, and alone chooses how.  Below
+``MATRIX_FREE_SIZE`` states (memory 5) the stack is one dense solve of B =
+M - I with its last column set to 1 (:func:`chain_system`).  From there up
+it iterates on the quadruples (:func:`iterate_chain`): nu by power
+iteration, h by the Poisson series, each step O(size).  A member that does
+not converge within its budget (a slowly mixing chain near the boundary)
+is solved dense alone up to ``DENSE_FALLBACK_SIZE`` states and comes back
+NaN above, where B would take gigabytes; :func:`solved` names the error.
+The determinant quotient, the dense solves of
+:func:`stationary_distribution` and :func:`poisson_vector`, and the block
+recursion are kept as oracles.
 """
 
 from __future__ import annotations
@@ -189,11 +191,30 @@ def chain_system(quads: np.ndarray) -> np.ndarray:
     quads = np.asarray(quads)
     *lead, size, _ = quads.shape
     out = np.zeros((*lead, size, size))
-    rows = np.arange(size)
-    out[..., rows[:, None], quad_columns(size)] = quads
-    out[..., rows, rows] -= 1.0
+    out[..., np.arange(size)[:, None], quad_columns(size)] = quads
+    out.reshape(*lead, size * size)[..., :: size + 1] -= 1.0  # the diagonal
     out[..., -1] = 1.0
     return out
+
+
+def det_magnitude(quads: np.ndarray) -> np.ndarray:
+    """|det B| of each chain of a (batch, size, 4) stack, NaN where B is
+    singular.
+
+    There is no matrix-free determinant: B is built dense, for the whole
+    stack below ``MATRIX_FREE_SIZE`` states and one member at a time from
+    there up, and refused (``ValueError``) above ``DENSE_FALLBACK_SIZE``
+    states, where one B takes gigabytes.
+    """
+    quads = np.asarray(quads, dtype=float)
+    size = quads.shape[-2]
+    if size > DENSE_FALLBACK_SIZE:
+        raise ValueError(f"det B is dense; refused above {DENSE_FALLBACK_SIZE} states")
+    if size < MATRIX_FREE_SIZE:
+        signs, logs = np.linalg.slogdet(chain_system(quads))
+    else:
+        signs, logs = np.array([np.linalg.slogdet(chain_system(q)) for q in quads]).T
+    return np.where(signs == 0.0, np.nan, np.exp(logs))
 
 
 def solve_systems(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,32 +233,51 @@ def solve_systems(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-def _solved(x: np.ndarray) -> np.ndarray:
-    """``x`` from :func:`solve_systems`, unless its system was singular."""
-    if np.isnan(x).any():
-        raise DegeneracyError("singular chain system; strategies are degenerate")
-    return x
+def solved(x: np.ndarray) -> np.ndarray:
+    """``x``, one chain's nu, h or field, unless its solve failed and left
+    it not finite: above ``DENSE_FALLBACK_SIZE`` states a matrix-free solve
+    that did not converge (``ConvergenceError``), up to it a singular chain
+    system (``DegeneracyError``)."""
+    if np.all(np.isfinite(x)):
+        return x
+    if len(x) > DENSE_FALLBACK_SIZE:
+        raise ConvergenceError(
+            "the matrix-free solve did not converge; "
+            f"no dense fallback above {DENSE_FALLBACK_SIZE} states"
+        )
+    raise DegeneracyError("singular chain system; strategies are degenerate")
 
 
 def _dense_solve(quads: np.ndarray, column=None):
-    """nu and h (None without a column) of one chain by dense LU.
+    """nu and h (None without a column) of a (batch, size, 4) stack by one
+    stacked dense LU.
 
-    B^T nu = e_last and B y = -column with B from :func:`chain_system`; h is
-    y with its last entry zeroed, as in :func:`poisson_vector`.  A singular
-    system gives NaN.
+    B^T nu = e_last and B y = -column with B from :func:`chain_system`, as
+    one :func:`solve_systems` call on a (2 batch, size, size) array holding
+    B^T and B; h is y with its last entry zeroed, as in
+    :func:`poisson_vector`.  Without a column B^T nu = e_last is solved
+    alone.  A singular member comes back NaN.  The pair is allocated
+    before B: with B allocated first, malloc could return the large blocks
+    to the system after each call and fault them in again on the next,
+    hundreds of page faults a call at memory 4.
     """
-    system = chain_system(quads)
-    unit = np.zeros(len(quads))
-    unit[-1] = 1.0
-    nu = solve_systems(system.T, unit)
+    batch, size, _ = quads.shape
     if column is None:
-        return nu, None
-    h = solve_systems(system, -column)
-    h[-1] = 0.0
+        rhs = np.zeros((batch, size, 1))
+        rhs[:, -1] = 1.0
+        return solve_systems(chain_system(quads).swapaxes(1, 2), rhs)[..., 0], None
+    pair = np.empty((2 * batch, size, size))
+    pair[batch:] = chain_system(quads)
+    pair[:batch] = pair[batch:].swapaxes(1, 2)
+    rhs = np.zeros((2 * batch, size, 1))
+    rhs[:batch, -1] = 1.0
+    rhs[batch:, :, 0] = -np.asarray(column, dtype=float)
+    solution = solve_systems(pair, rhs)[..., 0]
+    nu, h = solution[:batch], solution[batch:]
+    h[:, -1] = 0.0
     return nu, h
 
 
-@dataclass(frozen=True)
 class ChainSolve:
     """nu and h of a (batch, size, 4) stack of chains, one row per member.
 
@@ -245,15 +285,19 @@ class ChainSolve:
     the matrix-free solve (the longer of the nu and h iterations; 0 below
     ``MATRIX_FREE_SIZE``), whether it ``converged``, whether the member was
     solved ``dense`` instead, and the max-norm ``residual`` of nu M = nu
-    and, with h, of (I - M) h = column - (nu . column) 1.
+    and, with h, of (I - M) h = column - (nu . column) 1.  The residual is
+    computed when read: the field never reads it.
     """
 
-    nu: np.ndarray
-    h: np.ndarray | None
-    iterations: np.ndarray
-    converged: np.ndarray
-    dense: np.ndarray
-    residual: np.ndarray
+    def __init__(self, quads, column, nu, h, iterations, converged, dense):
+        self._chains = quads, column
+        self.nu, self.h = nu, h
+        self.iterations, self.converged, self.dense = iterations, converged, dense
+
+    @property
+    def residual(self) -> np.ndarray:
+        quads, column = self._chains
+        return _residual(quads, self.nu, column, self.h)
 
     def method(self, member: int = 0) -> str:
         return "dense" if self.dense[member] else "matrix-free"
@@ -354,39 +398,43 @@ def iterate_chain(
         iterations = np.maximum(iterations, series)
         converged &= settled
     return ChainSolve(
-        nu, h, iterations, converged, np.zeros(batch, dtype=bool),
-        _residual(quads, nu, column, h),
+        quads, column, nu, h, iterations, converged, np.zeros(batch, dtype=bool)
     )
 
 
 def solve_chain(quads, column=None) -> ChainSolve:
     """nu and, given a column, h of each chain of a (batch, size, 4) stack.
 
-    From ``MATRIX_FREE_SIZE`` states up by :func:`iterate_chain`; a member
-    that does not converge within its budget is solved dense, alone, up to
-    ``DENSE_FALLBACK_SIZE`` states and comes back NaN above.  Below
-    ``MATRIX_FREE_SIZE`` no iteration runs and every member is solved
-    dense.  A singular member of a dense solve comes back NaN as well.
+    The only solve of production code; it alone decides dense against
+    matrix-free.  Below ``MATRIX_FREE_SIZE`` states the whole stack is one
+    stacked dense solve.  From there up each member is iterated
+    (:func:`iterate_chain`); a member that does not converge within its
+    budget is solved dense, alone, so that at most one B is held, up to
+    ``DENSE_FALLBACK_SIZE`` states, and comes back NaN above.  A singular
+    member of a dense solve comes back NaN as well (see :func:`solved`).
     """
     quads = np.asarray(quads, dtype=float)
     batch, size, _ = quads.shape
-    budget = iteration_budget(size) if size >= MATRIX_FREE_SIZE else 0
-    solve = iterate_chain(quads, column, max_iter=budget)
+    if size < MATRIX_FREE_SIZE:
+        converged = np.zeros(batch, dtype=bool)
+        return ChainSolve(
+            quads, column, *_dense_solve(quads, column),
+            np.zeros(batch, dtype=int), converged, ~converged,
+        )
+    solve = iterate_chain(quads, column)
     failed = np.flatnonzero(~solve.converged)
     if size > DENSE_FALLBACK_SIZE:
-        for rows in (solve.nu, solve.h, solve.residual):
-            if rows is not None:
-                rows[failed] = np.nan
+        solve.nu[failed] = np.nan
+        if solve.h is not None:
+            solve.h[failed] = np.nan
         return solve
-    columns = [None] * batch
-    if column is not None:
-        columns = np.broadcast_to(column, (batch, size))
+    columns = None if column is None else np.broadcast_to(column, (batch, size))
     for k in failed:
-        nu, h = _dense_solve(quads[k], columns[k])
-        solve.nu[k] = nu
+        member = slice(k, k + 1)
+        nu, h = _dense_solve(quads[member], None if columns is None else columns[member])
+        solve.nu[member] = nu
         if h is not None:
-            solve.h[k] = h
-        solve.residual[k] = _residual(quads[k], nu, columns[k], h)
+            solve.h[member] = h
     solve.dense[failed] = True
     return solve
 
@@ -414,8 +462,8 @@ def stationary_distribution(
     ``POWER_MAX_ITER`` iterations.
     """
     if method == "linear-solve":
-        nu, _ = _dense_solve(matrix.quads)
-        return StationaryDistribution(matrix.n, _solved(nu))
+        nu, _ = _dense_solve(matrix.quads[None])
+        return StationaryDistribution(matrix.n, solved(nu[0]))
     if method == "power-iteration":
         solve = iterate_chain(matrix.quads[None], tol=tol, max_iter=POWER_MAX_ITER)
         if not solve.converged[0]:
@@ -454,7 +502,7 @@ def poisson_vector(system: np.ndarray, column: np.ndarray) -> np.ndarray:
     its last entry zeroed: that entry multiplies the all-ones column of B and
     equals -(nu . column).
     """
-    h = _solved(solve_systems(system, -column))
+    h = solved(solve_systems(system, -column))
     h[-1] = 0.0
     return h
 
@@ -512,18 +560,11 @@ def payoff_solve(
 ) -> tuple[tuple[float, float, float], ChainSolve]:
     """(A, A_s, A_a) from one stationary solve, and that solve.
 
-    Raises ``ConvergenceError`` for a chain above ``DENSE_FALLBACK_SIZE``
-    states whose iteration did not converge, and ``DegeneracyError`` for a
-    singular dense system.
+    A solve that failed raises as :func:`solved` says.
     """
     _require_interior(p, q, INTERIOR_THRESHOLD)
     solve = solve_chain(build_transition_matrix(p, q).quads[None])
-    if not (solve.converged[0] or solve.dense[0]):
-        raise ConvergenceError(
-            f"the matrix-free solve did not converge within {solve.iterations[0]} "
-            f"iterations; no dense fallback above {DENSE_FALLBACK_SIZE} states"
-        )
-    nu = _solved(solve.nu[0])
+    nu = solved(solve.nu[0])
     swapped = swap_column(f)
     values = (
         float(nu @ f.values),

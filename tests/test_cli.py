@@ -160,8 +160,24 @@ def test_verify_suite_and_exit_codes(tmp_path):
     for check in payload["checks"]:
         assert set(check) == {
             "check_id", "claim", "max_residual", "tolerance",
-            "passed", "wall_time", "detail",
+            "passed", "detail",
         }
+
+
+def test_verify_reruns_identical_outside_timing(tmp_path):
+    """Every wall time sits in the report's one ``timing`` block, and all
+    outside it is identical between two runs with the same arguments."""
+    reports = []
+    for k in range(2):
+        path = tmp_path / f"run{k}.json"
+        assert main(["verify", "symmetry", "--trials", "5", "--seed", "7",
+                     "--out", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        timing = payload.pop("timing")
+        assert set(timing) == {"total", "checks"}
+        assert set(timing["checks"]) == {c["check_id"] for c in payload["checks"]}
+        reports.append(json.dumps(payload, indent=2, sort_keys=True))
+    assert reports[0] == reports[1]
 
 
 def test_verify_two_seeds_same_verdicts(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from memn import dynamics
 from memn.core import (
     GameParams,
     PayoffVector,
@@ -476,6 +477,14 @@ def test_field_batch_memory5_matches_dense_formula():
             assert abs(rows[0][i] - central) <= DEFAULTS["gradient_relative"] * scale
 
 
+def test_reparam_field_refused_above_4096_states_before_any_solve(monkeypatch):
+    """det B is dense: the reparametrised field refuses a memory-7 chain
+    (16,384 states) with ValueError before the chain is solved."""
+    monkeypatch.setattr(dynamics, "solve_chain", lambda *args: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="det B"):
+        field_batch(np.full((1, n_states(7)), 0.5), np.zeros(n_states(7)), reparam=True)
+
+
 def test_slow_member_falls_back_to_dense_alone():
     """A near-tit-for-tat member (eps = 1e-4) of an n = 5 batch exhausts its
     iteration budget and is solved dense; the other members stay matrix-free
@@ -733,6 +742,18 @@ def test_perturbation_pairs_equal_single_pairs():
         assert (curve.eps, curve.lipschitz, curve.sym_bound) == (
             single.eps, single.lipschitz, single.sym_bound
         )
+
+
+def test_perturbation_samples_the_antisymmetric_flow():
+    """The Lipschitz constant is sampled along the anti-symmetric flow,
+    which depends on b + c alone: a pair with a large eps = b - c, whose
+    full flow separates from that flow, gets the constant of the pair with
+    eps = 0 and the same b + c."""
+    zero, wide = perturbation_experiment(
+        (0.55, 0.5, 0.45), b=(1.0, 1.5), c=(1.0, 0.5), t_max=0.5
+    )
+    assert wide.divergence[-1] > 0.1
+    assert wide.lipschitz == pytest.approx(zero.lipschitz, rel=1e-12)
 
 
 def test_integrate_path_rejects_boundary_start():

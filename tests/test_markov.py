@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from memn import markov
 from memn.core import (
     GameParams,
     bar_permutation,
@@ -14,6 +15,7 @@ from memn.core import (
     reactive_strategy,
     tft_strategy,
 )
+from memn.dynamics import FieldSpec, adaptive_field
 from memn.errors import ConvergenceError, DegeneracyError
 from memn.markov import (
     build_transition_matrix,
@@ -334,6 +336,34 @@ def test_iterate_chain_matches_dense_solves(n):
         assert np.abs(solve.h[k] - h).max() <= 1e-11 * np.abs(h).max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_solve_chain_below_memory5_is_one_dense_solve(n):
+    """Below 1,024 states every member of a stack, with a column per
+    member, is solved dense; a singular member (tit-for-tat against
+    itself) comes back NaN alone, and the others equal the dense oracles
+    and satisfy their equations."""
+    rng = np.random.default_rng(40 + n)
+    f = build_payoff_vector(DONATION, n)
+    swapped = f.values[bar_permutation(n)]
+    columns = np.stack([f.values, 0.5 * (f.values + swapped), 0.5 * (f.values - swapped)])
+    pairs = [random_pair(rng, n), (tft_strategy(n), tft_strategy(n)), random_pair(rng, n)]
+    quads = np.stack([build_transition_matrix(p, q).quads for p, q in pairs])
+    solve = solve_chain(quads, columns)
+    assert solve.dense.all() and not solve.converged.any() and not solve.iterations.any()
+    assert np.isnan(solve.nu[1]).all() and np.isnan(solve.h[1, :-1]).all()
+    residual = solve.residual
+    for k in (0, 2):
+        m = build_transition_matrix(*pairs[k])
+        nu = stationary_distribution(m, "linear-solve").weights
+        h = poisson_vector(chain_system(m.quads), columns[k])
+        np.testing.assert_allclose(solve.nu[k], nu, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(solve.h[k], h, rtol=1e-13, atol=1e-15)
+        assert residual[k] <= 1e-13
+    # the residual is computed when read, from the h it is read with
+    solve.h[0, 0] += 1e-6
+    assert solve.residual[0] > 1e-8
+
+
 def test_payoff_split_memory5_matches_determinant_quotients():
     rng = np.random.default_rng(75)
     f = build_payoff_vector(DONATION, 5)
@@ -392,3 +422,14 @@ def test_nonconverging_chain_at_memory7_raises_without_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+def test_field_raises_convergence_error_without_dense_fallback(monkeypatch):
+    """A field whose matrix-free solve does not converge and may not fall
+    back to dense raises ConvergenceError, not DegeneracyError: the sticky
+    memory-5 chain, with the fallback capped below its 1,024 states (the
+    cap reads at call time) so that no larger chain is needed."""
+    monkeypatch.setattr(markov, "DENSE_FALLBACK_SIZE", 512)
+    x = sticky_strategy(5)
+    with pytest.raises(ConvergenceError):
+        adaptive_field(x, FieldSpec(5, build_payoff_vector(DONATION, 5)))
