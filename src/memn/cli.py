@@ -10,6 +10,7 @@ invalid argument.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -236,7 +237,9 @@ def _write_json(path, payload) -> None:
         print(text)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``memn`` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="memn",
         description="memory-N repeated donation games: matrices, payoffs, "

@@ -21,11 +21,14 @@ column - (nu . column) 1 with h[-1] = 0.  :func:`solve_chain` alone gives
 both, for a stack of chains, and alone chooses how.  Below
 ``MATRIX_FREE_SIZE`` states (memory 5) the stack is one dense solve of B =
 M - I with its last column set to 1 (:func:`chain_system`).  From there up
-it iterates on the quadruples (:func:`iterate_chain`): nu by power
-iteration, h by the Poisson series, each step O(size).  A member that does
-not converge within its budget (a slowly mixing chain near the boundary)
-is solved dense alone up to ``DENSE_FALLBACK_SIZE`` states and comes back
-NaN above, where B would take gigabytes; :func:`solved` names the error.
+it iterates on the quadruples (:func:`iterate_chain`), each step O(size):
+nu by power iteration, two chain rounds per step through the (size/16, 16,
+16) blocks of M^2, and settled only after one single round also passes the
+stop rule; h by the Poisson series, one round per step.  Budgets and
+iteration counts are in chain rounds.  A member that does not converge
+within its budget (a slowly mixing chain near the boundary) is solved
+dense alone up to ``DENSE_FALLBACK_SIZE`` states and comes back NaN above,
+where B would take gigabytes; :func:`solved` names the error.
 The determinant quotient, the dense solves of
 :func:`stationary_distribution` and :func:`poisson_vector`, and the block
 recursion are kept as oracles.
@@ -34,6 +37,7 @@ recursion are kept as oracles.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -135,6 +139,30 @@ def _right_product(quads: np.ndarray, v: np.ndarray) -> np.ndarray:
     tiles = quads.reshape(*lead, 4, size // 4, 4)
     product = np.einsum("...ajk,...jk->...aj", tiles, v.reshape(*lead, size // 4, 4))
     return product.reshape(*lead, size)
+
+
+def _two_round_blocks(quads: np.ndarray) -> np.ndarray:
+    """M^2 of a (batch, size, 4) stack, memory 2 up, as (batch, size/16, 16,
+    16) blocks.
+
+    A state is (a1, a2, m), m its last n - 2 rounds.  Two rounds take it to
+    (m, k1, k2) with probability q[(a1 a2 m), k1] q[(a2 m k1), k2], so block m
+    maps the 16 values of (a1 a2) to the 16 of (k1 k2): 4 times the memory
+    of the quadruples.
+    """
+    batch, size, _ = quads.shape
+    first = quads.reshape(batch, 4, 4, size // 16, 4).transpose(0, 3, 1, 2, 4)
+    second = quads.reshape(batch, 4, size // 16, 4, 4).transpose(0, 2, 1, 3, 4)
+    blocks = first[..., None] * second[:, :, None]
+    return blocks.reshape(batch, size // 16, 16, 16)
+
+
+def _two_round_product(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """nu M^2 from the blocks of :func:`_two_round_blocks`: nu as (16,
+    size/16), one row per block, in one batched matmul."""
+    batch, span, _, _ = blocks.shape
+    rows = weights.reshape(batch, 16, span).swapaxes(1, 2)[:, :, None]
+    return (rows @ blocks).reshape(batch, 16 * span)
 
 
 def build_transition_matrix(p: StrategyVector, q: StrategyVector) -> TransitionMatrix:
@@ -256,10 +284,10 @@ def _dense_solve(quads: np.ndarray, column=None):
     one :func:`solve_systems` call on a (2 batch, size, size) array holding
     B^T and B; h is y with its last entry zeroed, as in
     :func:`poisson_vector`.  Without a column B^T nu = e_last is solved
-    alone.  A singular member comes back NaN.  The pair is allocated
-    before B: with B allocated first, malloc could return the large blocks
-    to the system after each call and fault them in again on the next,
-    hundreds of page faults a call at memory 4.
+    alone.  A singular member's nu and h come back all NaN.  The pair is
+    allocated before B: with B allocated first, malloc could return the
+    large blocks to the system after each call and fault them in again on
+    the next, hundreds of page faults a call at memory 4.
     """
     batch, size, _ = quads.shape
     if column is None:
@@ -274,19 +302,19 @@ def _dense_solve(quads: np.ndarray, column=None):
     rhs[batch:, :, 0] = -np.asarray(column, dtype=float)
     solution = solve_systems(pair, rhs)[..., 0]
     nu, h = solution[:batch], solution[batch:]
-    h[:, -1] = 0.0
+    h[:, -1] -= h[:, -1]  # 0, except that a singular member's NaN stays
     return nu, h
 
 
 class ChainSolve:
     """nu and h of a (batch, size, 4) stack of chains, one row per member.
 
-    ``h`` is None when no column was given.  Per member: ``iterations`` of
-    the matrix-free solve (the longer of the nu and h iterations; 0 below
-    ``MATRIX_FREE_SIZE``), whether it ``converged``, whether the member was
-    solved ``dense`` instead, and the max-norm ``residual`` of nu M = nu
-    and, with h, of (I - M) h = column - (nu . column) 1.  The residual is
-    computed when read: the field never reads it.
+    ``h`` is None when no column was given.  Per member: the chain rounds
+    of the matrix-free solve as ``iterations`` (the longer of the nu and h
+    runs; 0 below ``MATRIX_FREE_SIZE``), whether it ``converged``, whether
+    the member was solved ``dense`` instead, and the max-norm ``residual``
+    of nu M = nu and, with h, of (I - M) h = column - (nu . column) 1.  The
+    residual is computed when read: the field never reads it.
     """
 
     def __init__(self, quads, column, nu, h, iterations, converged, dense):
@@ -304,43 +332,52 @@ class ChainSolve:
 
 
 def iteration_budget(size: int) -> int:
-    """Iterations a chain of ``size`` states gets before it counts as not
+    """Chain rounds a chain of ``size`` states gets before it counts as not
     converged: 1,000 per 1,024 states, about what the dense solve it
-    replaces costs (and far less than it from 4,096 states up)."""
+    replaces costs (and far less than it from 4,096 states up).  A
+    two-round step of the power iteration spends 2 of them."""
     return 1000 * max(1, size // 1024)
 
 
-def _settle(quads: np.ndarray, state: tuple, advance, max_iter: int):
-    """Iterate ``state <- advance(quads, state)`` on each member of a stack
-    until ``advance`` reports the member settled, at most ``max_iter`` times.
+def _settle(chain: tuple, state: tuple, advance, max_iter: int, width: int = 1):
+    """Iterate ``state <- advance(chain, state)`` on each member of a stack
+    until ``advance`` reports the member settled, within ``max_iter`` chain
+    rounds.
 
-    ``state`` is a tuple of (batch, size) arrays and is overwritten with
-    each member's last iterate.  A settled member leaves the stack, so its
-    result does not depend on the other members.  Returns the iterations
-    and whether each member settled.
+    ``chain`` and ``state`` are tuples of arrays whose first axis is the
+    member; ``state`` is overwritten with each member's last iterate.
+    ``advance`` returns the new state, which members settled and the rounds
+    each member's step took, at most ``width``; a member leaves unsettled
+    before a step could take it past ``max_iter``.  A settled member leaves
+    the stack, so its result does not depend on the other members.  Returns
+    the rounds each member took (``max_iter`` for one that did not settle)
+    and whether it settled.
     """
-    batch = len(quads)
-    iterations = np.full(batch, max_iter)
+    batch = len(state[0])
+    rounds = np.zeros(batch, dtype=int)
     settled = np.zeros(batch, dtype=bool)
     live = np.arange(batch)
-    current = state
-    for k in range(1, max_iter + 1):
-        current, done = advance(quads, current)
-        if done.any():
-            finished = live[done]
+    used = np.zeros(batch, dtype=int)  # the rounds of the live members
+    current, done = state, np.zeros(batch, dtype=bool)
+    last = max_iter - width  # the most rounds from which a step may start
+    for step in itertools.count():
+        # used <= step * width: until that passes last, no member can leave unsettled
+        leave = done if step * width <= last else done | (used > last)
+        if leave.any():
+            gone = live[leave]
             for out, rows in zip(state, current):
-                out[finished] = rows[done]
-            iterations[finished] = k
-            settled[finished] = True
-            keep = ~done
-            live = live[keep]
-            if not len(live):
-                return iterations, settled
-            quads = quads[keep]
+                out[gone] = rows[leave]
+            rounds[gone] = used[leave]
+            settled[gone] = done[leave]
+            keep = ~leave
+            live, used = live[keep], used[keep]
+            chain = tuple(part[keep] for part in chain)
             current = tuple(rows[keep] for rows in current)
-    for out, rows in zip(state, current):
-        out[live] = rows
-    return iterations, settled
+        if not len(live):
+            rounds[~settled] = max_iter
+            return rounds, settled
+        current, done, taken = advance(chain, current)
+        used += taken
 
 
 def _residual(quads, nu, column, h) -> np.ndarray:
@@ -359,42 +396,73 @@ def iterate_chain(
 ) -> ChainSolve:
     """Matrix-free nu and h of each chain of a (batch, size, 4) stack.
 
-    nu is iterated as nu <- nu M / |nu M|_1 from the uniform start until
-    |nu_{k+1} - nu_k|_1 <= ``tol``.  Given a ``column`` (one, or one per
-    member), h is the Poisson series: v <- M v - (M v)[-1] from v = column -
-    column[-1], summed into h, until the span of v is at most ``tol`` times
-    |h|_inf.  The drift nu . column is constant across states, so it
-    cancels from v without being known, and v[-1] and so h[-1] are exactly
-    0.  Each of the two runs at most ``max_iter`` times (default
-    :func:`iteration_budget`); a member that has not settled keeps its last
-    iterate and ``converged`` False.  No member is solved dense.
+    nu is iterated as nu <- nu M / |nu M|_1 from the uniform start, two
+    chain rounds per step from memory 2 up (nu M^2 from
+    :func:`_two_round_blocks`, built once per call) and one at memory 1.  A
+    member settles only when two conditions hold in order: a two-round step
+    moves nu by at most ``tol`` in the 1-norm, and then one single round,
+    nu' = nu M / |nu M|_1, satisfies |nu' - nu|_1 <= ``tol``; nu' is
+    returned.  If that check fails, two-round steps resume: M^2 hides a
+    period-2 mode (an eigenvalue near -1), so a periodic chain would
+    otherwise settle on a vector that is not stationary.  Given a
+    ``column`` (one, or one per member), h is the Poisson series, one round
+    per step: v <- M v - (M v)[-1] from v = column - column[-1], summed into
+    h, until the span of v is at most ``tol`` times |h|_inf.  The drift
+    nu . column is constant across states, so it cancels from v without
+    being known, and v[-1] and so h[-1] are exactly 0.  ``iterations`` and
+    ``max_iter`` (default :func:`iteration_budget`) count chain rounds:
+    a two-round step counts 2 and the check 1.  Each of the two runs within
+    ``max_iter`` rounds; a member that has not settled keeps its last
+    iterate, ``converged`` False and ``iterations`` ``max_iter``.  No member
+    is solved dense.
     """
     quads = np.asarray(quads, dtype=float)
     batch, size, _ = quads.shape
     if max_iter is None:
         max_iter = iteration_budget(size)
 
-    def power_step(q, state):
-        (nu,) = state
+    def one_round(nu, q):
         nxt = _left_product(nu, q)
         nxt /= nxt.sum(-1, keepdims=True)
-        return (nxt,), np.abs(nxt - nu).sum(-1) <= tol
+        return nxt, np.abs(nxt - nu).sum(-1) <= tol
 
-    def series_step(q, state):
+    def power_step(chain, state):
+        nxt, done = one_round(*state, *chain)
+        return (nxt,), done, 1
+
+    def two_round_step(chain, state):
+        q, blocks = chain
+        (nu,) = state
+        nxt = _two_round_product(nu, blocks)
+        nxt /= nxt.sum(-1, keepdims=True)
+        done = np.abs(nxt - nu).sum(-1) <= tol
+        if not done.any():
+            return (nxt,), done, 2
+        taken = np.where(done, 3, 2)
+        # the single-round check decides; the mask is read before it is set
+        nxt[done], done[done] = one_round(nxt[done], q[done])
+        return (nxt,), done, taken
+
+    def series_step(chain, state):
+        (q,) = chain
         v, h = state
         w = _right_product(q, v)
         w = w - w[:, -1:]
         h = h + w
-        return (w, h), np.ptp(w, axis=-1) <= tol * np.abs(h).max(-1)
+        return (w, h), np.ptp(w, axis=-1) <= tol * np.abs(h).max(-1), 1
 
     nu = np.full((batch, size), 1.0 / size)
-    iterations, converged = _settle(quads, (nu,), power_step, max_iter)
+    if size == 4:
+        iterations, converged = _settle((quads,), (nu,), power_step, max_iter)
+    else:
+        chain = (quads, _two_round_blocks(quads))
+        iterations, converged = _settle(chain, (nu,), two_round_step, max_iter, width=3)
     h = None
     if column is not None:
         start = np.broadcast_to(np.asarray(column, dtype=float), (batch, size))
         v = start - start[:, -1:]
         h = v.copy()
-        series, settled = _settle(quads, (v, h), series_step, max_iter)
+        series, settled = _settle((quads,), (v, h), series_step, max_iter)
         iterations = np.maximum(iterations, series)
         converged &= settled
     return ChainSolve(

@@ -12,7 +12,7 @@ import pytest
 import memn
 from memn import __version__
 from memn.battery import _BATTERY, FAULT_DELTA
-from memn.cli import main
+from memn.cli import build_parser, main
 from memn.core import GameParams, StrategyVector, bar_permutation, build_payoff_vector
 from memn.markov import decompose_payoff, payoff, payoff_from_column
 from memn.tolerances import DEFAULTS
@@ -118,6 +118,38 @@ def test_field_command(strategy_files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["variant"] == "antisymmetric"
     assert len(payload["field"]) == 4
+
+
+def test_commands_in_one_process_match_each_run_alone(tmp_path, capsys):
+    """main reuses one parser, and no option of one call carries over to
+    the next: each output equals the same command run in a fresh process.
+    At memory 2 the 1/N averaging that --unnormalized skips is a halving."""
+    rng = np.random.default_rng(12)
+    p, q = (str(tmp_path / f"{name}.json") for name in "pq")
+    for path in (p, q):
+        Path(path).write_text(json.dumps({"n": 2, "probs": rng.uniform(0.1, 0.9, 16).tolist()}))
+    commands = [
+        ["payoff", "--n", "2", "--p", p, "--q", q, "--unnormalized"],
+        ["payoff", "--n", "2", "--p", p, "--q", q],
+        ["field", "--at", p, "--variant", "sym"],
+        ["field", "--at", p],
+    ]
+    outputs = []
+    for argv in commands:
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert build_parser() is build_parser()
+    assert outputs[0] != outputs[1] and outputs[2] != outputs[3]
+    src = str(Path(memn.__file__).resolve().parents[1])
+    for argv, output in zip(commands, outputs):
+        alone = subprocess.run(
+            [sys.executable, "-m", "memn.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert alone.returncode == 0 and alone.stdout == output
 
 
 def test_integrate_deterministic(tmp_path, capsys):

@@ -336,6 +336,48 @@ def test_iterate_chain_matches_dense_solves(n):
         assert np.abs(solve.h[k] - h).max() <= 1e-11 * np.abs(h).max()
 
 
+def test_power_iteration_does_not_settle_on_a_two_cycle(monkeypatch):
+    """A memory-2 boundary chain with period 2: the focal player defects
+    after mutual cooperation and cooperates otherwise, against unconditional
+    cooperation, so play alternates CC, DC.  The uniform start feeds 3/4 of
+    its mass to one phase, and M^2 fixes that uneven split from the fourth
+    round on; the single-round check sees each step swap the two phases,
+    so the iteration never settles, and the stationary split (1/2, 1/2) is
+    not mistaken for the start's."""
+    states = np.arange(n_states(2))
+    p = StrategyVector(2, np.where(states & 3 == 0, 0.0, 1.0))
+    q = StrategyVector(2, np.ones(n_states(2)))
+    m = build_transition_matrix(p, q)
+    solve = iterate_chain(m.quads[None], max_iter=200)
+    assert not solve.converged[0] and solve.iterations[0] == 200
+    nu = solve.nu[0]
+    np.testing.assert_array_equal(nu @ m.entries @ m.entries, nu)
+    assert sorted(nu[nu > 0]) == [0.25, 0.75]
+    monkeypatch.setattr(markov, "POWER_MAX_ITER", 50)
+    with pytest.raises(ConvergenceError):
+        stationary_distribution(m, "power-iteration")
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_two_round_power_iteration_near_tit_for_tat(n):
+    """Two rounds a step, on a stack holding a near-tit-for-tat chain (eps =
+    1e-4, an eigenvalue near -1): each nu equals the dense solve to 1e-12,
+    and one more round moves it by at most the 4 eps stop tolerance."""
+    rng = np.random.default_rng(70 + n)
+    tft = tft_strategy(n, eps=1e-4)
+    interior = random_pair(rng, n)
+    pairs = [interior, (tft, tft), (interior[0], tft)]
+    chains = [build_transition_matrix(p, q) for p, q in pairs]
+    solve = iterate_chain(np.stack([m.quads for m in chains]))
+    assert solve.converged.all()
+    for nu, m in zip(solve.nu, chains):
+        dense = stationary_distribution(m, "linear-solve").weights
+        assert np.abs(nu - dense).max() <= 1e-12
+        step = np.zeros_like(nu)
+        np.add.at(step, quad_columns(len(nu)), nu[:, None] * m.quads)
+        assert np.abs(step / step.sum() - nu).sum() <= 4 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_solve_chain_below_memory5_is_one_dense_solve(n):
     """Below 1,024 states every member of a stack, with a column per
@@ -350,7 +392,7 @@ def test_solve_chain_below_memory5_is_one_dense_solve(n):
     quads = np.stack([build_transition_matrix(p, q).quads for p, q in pairs])
     solve = solve_chain(quads, columns)
     assert solve.dense.all() and not solve.converged.any() and not solve.iterations.any()
-    assert np.isnan(solve.nu[1]).all() and np.isnan(solve.h[1, :-1]).all()
+    assert np.isnan(solve.nu[1]).all() and np.isnan(solve.h[1]).all()
     residual = solve.residual
     for k in (0, 2):
         m = build_transition_matrix(*pairs[k])
