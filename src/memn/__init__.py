@@ -32,7 +32,6 @@ from .errors import (
     MemnError,
 )
 from .markov import (
-    StationaryDistribution,
     TransitionMatrix,
     build_transition_matrix,
     build_transition_matrix_recursive,

@@ -354,7 +354,7 @@ def check_counting_consistency(rng, n_max, trials, tol):
         )
         orientations.add(int(np.sign(cosine)))
         worst_angle = max(worst_angle, float(np.arccos(min(abs(cosine), 1.0))))
-    study = counting_sign_study(DONATION_B, DONATION_C, resolution=50)
+    study = counting_sign_study(DONATION_B, DONATION_C)
     edges = counting_edge_equilibria(samples=51)
     detail = {
         "hyperplane_gap": worst_gap,

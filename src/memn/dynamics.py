@@ -395,21 +395,19 @@ def counting_field(
     return _restrict_to_counting(full[None])[0]
 
 
-def counting_sign_study(
-    b: float, c: float, resolution: int = 50, margin: float = 0.02
-) -> dict:
+def counting_sign_study(b: float, c: float) -> dict:
     """Signs of dq2 and dq0 on an interior grid, for both orientations.
 
     Evaluates the anti-symmetric counting field through the memory-1 closed
     form and the printed polynomial form, one q2 slice of the grid at a
     time (the whole grid at once would add megabytes to the battery's peak
-    memory), and counts the signs of the first and last components over a
-    resolution^3 grid.
+    memory), and counts the signs of the first and last components over the
+    50^3 grid of [0.02, 0.98]^3.
     """
     from .core import GameParams, build_payoff_vector
 
     f = build_payoff_vector(GameParams.donation(b, c), 1)
-    grid = np.linspace(margin, 1.0 - margin, resolution)
+    grid = np.linspace(0.02, 0.98, 50)
     q1g, q0g = np.meshgrid(grid, grid, indexing="ij")
     # rows: restriction dq2, dq0, printed dq2, dq0; columns: -, +, 0
     signs = np.zeros((4, 3), dtype=int)
@@ -425,7 +423,7 @@ def counting_sign_study(
         return dict(zip(("negative", "positive", "zero"), signs[row].tolist()))
 
     return {
-        "grid_points": resolution**3,
+        "grid_points": grid.size**3,
         "restriction": {"dq2": counts(0), "dq0": counts(1)},
         "printed": {"dq2": counts(2), "dq0": counts(3)},
     }
@@ -551,7 +549,7 @@ class Trajectory:
 
     ``rejected_steps`` counts RK45 steps retried at half the step size and
     ``floor_steps`` those accepted at the 1e-8 step floor although their
-    error estimate exceeded the tolerance.
+    error estimate exceeded the 1e-10 tolerance.
     """
 
     times: np.ndarray
@@ -622,6 +620,7 @@ _RK45_FIFTH = (
     2.0 / 55.0,
 )
 _RK45_FLOOR = 1e-8
+_RK45_TOL = 1e-10
 
 
 def _rk4_step(fn, y, dt, k1):
@@ -648,7 +647,6 @@ def integrate_path(
     t_max: float,
     method: str = "rk4",
     boundary_margin: float = 1e-6,
-    rk45_tol: float = 1e-10,
     observers=None,
 ):
     """Integrate a field over the unit cube until t_max or the boundary.
@@ -726,7 +724,7 @@ def integrate_path(
         candidate, err = step(evaluate, y, h[:, None], slope)
         accept = running.copy()
         if err is not None:
-            retry = accept & (err > rk45_tol) & (h > _RK45_FLOOR)
+            retry = accept & (err > _RK45_TOL) & (h > _RK45_FLOOR)
             rejected += retry
             h = np.where(retry, np.maximum(h * 0.5, _RK45_FLOOR), h)
             accept &= ~retry
@@ -751,8 +749,8 @@ def integrate_path(
         )
         rounds += 1
         if err is not None:
-            floor += accept & (err > rk45_tol)
-            grow = accept & (err < 0.1 * rk45_tol)
+            floor += accept & (err > _RK45_TOL)
+            grow = accept & (err < 0.1 * _RK45_TOL)
             h = np.where(grow, np.minimum(h * 2.0, dt), h)
     members = []
     for k in range(batch):
@@ -812,15 +810,13 @@ def integrate(
     t_max: float,
     method: str = "rk4",
     boundary_margin: float = 1e-6,
-    observers=None,
 ):
     """Integrate the adaptive dynamics from ``x0``; see :func:`integrate_path`.
 
     ``x0`` is one strategy (giving a :class:`Trajectory`) or a sequence of
-    them, integrated in lockstep (giving an :class:`Ensemble`).
+    them, integrated in lockstep (giving an :class:`Ensemble`).  The
+    quantities of :func:`default_conserved` are recorded along the way.
     """
-    if observers is None:
-        observers = default_conserved(spec.n)
     return integrate_path(
         field_function(spec),
         _starts(spec, x0),
@@ -828,7 +824,7 @@ def integrate(
         t_max,
         method=method,
         boundary_margin=boundary_margin,
-        observers=observers,
+        observers=default_conserved(spec.n),
     )
 
 
@@ -837,7 +833,6 @@ def z2_mirror_check(
     x0,
     t_max: float,
     dt: float,
-    boundary_margin: float = 1e-6,
 ) -> float:
     """Deviation of the flow from its mirror-and-time-reverse twin.
 
@@ -855,7 +850,6 @@ def z2_mirror_check(
         np.concatenate([1.0 - starts[:, ::-1], starts]),
         dt,
         t_max,
-        boundary_margin=boundary_margin,
         observers={},
     )
     worst = 0.0
@@ -926,21 +920,15 @@ class DivergenceCurve:
         return bool(np.all(self.divergence <= self.envelope + 1e-15))
 
 
-def perturbation_experiment(
-    q0_point,
-    b,
-    c,
-    t_max: float,
-    dt: float = 1e-3,
-    boundary_margin: float = 1e-3,
-):
+def perturbation_experiment(q0_point, b, c, t_max: float):
     """Compare full counting dynamics against their anti-symmetric part.
 
     The symmetric part scales with eps = b - c, so the full flow is a small
     perturbation of the anti-symmetric one.  ``b`` and ``c`` are numbers,
     giving one :class:`DivergenceCurve`, or sequences of them, giving one
     curve per (b, c) pair; the full and anti-symmetric flows of every pair
-    are integrated as one ensemble.  The Lipschitz constant of the
+    are integrated as one ensemble, by RK4 with dt = 1e-3 until ``t_max``
+    or 1e-3 from the boundary.  The Lipschitz constant of the
     anti-symmetric field (central-difference Jacobians) and the bound on
     the perturbation are estimated by sampling along the reference
     trajectory, giving the exponential envelope eps*M/K*(exp(Kt) - 1) that
@@ -965,9 +953,9 @@ def perturbation_experiment(
     members = integrate_path(
         lambda v: _counting_batch(v, columns),
         np.tile(start, (len(columns), 1)),
-        dt,
+        1e-3,
         t_max,
-        boundary_margin=boundary_margin,
+        boundary_margin=1e-3,
         observers={},
     ).members
     curves = [

@@ -29,7 +29,8 @@ iteration counts are in chain rounds.  A member that does not converge
 within its budget (a slowly mixing chain near the boundary) is solved
 dense alone up to ``DENSE_FALLBACK_SIZE`` states and comes back NaN above,
 where B would take gigabytes; :func:`solved` names the error.
-The determinant quotient, the dense solves of
+:func:`chain_system`, the one builder of B, refuses a chain above that size.
+The determinant quotient, the dense references
 :func:`stationary_distribution` and :func:`poisson_vector`, and the block
 recursion are kept as oracles.
 """
@@ -53,10 +54,9 @@ from .core import (
 from .errors import ConvergenceError, DegeneracyError
 
 INTERIOR_THRESHOLD = 1e-12
-POWER_MAX_ITER = 1_000_000
 # the dense LU costs O(size^3), an iteration O(size); they tie at memory 4
 MATRIX_FREE_SIZE = 1024
-# the largest chain that may fall back to dense: B is 134 MB at 4,096 states
+# the largest chain whose dense B is ever built: 134 MB at 4,096 states
 DENSE_FALLBACK_SIZE = 4096
 ITERATION_TOL = 4 * np.finfo(float).eps
 
@@ -105,10 +105,6 @@ class TransitionMatrix:
         out = np.zeros((self.size, self.size))
         np.put_along_axis(out, quad_columns(self.size), self.quads, axis=1)
         return out
-
-    def quadruple_columns(self, row: int) -> np.ndarray:
-        """Columns allowed to be nonzero in ``row``."""
-        return quad_columns(self.size)[row]
 
     def sparse_rows(self):
         """Per-row list of (column, value) pairs at the quadruple positions."""
@@ -214,10 +210,15 @@ def chain_system(quads: np.ndarray) -> np.ndarray:
     giving B or a (batch, size, size) stack of B.  B is the
     determinant-quotient denominator and the one matrix behind the
     stationary and Poisson solves: nu B = e_last says nu (M - I) = 0 and
-    nu . 1 = 1.
+    nu . 1 = 1.  Above ``DENSE_FALLBACK_SIZE`` states, where one B takes
+    gigabytes, it is refused (``ValueError``) before anything is allocated.
     """
     quads = np.asarray(quads)
     *lead, size, _ = quads.shape
+    if size > DENSE_FALLBACK_SIZE:
+        raise ValueError(
+            f"B = M - I is dense; refused above {DENSE_FALLBACK_SIZE} states"
+        )
     out = np.zeros((*lead, size, size))
     out[..., np.arange(size)[:, None], quad_columns(size)] = quads
     out.reshape(*lead, size * size)[..., :: size + 1] -= 1.0  # the diagonal
@@ -231,13 +232,11 @@ def det_magnitude(quads: np.ndarray) -> np.ndarray:
 
     There is no matrix-free determinant: B is built dense, for the whole
     stack below ``MATRIX_FREE_SIZE`` states and one member at a time from
-    there up, and refused (``ValueError``) above ``DENSE_FALLBACK_SIZE``
-    states, where one B takes gigabytes.
+    there up, so :func:`chain_system` refuses it above
+    ``DENSE_FALLBACK_SIZE`` states.
     """
     quads = np.asarray(quads, dtype=float)
     size = quads.shape[-2]
-    if size > DENSE_FALLBACK_SIZE:
-        raise ValueError(f"det B is dense; refused above {DENSE_FALLBACK_SIZE} states")
     if size < MATRIX_FREE_SIZE:
         signs, logs = np.linalg.slogdet(chain_system(quads))
     else:
@@ -391,51 +390,44 @@ def _residual(quads, nu, column, h) -> np.ndarray:
     return residual
 
 
-def iterate_chain(
-    quads, column=None, tol: float = ITERATION_TOL, max_iter: int | None = None
-) -> ChainSolve:
-    """Matrix-free nu and h of each chain of a (batch, size, 4) stack.
+def iterate_chain(quads, column=None) -> ChainSolve:
+    """Matrix-free nu and h of each chain of a (batch, size, 4) stack,
+    memory 2 up.
 
     nu is iterated as nu <- nu M / |nu M|_1 from the uniform start, two
-    chain rounds per step from memory 2 up (nu M^2 from
-    :func:`_two_round_blocks`, built once per call) and one at memory 1.  A
-    member settles only when two conditions hold in order: a two-round step
-    moves nu by at most ``tol`` in the 1-norm, and then one single round,
-    nu' = nu M / |nu M|_1, satisfies |nu' - nu|_1 <= ``tol``; nu' is
-    returned.  If that check fails, two-round steps resume: M^2 hides a
-    period-2 mode (an eigenvalue near -1), so a periodic chain would
-    otherwise settle on a vector that is not stationary.  Given a
-    ``column`` (one, or one per member), h is the Poisson series, one round
-    per step: v <- M v - (M v)[-1] from v = column - column[-1], summed into
-    h, until the span of v is at most ``tol`` times |h|_inf.  The drift
-    nu . column is constant across states, so it cancels from v without
-    being known, and v[-1] and so h[-1] are exactly 0.  ``iterations`` and
-    ``max_iter`` (default :func:`iteration_budget`) count chain rounds:
-    a two-round step counts 2 and the check 1.  Each of the two runs within
-    ``max_iter`` rounds; a member that has not settled keeps its last
-    iterate, ``converged`` False and ``iterations`` ``max_iter``.  No member
-    is solved dense.
+    chain rounds per step (nu M^2 from :func:`_two_round_blocks`, built once
+    per call).  A member settles only when two conditions hold in order: a
+    two-round step moves nu by at most ``ITERATION_TOL`` in the 1-norm, and
+    then one single round, nu' = nu M / |nu M|_1, satisfies |nu' - nu|_1 <=
+    ``ITERATION_TOL``; nu' is returned.  If that check fails, two-round
+    steps resume: M^2 hides a period-2 mode (an eigenvalue near -1), so a
+    periodic chain would otherwise settle on a vector that is not
+    stationary.  Given a ``column`` (one, or one per member), h is the
+    Poisson series, one round per step: v <- M v - (M v)[-1] from v =
+    column - column[-1], summed into h, until the span of v is at most
+    ``ITERATION_TOL`` times |h|_inf.  The
+    drift nu . column is constant across states, so it cancels from v
+    without being known, and v[-1] and so h[-1] are exactly 0.
+    ``iterations`` counts chain rounds: a two-round step counts 2 and the
+    check 1.  Each of the two runs within :func:`iteration_budget` rounds; a
+    member that has not settled keeps its last iterate, ``converged`` False
+    and ``iterations`` the budget.  No member is solved dense.
     """
     quads = np.asarray(quads, dtype=float)
     batch, size, _ = quads.shape
-    if max_iter is None:
-        max_iter = iteration_budget(size)
+    max_iter = iteration_budget(size)
 
     def one_round(nu, q):
         nxt = _left_product(nu, q)
         nxt /= nxt.sum(-1, keepdims=True)
-        return nxt, np.abs(nxt - nu).sum(-1) <= tol
-
-    def power_step(chain, state):
-        nxt, done = one_round(*state, *chain)
-        return (nxt,), done, 1
+        return nxt, np.abs(nxt - nu).sum(-1) <= ITERATION_TOL
 
     def two_round_step(chain, state):
         q, blocks = chain
         (nu,) = state
         nxt = _two_round_product(nu, blocks)
         nxt /= nxt.sum(-1, keepdims=True)
-        done = np.abs(nxt - nu).sum(-1) <= tol
+        done = np.abs(nxt - nu).sum(-1) <= ITERATION_TOL
         if not done.any():
             return (nxt,), done, 2
         taken = np.where(done, 3, 2)
@@ -449,14 +441,11 @@ def iterate_chain(
         w = _right_product(q, v)
         w = w - w[:, -1:]
         h = h + w
-        return (w, h), np.ptp(w, axis=-1) <= tol * np.abs(h).max(-1), 1
+        return (w, h), np.ptp(w, axis=-1) <= ITERATION_TOL * np.abs(h).max(-1), 1
 
     nu = np.full((batch, size), 1.0 / size)
-    if size == 4:
-        iterations, converged = _settle((quads,), (nu,), power_step, max_iter)
-    else:
-        chain = (quads, _two_round_blocks(quads))
-        iterations, converged = _settle(chain, (nu,), two_round_step, max_iter, width=3)
+    chain = (quads, _two_round_blocks(quads))
+    iterations, converged = _settle(chain, (nu,), two_round_step, max_iter, width=3)
     h = None
     if column is not None:
         start = np.broadcast_to(np.asarray(column, dtype=float), (batch, size))
@@ -507,48 +496,22 @@ def solve_chain(quads, column=None) -> ChainSolve:
     return solve
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
-    n: int
-    weights: np.ndarray
-
-    def residual(self, matrix: TransitionMatrix) -> float:
-        """Max-norm defect of the left-eigenvector equation."""
-        return float(
-            np.abs(_left_product(self.weights, matrix.quads) - self.weights).max()
-        )
-
-
-def stationary_distribution(
-    matrix: TransitionMatrix, method: str = "linear-solve", tol: float = 1e-12
-) -> StationaryDistribution:
-    """Left unit eigenvector of the transition matrix, normalized to sum 1.
-
-    ``linear-solve`` solves B^T nu = e_last with B from :func:`chain_system`
-    (the dense oracle); ``power-iteration`` is :func:`iterate_chain` until
-    successive iterates differ by at most ``tol`` in the 1-norm, within
-    ``POWER_MAX_ITER`` iterations.
+def stationary_distribution(matrix: TransitionMatrix) -> np.ndarray:
+    """Left unit eigenvector of the transition matrix, normalized to sum 1,
+    by the dense solve of B^T nu = e_last with B from :func:`chain_system`:
+    the reference that tests compare :func:`solve_chain` against.  A
+    singular B raises as :func:`solved` says.
     """
-    if method == "linear-solve":
-        nu, _ = _dense_solve(matrix.quads[None])
-        return StationaryDistribution(matrix.n, solved(nu[0]))
-    if method == "power-iteration":
-        solve = iterate_chain(matrix.quads[None], tol=tol, max_iter=POWER_MAX_ITER)
-        if not solve.converged[0]:
-            raise ConvergenceError(
-                f"power iteration did not reach tol={tol} "
-                f"within {POWER_MAX_ITER} iterations"
-            )
-        return StationaryDistribution(matrix.n, solve.nu[0])
-    raise ValueError(f"unknown method {method!r}")
+    nu, _ = _dense_solve(matrix.quads[None])
+    return solved(nu[0])
 
 
-def _require_interior(p: StrategyVector, q: StrategyVector, threshold: float):
+def _require_interior(p: StrategyVector, q: StrategyVector):
     dist = min(p.boundary_distance(), q.boundary_distance())
-    if dist < threshold:
+    if dist < INTERIOR_THRESHOLD:
         raise DegeneracyError(
             f"strategies within {dist:.2e} of the cube boundary; "
-            "interiorize (clamp) them or pass allow_boundary=True"
+            "interiorize (clamp) them"
         )
 
 
@@ -590,30 +553,23 @@ def payoff(
     q: StrategyVector,
     f: PayoffVector,
     method: str = "stationary",
-    allow_boundary: bool = False,
-    tol: float = 1e-12,
 ) -> float:
     """Long-run average payoff of the focal player.
 
-    ``stationary`` computes the inner product of the invariant distribution
-    with the payoff vector; ``determinant`` computes the quotient of two
-    determinants obtained by replacing the last column of (M - I) with the
-    payoff vector and with the all-ones vector, and is kept as the oracle.
-    ``allow_boundary`` bypasses the interiority gate and always evaluates
-    through power iteration; uniqueness of the result is then the caller's
-    concern.
+    ``stationary`` is the inner product of the invariant distribution from
+    :func:`payoff_solve` with the payoff vector; ``determinant`` computes
+    the quotient of two determinants obtained by replacing the last column
+    of (M - I) with the payoff vector and with the all-ones vector, and is
+    kept as the oracle.  Both refuse strategies within
+    ``INTERIOR_THRESHOLD`` of the cube boundary (``DegeneracyError``).
     """
     if not (p.n == q.n == f.n):
         raise ValueError("memory orders of p, q, f must agree")
-    if allow_boundary:
-        matrix = build_transition_matrix(p, q)
-        nu = stationary_distribution(matrix, method="power-iteration", tol=tol)
-        return float(nu.weights @ f.values)
     if method == "determinant":
-        _require_interior(p, q, INTERIOR_THRESHOLD)
+        _require_interior(p, q)
         return payoff_from_column(p, q, f.values)
     if method == "stationary":
-        return payoff_split(p, q, f)[0]
+        return payoff_solve(p, q, f)[0][0]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -630,7 +586,7 @@ def payoff_solve(
 
     A solve that failed raises as :func:`solved` says.
     """
-    _require_interior(p, q, INTERIOR_THRESHOLD)
+    _require_interior(p, q)
     solve = solve_chain(build_transition_matrix(p, q).quads[None])
     nu = solved(solve.nu[0])
     swapped = swap_column(f)
@@ -642,13 +598,6 @@ def payoff_solve(
     return values, solve
 
 
-def payoff_split(
-    p: StrategyVector, q: StrategyVector, f: PayoffVector
-) -> tuple[float, float, float]:
-    """(A, A_s, A_a) from one stationary solve; see :func:`decompose_payoff`."""
-    return payoff_solve(p, q, f)[0]
-
-
 def decompose_payoff(
     p: StrategyVector, q: StrategyVector, f: PayoffVector
 ) -> tuple[float, float]:
@@ -658,7 +607,7 @@ def decompose_payoff(
     A_s + A_a equals the payoff; the parts are the stationary averages of
     (f + f∘bar)/2 and (f - f∘bar)/2.
     """
-    return payoff_split(p, q, f)[1:]
+    return payoff_solve(p, q, f)[0][1:]
 
 
 def reactive_payoff(

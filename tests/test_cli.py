@@ -316,6 +316,16 @@ def test_invalid_arguments_exit_two_without_traceback(argv, tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_central_difference_field_above_4096_states_exits_two(tmp_path):
+    """Central differences build a dense B per evaluation, 2.1 GB at memory
+    7 (16,384 states): the command refuses it as a usage error."""
+    x = tmp_path / "x7.json"
+    x.write_text(json.dumps({"n": 7, "probs": [0.5] * 4**7}))
+    with pytest.raises(SystemExit) as err:
+        main(["field", "--at", str(x), "--method", "central_difference"])
+    assert err.value.code == 2
+
+
 def test_every_ledger_key_governs_a_check():
     named = set()
     for *_, key in _BATTERY:

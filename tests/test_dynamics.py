@@ -274,7 +274,7 @@ def test_counting_closed_collinear_with_restriction():
 def test_counting_sign_study_pattern():
     """The restricted anti-symmetric flow pushes both q2 and q0 down on a
     50^3 interior grid; the printed form carries the opposite sign."""
-    study = counting_sign_study(2.0, 1.0, resolution=50)
+    study = counting_sign_study(2.0, 1.0)
     total = study["grid_points"]
     assert total == 50**3
     assert study["restriction"]["dq2"]["negative"] == total
@@ -481,7 +481,7 @@ def test_reparam_field_refused_above_4096_states_before_any_solve(monkeypatch):
     """det B is dense: the reparametrised field refuses a memory-7 chain
     (16,384 states) with ValueError before the chain is solved."""
     monkeypatch.setattr(dynamics, "solve_chain", lambda *args: pytest.fail("solved"))
-    with pytest.raises(ValueError, match="det B"):
+    with pytest.raises(ValueError, match="B = M - I is dense"):
         field_batch(np.full((1, n_states(7)), 0.5), np.zeros(n_states(7)), reparam=True)
 
 

@@ -1,6 +1,8 @@
 """Transition matrix, stationary distribution, and payoff tests."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,6 @@ from memn.markov import (
     payoff,
     payoff_from_column,
     payoff_solve,
-    payoff_split,
     poisson_vector,
     quad_columns,
     reactive_payoff,
@@ -79,7 +80,7 @@ def test_structure_invariants(n):
         m = build_transition_matrix(p, q)
         assert np.abs(m.entries.sum(axis=1) - 1).max() <= 1e-12
         assert not m.entries[~mask].any()
-        cols = m.quadruple_columns(3)
+        cols = quad_columns(m.size)[3]
         assert cols[0] == 4 * (3 % (size // 4))
 
 
@@ -104,8 +105,8 @@ def test_stationary_uniform():
     half = StrategyVector(1, np.full(4, 0.5))
     m = build_transition_matrix(half, half)
     nu = stationary_distribution(m)
-    np.testing.assert_allclose(nu.weights, np.full(4, 0.25), atol=1e-14)
-    assert nu.residual(m) < 1e-12
+    np.testing.assert_allclose(nu, np.full(4, 0.25), atol=1e-14)
+    assert np.abs(nu @ m.entries - nu).max() < 1e-12
 
 
 def test_stationary_near_absorbing_cooperation():
@@ -113,20 +114,22 @@ def test_stationary_near_absorbing_cooperation():
     p = StrategyVector(1, np.full(4, 1 - eps))
     m = build_transition_matrix(p, p)
     nu = stationary_distribution(m)
-    assert nu.weights[0] >= 1 - 5 * eps
+    assert nu[0] >= 1 - 5 * eps
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [2, 3])
 def test_power_iteration_agrees_with_solve(n):
     rng = np.random.default_rng(3)
     for _ in range(5):
         p, q = random_pair(rng, n)
         m = build_transition_matrix(p, q)
-        direct = stationary_distribution(m, "linear-solve")
-        iterated = stationary_distribution(m, "power-iteration", tol=1e-10)
-        assert np.abs(direct.weights - iterated.weights).max() <= 1e-9
-        assert iterated.weights.sum() == pytest.approx(1.0, abs=1e-10)
-        assert iterated.residual(m) < 1e-9
+        direct = stationary_distribution(m)
+        solve = iterate_chain(m.quads[None])
+        iterated = solve.nu[0]
+        assert solve.converged[0]
+        assert np.abs(direct - iterated).max() <= 1e-9
+        assert iterated.sum() == pytest.approx(1.0, abs=1e-10)
+        assert solve.residual[0] < 1e-9
 
 
 def test_singular_solve_raises_degeneracy():
@@ -135,21 +138,7 @@ def test_singular_solve_raises_degeneracy():
     tft = tft_strategy(1)
     m = build_transition_matrix(tft, tft)
     with pytest.raises(DegeneracyError):
-        stationary_distribution(m, "linear-solve")
-
-
-def test_power_iteration_budget_error():
-    from memn import markov
-
-    p = StrategyVector(1, np.array([0.9, 0.1, 0.8, 0.2]))
-    m = build_transition_matrix(p, p)
-    original = markov.POWER_MAX_ITER
-    markov.POWER_MAX_ITER = 3
-    try:
-        with pytest.raises(ConvergenceError):
-            stationary_distribution(m, "power-iteration", tol=1e-14)
-    finally:
-        markov.POWER_MAX_ITER = original
+        stationary_distribution(m)
 
 
 def test_payoff_mutual_cooperation():
@@ -198,7 +187,7 @@ def test_payoff_split_matches_determinant_quotients(n):
     swapped = f.values[bar_permutation(n)]
     for _ in range(5):
         p, q = random_pair(rng, n)
-        a, a_s, a_a = payoff_split(p, q, f)
+        a, a_s, a_a = payoff_solve(p, q, f)[0]
         assert a == pytest.approx(payoff(p, q, f, method="determinant"), abs=1e-10)
         assert a_s == pytest.approx(
             payoff_from_column(p, q, 0.5 * (f.values + swapped)), abs=1e-10
@@ -225,11 +214,6 @@ def test_payoff_boundary_interiorization_gate():
     tft = tft_strategy(1)
     with pytest.raises(DegeneracyError):
         payoff(tft, tft, f)
-    # power iteration on an irreducible boundary pair is explicitly allowed
-    interior = StrategyVector(1, np.array([0.3, 0.6, 0.2, 0.7]))
-    value = payoff(interior, tft, f, method="stationary", allow_boundary=True, tol=1e-12)
-    near = payoff(interior, tft_strategy(1, eps=1e-9), f)
-    assert value == pytest.approx(near, abs=1e-6)
 
 
 def test_decompose_payoff_antisymmetric_on_diagonal():
@@ -302,7 +286,7 @@ def test_sparse_rows_schema():
     rows = m.sparse_rows()
     assert len(rows) == 4
     for i, row in enumerate(rows):
-        assert [col for col, _ in row] == list(m.quadruple_columns(i))
+        assert [col for col, _ in row] == list(quad_columns(m.size)[i])
         assert sum(v for _, v in row) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -330,13 +314,13 @@ def test_iterate_chain_matches_dense_solves(n):
     assert np.all(solve.residual <= 1e-13)
     for k, (p, q) in enumerate(pairs):
         m = build_transition_matrix(p, q)
-        nu = stationary_distribution(m).weights
+        nu = stationary_distribution(m)
         h = poisson_vector(chain_system(m.quads), columns[k])
         assert np.abs(solve.nu[k] - nu).max() <= 1e-12 * nu.max()
         assert np.abs(solve.h[k] - h).max() <= 1e-11 * np.abs(h).max()
 
 
-def test_power_iteration_does_not_settle_on_a_two_cycle(monkeypatch):
+def test_power_iteration_does_not_settle_on_a_two_cycle():
     """A memory-2 boundary chain with period 2: the focal player defects
     after mutual cooperation and cooperates otherwise, against unconditional
     cooperation, so play alternates CC, DC.  The uniform start feeds 3/4 of
@@ -348,14 +332,11 @@ def test_power_iteration_does_not_settle_on_a_two_cycle(monkeypatch):
     p = StrategyVector(2, np.where(states & 3 == 0, 0.0, 1.0))
     q = StrategyVector(2, np.ones(n_states(2)))
     m = build_transition_matrix(p, q)
-    solve = iterate_chain(m.quads[None], max_iter=200)
-    assert not solve.converged[0] and solve.iterations[0] == 200
+    solve = iterate_chain(m.quads[None])
+    assert not solve.converged[0] and solve.iterations[0] == iteration_budget(16)
     nu = solve.nu[0]
     np.testing.assert_array_equal(nu @ m.entries @ m.entries, nu)
     assert sorted(nu[nu > 0]) == [0.25, 0.75]
-    monkeypatch.setattr(markov, "POWER_MAX_ITER", 50)
-    with pytest.raises(ConvergenceError):
-        stationary_distribution(m, "power-iteration")
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -371,7 +352,7 @@ def test_two_round_power_iteration_near_tit_for_tat(n):
     solve = iterate_chain(np.stack([m.quads for m in chains]))
     assert solve.converged.all()
     for nu, m in zip(solve.nu, chains):
-        dense = stationary_distribution(m, "linear-solve").weights
+        dense = stationary_distribution(m)
         assert np.abs(nu - dense).max() <= 1e-12
         step = np.zeros_like(nu)
         np.add.at(step, quad_columns(len(nu)), nu[:, None] * m.quads)
@@ -396,7 +377,7 @@ def test_solve_chain_below_memory5_is_one_dense_solve(n):
     residual = solve.residual
     for k in (0, 2):
         m = build_transition_matrix(*pairs[k])
-        nu = stationary_distribution(m, "linear-solve").weights
+        nu = stationary_distribution(m)
         h = poisson_vector(chain_system(m.quads), columns[k])
         np.testing.assert_allclose(solve.nu[k], nu, rtol=1e-13, atol=0)
         np.testing.assert_allclose(solve.h[k], h, rtol=1e-13, atol=1e-15)
@@ -415,7 +396,7 @@ def test_payoff_split_memory5_matches_determinant_quotients():
         p, q = random_pair(rng, 5)
         values, solve = payoff_solve(p, q, f)
         assert solve.method() == "matrix-free"
-        assert payoff_split(p, q, f) == values
+        assert payoff_solve(p, q, f)[0] == values
         for value, column in zip(values, columns):
             assert value == pytest.approx(payoff_from_column(p, q, column), abs=1e-12)
 
@@ -459,7 +440,7 @@ def test_nonconverging_chain_at_memory7_raises_without_dense_matrix():
     tracemalloc.start()
     try:
         with pytest.raises(ConvergenceError):
-            payoff_split(p, p, f)
+            payoff_solve(p, p, f)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -475,3 +456,56 @@ def test_field_raises_convergence_error_without_dense_fallback(monkeypatch):
     x = sticky_strategy(5)
     with pytest.raises(ConvergenceError):
         adaptive_field(x, FieldSpec(5, build_payoff_vector(DONATION, 5)))
+
+
+@pytest.mark.parametrize("method", ["determinant", "reference"])
+def test_dense_chain_system_refused_above_4096_states(method):
+    """B is dense, 2.1 GB at memory 7 (16,384 states): the determinant
+    payoff and the dense reference raise ValueError where chain_system
+    would build it, before anything of that size is allocated."""
+    rng = np.random.default_rng(77)
+    p, q = random_pair(rng, 7)
+    f = build_payoff_vector(DONATION, 7)
+    m = build_transition_matrix(p, q)
+    calls = {
+        "determinant": lambda: payoff(p, q, f, method="determinant"),
+        "reference": lambda: stationary_distribution(m),
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="refused above 4096 states"):
+            calls[method]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+def _references(path: Path, names) -> set:
+    """(name, module, scope) for each use of one of ``names`` in ``path``:
+    a name, an attribute or an import, in the top-level function or class
+    ``scope``, or ``<module>`` outside them."""
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        scope = getattr(node, "name", "<module>")
+        for sub in ast.walk(node):
+            used = [getattr(sub, "id", None), getattr(sub, "attr", None)]
+            if isinstance(sub, ast.ImportFrom):
+                used += [alias.name for alias in sub.names]
+            found |= {(name, path.stem, scope) for name in used if name in names}
+    return found
+
+
+def test_chains_are_solved_through_solve_chain_alone():
+    """Across the package, iterate_chain is used only inside
+    markov.solve_chain, and the dense solve only there and in the dense
+    reference markov.stationary_distribution: there is one solve path."""
+    names = {"iterate_chain", "_dense_solve"}
+    found = set()
+    for path in sorted(Path(markov.__file__).parent.glob("*.py")):
+        found |= _references(path, names)
+    assert found == {
+        ("iterate_chain", "markov", "solve_chain"),
+        ("_dense_solve", "markov", "solve_chain"),
+        ("_dense_solve", "markov", "stationary_distribution"),
+    }

@@ -150,10 +150,10 @@ def test_payoff_invariance_under_conjugation(kind):
         p = StrategyVector(n, rng.uniform(0.05, 0.95, 16))
         q = StrategyVector(n, rng.uniform(0.05, 0.95, 16))
         m = build_transition_matrix(p, q)
-        nu = stationary_distribution(m).weights
+        nu = stationary_distribution(m)
         base = float(nu @ f.values)
         conjugated = conjugate_matrix(m, j)
-        nu_conj = stationary_distribution(conjugated).weights
+        nu_conj = stationary_distribution(conjugated)
         transformed = float(nu_conj @ j.apply(f.values))
         assert transformed == pytest.approx(base, abs=1e-10)
         np.testing.assert_allclose(nu_conj, j.apply(nu), atol=1e-10)
