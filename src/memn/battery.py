@@ -199,14 +199,15 @@ def check_conjugation_identities(rng, n_max, trials, tol):
 
 
 def check_admissibility(rng, n_max, trials, tol, non_j_samples=1000):
-    """Exactly eight admissible permutations; random others fail."""
-    passing = admissible_set_bruteforce_memory1(trials=3, rng=rng, rank1_tol=tol)
+    """Exactly eight admissible permutations; random others fail.  ``tol``
+    is the (rank-1, row-sum) pair of bounds of the structure test."""
+    passing = admissible_set_bruteforce_memory1(3, rng, *tol)
     j_maps = sorted(tuple(build_j(k, 1).perm.tolist()) for k in KINDS)
     ok = sorted(passing) == j_maps
     detail = {"memory1_admissible_count": len(passing)}
     if n_max >= 2:
         for kind in KINDS:
-            if not check_admissible(build_j(kind, 2).perm, 2, 3, rng, tol):
+            if not check_admissible(build_j(kind, 2).perm, 2, 3, rng, *tol):
                 ok = False
         j2_maps = {tuple(build_j(k, 2).perm.tolist()) for k in KINDS}
         false_passes = 0
@@ -216,7 +217,7 @@ def check_admissibility(rng, n_max, trials, tol, non_j_samples=1000):
             if tuple(perm.tolist()) in j2_maps:
                 continue
             tested += 1
-            if check_admissible(perm, 2, trials=2, rng=rng, rank1_tol=tol):
+            if check_admissible(perm, 2, 2, rng, *tol):
                 false_passes += 1
         detail["memory2_random_false_passes"] = false_passes
         ok = ok and false_passes == 0
@@ -540,7 +541,7 @@ _BATTERY = [
         "admissibility",
         "exactly eight permutations preserve transition structure",
         check_admissibility,
-        "admissible_rank1",
+        ("admissible_rank1", "admissible_row_sum"),
     ),
     (
         "payoff-methods",

@@ -19,18 +19,20 @@ Payoffs, their split and the adaptive field need the stationary
 distribution nu, nu (M - I) = 0, and the Poisson vector h, (I - M) h =
 column - (nu . column) 1 with h[-1] = 0.  :func:`solve_chain` alone gives
 both, for a stack of chains, and alone chooses how.  Below
-``MATRIX_FREE_SIZE`` states (memory 5) the stack is one dense solve of B =
+``MATRIX_FREE_SIZE`` states (memory 4) the stack is one dense solve of B =
 M - I with its last column set to 1 (:func:`chain_system`).  From there up
-it iterates on the quadruples (:func:`iterate_chain`), each step O(size):
-nu by power iteration, two chain rounds per step through the (size/16, 16,
-16) blocks of M^2, and settled only after one single round also passes the
-stop rule; h by the Poisson series, one round per step.  Budgets and
-iteration counts are in chain rounds.  A member that does not converge
-within its budget (a slowly mixing chain near the boundary) is solved
-dense alone up to ``DENSE_FALLBACK_SIZE`` states and comes back NaN above,
-where B would take gigabytes; :func:`solved` names the error.
-:func:`chain_system`, the one builder of B, refuses a chain above that size.
-The determinant quotient, the dense references
+it iterates on the quadruples (:func:`iterate_chain`), each step O(size),
+both runs through the (size/16, 16, 16) blocks of M^2 and ``STRIDE``
+two-round products per stop test: nu by power iteration, and h by the
+paired Poisson series h = sum_j M^(2j) (I + M) v.  M^2 and (I + M) both hide
+an eigenvalue -1, so nu settles only after one single round also passes
+the stop rule, and h only after a single-round Poisson defect check also
+passes.  Budgets and iteration counts are in chain rounds.  A member that
+does not converge within its budget (a slowly mixing chain near the
+boundary) is solved dense alone up to ``DENSE_FALLBACK_SIZE`` states and
+comes back NaN above, where B would take gigabytes; :func:`solved` names
+the error.  :func:`chain_system`, which alone builds B, refuses a chain
+above that size.  The determinant quotient, the dense references
 :func:`stationary_distribution` and :func:`poisson_vector`, and the block
 recursion are kept as oracles.
 """
@@ -54,11 +56,29 @@ from .core import (
 from .errors import ConvergenceError, DegeneracyError
 
 INTERIOR_THRESHOLD = 1e-12
-# the dense LU costs O(size^3), an iteration O(size); they tie at memory 4
-MATRIX_FREE_SIZE = 1024
+# The dense LU costs O(size^3), an iteration O(size).  Measured in-process on
+# a 2-core host, nu and h of one chain took 2.0-2.4 ms by the stacked (B^T,
+# B) LU against 0.8-1.3 ms iterated at 256 states (memory 4), and 0.09-0.15
+# ms against 1.2 ms at 64 states (memory 3).
+MATRIX_FREE_SIZE = 256
 # the largest chain whose dense B is ever built: 134 MB at 4,096 states
 DENSE_FALLBACK_SIZE = 4096
 ITERATION_TOL = 4 * np.finfo(float).eps
+# The span of the Poisson defect v + M h - h of a converged h sits at 4-11
+# eps |h|_inf from rounding (memory 4-7, random and near-tit-for-tat
+# chains); a mode that (I + M) hid leaves a defect of the size of v.
+POISSON_DEFECT_TOL = 64 * np.finfo(float).eps
+# Two-round products per stop test.  A stop test costs about as much as a
+# product at memory 4 and 5, so a test after every product took about twice
+# the time of a test after four (2.0-2.7 against 1.0-1.5 ms for nu and h at
+# memory 4, 2-core host), for up to 8 rounds more.
+STRIDE = 4
+# At 256 states a round of nu and h costs about 6.3 us once the solve has
+# started and the dense pair 2.2 ms, so 350 rounds cost about one dense
+# solve, and a member that exhausts them costs about twice that.  Random
+# interior chains settle in about 80-90 rounds; the slowest of 200 drawn
+# from uniform(0.05, 0.95) took 258.
+SMALL_CHAIN_BUDGET = 350
 
 
 @lru_cache(maxsize=None)
@@ -159,6 +179,14 @@ def _two_round_product(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     batch, span, _, _ = blocks.shape
     rows = weights.reshape(batch, 16, span).swapaxes(1, 2)[:, :, None]
     return (rows @ blocks).reshape(batch, 16 * span)
+
+
+def _two_round_right(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M^2 v from the blocks of :func:`_two_round_blocks`: block m maps v
+    at the 16 states (m, k1, k2) to the 16 states (a1, a2, m)."""
+    batch, span, _, _ = blocks.shape
+    product = blocks @ v.reshape(batch, span, 16, 1)
+    return product.reshape(batch, span, 16).swapaxes(1, 2).reshape(batch, 16 * span)
 
 
 def build_transition_matrix(p: StrategyVector, q: StrategyVector) -> TransitionMatrix:
@@ -332,13 +360,14 @@ class ChainSolve:
 
 def iteration_budget(size: int) -> int:
     """Chain rounds a chain of ``size`` states gets before it counts as not
-    converged: 1,000 per 1,024 states, about what the dense solve it
-    replaces costs (and far less than it from 4,096 states up).  A
-    two-round step of the power iteration spends 2 of them."""
-    return 1000 * max(1, size // 1024)
+    converged: 1,000 per 1,024 states from memory 5 up, about what the
+    dense solve it replaces costs (and far less than it from 4,096 states
+    up), and ``SMALL_CHAIN_BUDGET`` below.  A two-round product spends 2 of
+    them, so a stride with its check spends 9."""
+    return max(SMALL_CHAIN_BUDGET, 1000 * (size // 1024))
 
 
-def _settle(chain: tuple, state: tuple, advance, max_iter: int, width: int = 1):
+def _settle(chain: tuple, state: tuple, advance, max_iter: int, width: int):
     """Iterate ``state <- advance(chain, state)`` on each member of a stack
     until ``advance`` reports the member settled, within ``max_iter`` chain
     rounds.
@@ -394,65 +423,86 @@ def iterate_chain(quads, column=None) -> ChainSolve:
     """Matrix-free nu and h of each chain of a (batch, size, 4) stack,
     memory 2 up.
 
-    nu is iterated as nu <- nu M / |nu M|_1 from the uniform start, two
-    chain rounds per step (nu M^2 from :func:`_two_round_blocks`, built once
-    per call).  A member settles only when two conditions hold in order: a
-    two-round step moves nu by at most ``ITERATION_TOL`` in the 1-norm, and
-    then one single round, nu' = nu M / |nu M|_1, satisfies |nu' - nu|_1 <=
-    ``ITERATION_TOL``; nu' is returned.  If that check fails, two-round
-    steps resume: M^2 hides a period-2 mode (an eigenvalue near -1), so a
-    periodic chain would otherwise settle on a vector that is not
-    stationary.  Given a ``column`` (one, or one per member), h is the
-    Poisson series, one round per step: v <- M v - (M v)[-1] from v =
-    column - column[-1], summed into h, until the span of v is at most
-    ``ITERATION_TOL`` times |h|_inf.  The
-    drift nu . column is constant across states, so it cancels from v
-    without being known, and v[-1] and so h[-1] are exactly 0.
-    ``iterations`` counts chain rounds: a two-round step counts 2 and the
-    check 1.  Each of the two runs within :func:`iteration_budget` rounds; a
-    member that has not settled keeps its last iterate, ``converged`` False
-    and ``iterations`` the budget.  No member is solved dense.
+    Both run on the blocks of M^2 from :func:`_two_round_blocks`, built
+    once per call, ``STRIDE`` two-round products per stop test.  nu is
+    iterated as nu <- nu M^2 / |nu M^2|_1 from the uniform start, normalised
+    before the last product of a stride, and a member settles only when two
+    conditions hold in order: that last product moves nu by at most
+    ``ITERATION_TOL`` in the 1-norm, and then one single round, nu' = nu M /
+    |nu M|_1, satisfies |nu' - nu|_1 <= ``ITERATION_TOL``; nu' is returned.
+    If that check fails, strides resume: M^2 hides a period-2 mode (an
+    eigenvalue near -1), so a periodic chain would otherwise settle on a
+    vector that is not stationary.  Given a ``column`` (one, or one per
+    member), h is the paired Poisson series h = sum_j M^(2j) u with u = (I +
+    M) v and v = column - column[-1]: the terms w <- M^2 w are summed into h,
+    each stride's last term and h shifted by their last entries, until the
+    span of w is at most ``ITERATION_TOL`` times |h|_inf.  The drift nu .
+    column is constant across states, so it cancels without being known,
+    and h[-1] is exactly 0.  (I + M) hides the same eigenvalue -1 from the
+    series, so h settles only when the defect of one single round, v + M h
+    - h, also spans at most ``POISSON_DEFECT_TOL`` times |h|_inf; otherwise
+    strides resume.  ``iterations`` counts chain rounds: a two-round product
+    counts 2, u and each check 1.  Each of the two runs within
+    :func:`iteration_budget` rounds; a member that has not settled keeps its
+    last iterate, ``converged`` False and ``iterations`` the budget.  No
+    member is solved dense.
     """
     quads = np.asarray(quads, dtype=float)
     batch, size, _ = quads.shape
     max_iter = iteration_budget(size)
+    rounds = 2 * STRIDE
 
-    def one_round(nu, q):
-        nxt = _left_product(nu, q)
-        nxt /= nxt.sum(-1, keepdims=True)
-        return nxt, np.abs(nxt - nu).sum(-1) <= ITERATION_TOL
-
-    def two_round_step(chain, state):
+    def nu_stride(chain, state):
         q, blocks = chain
         (nu,) = state
+        for _ in range(STRIDE - 1):
+            nu = _two_round_product(nu, blocks)
+        nu /= nu.sum(-1, keepdims=True)
         nxt = _two_round_product(nu, blocks)
         nxt /= nxt.sum(-1, keepdims=True)
         done = np.abs(nxt - nu).sum(-1) <= ITERATION_TOL
         if not done.any():
-            return (nxt,), done, 2
-        taken = np.where(done, 3, 2)
-        # the single-round check decides; the mask is read before it is set
-        nxt[done], done[done] = one_round(nxt[done], q[done])
-        return (nxt,), done, taken
+            return (nxt,), done, rounds
+        # the single-round check decides
+        tested = done.copy()
+        check = _left_product(nxt[tested], q[tested])
+        check /= check.sum(-1, keepdims=True)
+        done[tested] = np.abs(check - nxt[tested]).sum(-1) <= ITERATION_TOL
+        nxt[tested] = check
+        return (nxt,), done, np.where(tested, rounds + 1, rounds)
 
-    def series_step(chain, state):
-        (q,) = chain
-        v, h = state
-        w = _right_product(q, v)
-        w = w - w[:, -1:]
-        h = h + w
-        return (w, h), np.ptp(w, axis=-1) <= ITERATION_TOL * np.abs(h).max(-1), 1
+    def series_stride(chain, state):
+        q, blocks, v = chain
+        w, h = state
+        for _ in range(STRIDE):
+            w = _two_round_right(blocks, w)
+            h += w
+        w -= w[:, -1:]
+        h -= h[:, -1:]
+        scale = np.abs(h).max(-1)
+        done = np.ptp(w, axis=-1) <= ITERATION_TOL * scale
+        if not done.any():
+            return (w, h), done, rounds
+        tested = done.copy()
+        defect = v[tested] + _right_product(q[tested], h[tested]) - h[tested]
+        done[tested] = np.ptp(defect, axis=-1) <= POISSON_DEFECT_TOL * scale[tested]
+        return (w, h), done, np.where(tested, rounds + 1, rounds)
 
     nu = np.full((batch, size), 1.0 / size)
-    chain = (quads, _two_round_blocks(quads))
-    iterations, converged = _settle(chain, (nu,), two_round_step, max_iter, width=3)
+    blocks = _two_round_blocks(quads)
+    width = rounds + 1
+    iterations, converged = _settle((quads, blocks), (nu,), nu_stride, max_iter, width)
     h = None
     if column is not None:
         start = np.broadcast_to(np.asarray(column, dtype=float), (batch, size))
         v = start - start[:, -1:]
-        h = v.copy()
-        series, settled = _settle((quads,), (v, h), series_step, max_iter)
-        iterations = np.maximum(iterations, series)
+        u = v + _right_product(quads, v)
+        u -= u[:, -1:]
+        h = u.copy()
+        series, settled = _settle(
+            (quads, blocks, v), (u, h), series_stride, max_iter - 1, width
+        )
+        iterations = np.maximum(iterations, series + 1)
         converged &= settled
     return ChainSolve(
         quads, column, nu, h, iterations, converged, np.zeros(batch, dtype=bool)

@@ -181,6 +181,7 @@ def check_admissible(
     trials: int = 5,
     rng: np.random.Generator | None = None,
     rank1_tol: float = 1e-10,
+    row_sum_tol: float = 1e-12,
 ) -> bool:
     """Test whether conjugating by ``perm`` preserves transition structure.
 
@@ -188,7 +189,8 @@ def check_admissible(
     keep the four-per-row sparsity pattern, and every row quadruple must be
     nonnegative, sum to one, and factor as (yz, y(1-z), (1-y)z, (1-y)(1-z)),
     which for a nonnegative unit-sum quadruple is equivalent to the 2x2
-    reshape having rank 1.
+    reshape having rank 1.  A row sum may miss one by ``row_sum_tol`` and
+    the rank-1 defect reach ``rank1_tol``.
     """
     perm = np.asarray(perm, dtype=int)
     size = n_states(n)
@@ -205,7 +207,7 @@ def check_admissible(
             return False
         conj = build_transition_matrix(p, q).quads[perm[:, None], k]
         neg, row_sum, rank1 = _quadruple_residuals(conj)
-        if neg > 0.0 or row_sum > 1e-12 or rank1 > rank1_tol:
+        if neg > 0.0 or row_sum > row_sum_tol or rank1 > rank1_tol:
             return False
     return True
 
@@ -214,13 +216,14 @@ def admissible_set_bruteforce_memory1(
     trials: int = 5,
     rng: np.random.Generator | None = None,
     rank1_tol: float = 1e-10,
+    row_sum_tol: float = 1e-12,
 ):
     """All permutations of the 4 memory-1 states that pass admissibility."""
     if rng is None:
         rng = np.random.default_rng(0)
     passing = []
     for perm in all_permutations(range(4)):
-        if check_admissible(np.array(perm), 1, trials, rng, rank1_tol):
+        if check_admissible(np.array(perm), 1, trials, rng, rank1_tol, row_sum_tol):
             passing.append(tuple(perm))
     return passing
 

@@ -369,6 +369,30 @@ def test_admissible_rank1_override_governs_admissibility(tmp_path, monkeypatch):
     assert outcomes["relaxed"]["detail"]["memory1_admissible_count"] == 24
 
 
+def test_admissible_row_sum_override_governs_admissibility(tmp_path, monkeypatch):
+    """The structure test reads its row-sum bound from the ledger: with the
+    bound tightened to 0 an admissible map fails wherever a conjugated row
+    sums to one only up to rounding, so the check's count of eight must
+    fail, while the default passes."""
+    argv = ["verify", "symmetry", "--n-max", "1", "--trials", "3"]
+    overrides = tmp_path / "tol.json"
+    overrides.write_text(json.dumps({"admissible_row_sum": 0.0}))
+    outcomes = {}
+    for label, env in (("default", None), ("exact", str(overrides))):
+        if env is None:
+            monkeypatch.delenv("MEMN_TOLERANCES", raising=False)
+        else:
+            monkeypatch.setenv("MEMN_TOLERANCES", env)
+        path = tmp_path / f"{label}.json"
+        main(argv + ["--out", str(path)])
+        checks = json.loads(path.read_text())["checks"]
+        outcomes[label] = next(c for c in checks if c["check_id"] == "admissibility")
+    assert outcomes["default"]["passed"]
+    assert outcomes["default"]["detail"]["memory1_admissible_count"] == 8
+    assert not outcomes["exact"]["passed"]
+    assert outcomes["exact"]["detail"]["memory1_admissible_count"] < 8
+
+
 def test_reactive_fields_override_governs_reactive_fields(tmp_path, monkeypatch):
     """The reactive-fields check reads its own ledger key: tightening it
     fails that check alone."""

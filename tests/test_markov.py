@@ -290,12 +290,13 @@ def test_sparse_rows_schema():
         assert sum(v for _, v in row) == pytest.approx(1.0, abs=1e-12)
 
 
-def sticky_strategy(n):
-    """Repeat one's own last action, leaving C with probability 1e-6 and D
-    with 1e-5: an interior chain that mixes in about 1e5 rounds, while the
-    uniform start is far from its stationary distribution."""
+def sticky_strategy(n, leave_c=1e-6, leave_d=1e-5):
+    """Repeat one's own last action, leaving C with probability ``leave_c``
+    and D with ``leave_d``: by default an interior chain that mixes in about
+    1e5 rounds, while the uniform start is far from its stationary
+    distribution."""
     own_c = (np.arange(n_states(n)) >> 1) & 1 == 0
-    return StrategyVector(n, np.where(own_c, 1 - 1e-6, 1e-5))
+    return StrategyVector(n, np.where(own_c, 1 - leave_c, leave_d))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -359,12 +360,12 @@ def test_two_round_power_iteration_near_tit_for_tat(n):
         assert np.abs(step / step.sum() - nu).sum() <= 4 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_solve_chain_below_memory5_is_one_dense_solve(n):
-    """Below 1,024 states every member of a stack, with a column per
-    member, is solved dense; a singular member (tit-for-tat against
-    itself) comes back NaN alone, and the others equal the dense oracles
-    and satisfy their equations."""
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solve_chain_below_memory4_is_one_dense_solve(n):
+    """Below 256 states every member of a stack, with a column per member,
+    is solved dense; a singular member (tit-for-tat against itself) comes
+    back NaN alone, and the others equal the dense oracles and satisfy
+    their equations."""
     rng = np.random.default_rng(40 + n)
     f = build_payoff_vector(DONATION, n)
     swapped = f.values[bar_permutation(n)]
@@ -385,6 +386,101 @@ def test_solve_chain_below_memory5_is_one_dense_solve(n):
     # the residual is computed when read, from the h it is read with
     solve.h[0, 0] += 1e-6
     assert solve.residual[0] > 1e-8
+
+
+def test_memory4_stack_is_matrix_free_with_dense_fallback():
+    """At 256 states a stack with a column per member is iterated: the
+    interior members are matrix-free and equal the dense solves, nu to
+    1e-12 and h to 1e-11 relative, and tit-for-tat against itself (a
+    singular chain) exhausts its budget and comes back NaN alone through
+    the dense fallback."""
+    rng = np.random.default_rng(44)
+    f = build_payoff_vector(DONATION, 4)
+    swapped = f.values[bar_permutation(4)]
+    columns = np.stack([f.values, 0.5 * (f.values + swapped), 0.5 * (f.values - swapped)])
+    pairs = [random_pair(rng, 4), (tft_strategy(4), tft_strategy(4)), random_pair(rng, 4)]
+    quads = np.stack([build_transition_matrix(p, q).quads for p, q in pairs])
+    solve = solve_chain(quads, columns)
+    assert [solve.method(k) for k in range(3)] == ["matrix-free", "dense", "matrix-free"]
+    assert solve.converged.tolist() == [True, False, True]
+    assert solve.iterations[1] == iteration_budget(256)
+    assert np.isnan(solve.nu[1]).all() and np.isnan(solve.h[1]).all()
+    for k in (0, 2):
+        m = build_transition_matrix(*pairs[k])
+        nu = stationary_distribution(m)
+        h = poisson_vector(chain_system(m.quads), columns[k])
+        assert np.abs(solve.nu[k] - nu).max() <= 1e-12 * nu.max()
+        assert np.abs(solve.h[k] - h).max() <= 1e-11 * np.abs(h).max()
+
+
+def test_poisson_series_does_not_settle_on_a_hidden_two_cycle():
+    """A memory-4 chain with period 2: the focal player reverses its own
+    last action against unconditional cooperation, so play alternates CC,
+    DC.  nu settles in the first stride, but M has the eigenvalue -1, which
+    (I + M) removes from the paired series: its terms vanish after one
+    stride while h misses its alternating part.  The
+    single-round Poisson defect check refuses that h, so the member
+    exhausts its budget and is solved dense, and h equals the dense
+    Poisson vector."""
+    states = np.arange(n_states(4))
+    p = StrategyVector(4, np.where((states >> 1) & 1 == 0, 0.0, 1.0))
+    q = StrategyVector(4, np.ones(n_states(4)))
+    m = build_transition_matrix(p, q)
+    column = np.random.default_rng(45).uniform(-1.0, 1.0, n_states(4))
+    solve = solve_chain(m.quads[None], column)
+    assert solve.method() == "dense" and not solve.converged[0]
+    assert solve.iterations[0] == iteration_budget(256)
+    np.testing.assert_allclose(solve.nu[0], stationary_distribution(m), rtol=0, atol=1e-15)
+    h = poisson_vector(chain_system(m.quads), column)
+    assert np.abs(solve.h[0] - h).max() <= 1e-12 * np.abs(h).max()
+
+
+def test_nu_settles_at_the_first_stride_whose_last_pair_passes(monkeypatch):
+    """The stop rule compares the last two two-round iterates of a stride,
+    not the stride's ends: on a chain that mixes in hundreds of rounds the
+    member settles, and ends its run, at the first stride whose last
+    two-round product moves the normalised nu by at most ITERATION_TOL."""
+    products = []
+
+    def recorded(weights, blocks):
+        out = two_round_product(weights, blocks)
+        products.append(out.copy())
+        return out
+
+    two_round_product = markov._two_round_product
+    monkeypatch.setattr(markov, "_two_round_product", recorded)
+    x = sticky_strategy(3, 0.05, 0.1)
+    solve = iterate_chain(build_transition_matrix(x, x).quads[None])
+    stride = 2 * markov.STRIDE
+    strides = (solve.iterations[0] - 1) // stride
+    assert solve.converged[0] and solve.iterations[0] == stride * strides + 1
+    assert len(products) == markov.STRIDE * strides
+
+    def moved(k):
+        """The 1-norm move of nu in the last product of stride ``k``."""
+        last = markov.STRIDE * k
+        nu, nxt = (v[0] / v[0].sum() for v in products[last - 2 : last])
+        return np.abs(nxt - nu).sum()
+
+    assert strides > 8
+    assert moved(strides) <= markov.ITERATION_TOL < moved(strides - 1)
+
+
+@pytest.mark.parametrize("with_column", [False, True])
+def test_a_member_settles_within_its_budget_and_not_past_it(monkeypatch, with_column):
+    """A member that needs R chain rounds settles within a budget of R and
+    not within R - 1, where it keeps the budget as its rounds: no stride or
+    check may take it past the budget."""
+    rng = np.random.default_rng(46)
+    p, q = random_pair(rng, 4)
+    quads = build_transition_matrix(p, q).quads[None]
+    column = build_payoff_vector(DONATION, 4).values if with_column else None
+    needed = iterate_chain(quads, column).iterations[0]
+    for budget, settles in ((needed, True), (needed - 1, False)):
+        monkeypatch.setattr(markov, "iteration_budget", lambda size: budget)
+        solve = iterate_chain(quads, column)
+        assert solve.converged[0] == settles
+        assert solve.iterations[0] == (needed if settles else budget)
 
 
 def test_payoff_split_memory5_matches_determinant_quotients():
