@@ -39,6 +39,7 @@ from .dynamics import (
     reactive_fields,
     z2_mirror_check,
 )
+from .errors import InvarianceViolationError
 from .markov import (
     build_transition_matrix,
     build_transition_matrix_recursive,
@@ -338,17 +339,28 @@ def check_field_decomposition(rng, n_max, trials, tol):
 
 
 def check_counting_consistency(rng, n_max, trials, tol):
-    """Hyperplane invariance and collinearity of the printed counting form."""
+    """Hyperplane invariance and collinearity of the printed counting form.
+
+    ``tol`` is the (collinearity angle, hyperplane gap) pair of bounds.  A
+    gap of the full field, or of the anti-symmetric restriction, past its
+    bound fails the check.
+    """
+    gap_tol = tol[1]
     f = _donation(1)
     worst_gap = 0.0
     worst_angle = 0.0
     orientations = set()
+    invariant = True
     for _ in range(trials):
         q2, q1, q0 = rng.uniform(0.1, 0.9, 3)
         spec = FieldSpec(1, f, "full")
         field = adaptive_field(counting_to_full(q2, q1, q0), spec)
         worst_gap = max(worst_gap, abs(field[1] - field[2]))
-        anti = counting_field(q2, q1, q0, f, "restriction_antisym")
+        try:
+            anti = counting_field(q2, q1, q0, f, "restriction_antisym", gap_tol)
+        except InvarianceViolationError:
+            invariant = False
+            continue
         closed = counting_field(q2, q1, q0, f, "antisym_closed")
         cosine = float(
             np.dot(anti, closed) / np.linalg.norm(anti) / np.linalg.norm(closed)
@@ -364,7 +376,8 @@ def check_counting_consistency(rng, n_max, trials, tol):
         "equilibrium_edges": [e["edge"] for e in edges if e["equilibrium"]],
     }
     constant_orientation = len(orientations) == 1
-    residual = worst_angle if constant_orientation else float("inf")
+    invariant = invariant and worst_gap <= gap_tol
+    residual = worst_angle if constant_orientation and invariant else float("inf")
     return residual, detail
 
 
@@ -595,7 +608,7 @@ _BATTERY = [
         "counting-consistency",
         "counting hyperplane invariant; printed counting form collinear",
         check_counting_consistency,
-        "collinearity_angle",
+        ("collinearity_angle", "counting_invariance"),
     ),
     (
         "reactive-fields",

@@ -54,12 +54,12 @@ from .markov import (
     solve_chain,
     solved,
 )
+from .tolerances import DEFAULTS
 
 VARIANTS = ("full", "symmetric", "antisymmetric", "antisymmetric_reparam")
 GRADIENT_METHODS = ("central_difference", "analytic_determinant")
 
 ANALYTIC_MARGIN = 1e-10
-COUNTING_INVARIANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -346,14 +346,16 @@ def counting_antisym_closed(q2: float, q1: float, q0: float) -> np.ndarray:
     return np.array([dq2, dq1, dq0])
 
 
-def _restrict_to_counting(full: np.ndarray) -> np.ndarray:
+def _restrict_to_counting(
+    full: np.ndarray, invariance_tol: float = DEFAULTS["counting_invariance"]
+) -> np.ndarray:
     """(dq2, dq1, dq0) rows of memory-1 fields at counting points.
 
-    Checks that the two middle components agree (the hyperplane is
-    invariant) before averaging them.
+    Checks that the two middle components agree to ``invariance_tol`` (the
+    hyperplane is invariant) before averaging them.
     """
     gap = float(np.abs(full[:, 1] - full[:, 2]).max())
-    if gap > COUNTING_INVARIANCE_TOL:
+    if gap > invariance_tol:
         raise InvarianceViolationError(
             f"field components across the counting hyperplane differ by {gap:.2e}"
         )
@@ -372,12 +374,14 @@ def counting_field(
     q0: float,
     f: PayoffVector,
     variant: str = "restriction",
+    invariance_tol: float = DEFAULTS["counting_invariance"],
 ) -> np.ndarray:
     """Three-dimensional field on the counting hyperplane p_CD = p_DC.
 
     ``restriction`` embeds the point into memory 1, evaluates the full
-    field, checks that the two middle components agree (the hyperplane is
-    invariant), and returns (dq2, dq1, dq0).  ``restriction_sym`` and
+    field, checks that the two middle components agree to
+    ``invariance_tol`` (the hyperplane is invariant; InvarianceViolationError
+    otherwise), and returns (dq2, dq1, dq0).  ``restriction_sym`` and
     ``restriction_antisym`` restrict those variants instead, and
     ``antisym_closed`` evaluates the printed polynomial form.
     """
@@ -392,7 +396,7 @@ def counting_field(
         raise ValueError(f"unknown counting variant {variant!r}")
     spec = FieldSpec(n=1, payoff=f, variant=mapping[variant])
     full = adaptive_field(counting_to_full(q2, q1, q0), spec)
-    return _restrict_to_counting(full[None])[0]
+    return _restrict_to_counting(full[None], invariance_tol)[0]
 
 
 def counting_sign_study(b: float, c: float) -> dict:

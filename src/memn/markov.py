@@ -21,8 +21,8 @@ column - (nu . column) 1 with h[-1] = 0.  :func:`solve_chain` alone gives
 both, for a stack of chains, and alone chooses how.  Below
 ``MATRIX_FREE_SIZE`` states (memory 4) the stack is one dense solve of B =
 M - I with its last column set to 1 (:func:`chain_system`).  From there up
-it iterates on the quadruples (:func:`iterate_chain`), each step O(size),
-both runs through the (size/16, 16, 16) blocks of M^2 and ``STRIDE``
+:func:`iterate_chain` takes one chain at a time through two plain loops on
+the (size/16, 16, 16) blocks of M^2, each step O(size), with ``STRIDE``
 two-round products per stop test: nu by power iteration, and h by the
 paired Poisson series h = sum_j M^(2j) (I + M) v.  M^2 and (I + M) both hide
 an eigenvalue -1, so nu settles only after one single round also passes
@@ -40,7 +40,6 @@ recursion are kept as oracles.
 from __future__ import annotations
 
 import contextlib
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,16 +67,18 @@ ITERATION_TOL = 4 * np.finfo(float).eps
 # eps |h|_inf from rounding (memory 4-7, random and near-tit-for-tat
 # chains); a mode that (I + M) hid leaves a defect of the size of v.
 POISSON_DEFECT_TOL = 64 * np.finfo(float).eps
-# Two-round products per stop test.  A stop test costs about as much as a
-# product at memory 4 and 5, so a test after every product took about twice
-# the time of a test after four (2.0-2.7 against 1.0-1.5 ms for nu and h at
-# memory 4, 2-core host), for up to 8 rounds more.
-STRIDE = 4
-# At 256 states a round of nu and h costs about 6.3 us once the solve has
-# started and the dense pair 2.2 ms, so 350 rounds cost about one dense
-# solve, and a member that exhausts them costs about twice that.  Random
-# interior chains settle in about 80-90 rounds; the slowest of 200 drawn
-# from uniform(0.05, 0.95) took 258.
+# Two-round products per stop test.  nu + h of one chain, median over five
+# interior chains in two in-process runs on a 2-core host, took 0.90-1.02,
+# 0.85-0.86 and 0.91-0.97 ms at a stride of 4, 8 and 16 at memory 4,
+# 1.95-2.05, 1.82-1.97 and 1.92-1.94 ms at memory 5, and 4.9-5.1, 4.4-4.8
+# and 4.9-5.4 ms at memory 6: a stop test costs about as much as a product,
+# and a longer stride overshoots by up to 2 STRIDE rounds.
+STRIDE = 8
+# At 256 states a round of nu and h costs about 5.7 us and the dense pair
+# 2.5 ms, so 350 rounds cost about one dense solve, and a member that
+# exhausts them costs about twice that (4.7 ms).  Random interior chains
+# settle in 82-98 rounds (quartiles of 200 drawn from uniform(0.05, 0.95),
+# donation column); the slowest took 242.
 SMALL_CHAIN_BUDGET = 350
 
 
@@ -158,35 +159,33 @@ def _right_product(quads: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _two_round_blocks(quads: np.ndarray) -> np.ndarray:
-    """M^2 of a (batch, size, 4) stack, memory 2 up, as (batch, size/16, 16,
-    16) blocks.
+    """M^2 of one chain's (size, 4) quadruples, memory 2 up, as (size/16,
+    16, 16) blocks.
 
     A state is (a1, a2, m), m its last n - 2 rounds.  Two rounds take it to
     (m, k1, k2) with probability q[(a1 a2 m), k1] q[(a2 m k1), k2], so block m
     maps the 16 values of (a1 a2) to the 16 of (k1 k2): 4 times the memory
     of the quadruples.
     """
-    batch, size, _ = quads.shape
-    first = quads.reshape(batch, 4, 4, size // 16, 4).transpose(0, 3, 1, 2, 4)
-    second = quads.reshape(batch, 4, size // 16, 4, 4).transpose(0, 2, 1, 3, 4)
-    blocks = first[..., None] * second[:, :, None]
-    return blocks.reshape(batch, size // 16, 16, 16)
+    size = len(quads)
+    first = quads.reshape(4, 4, size // 16, 4).transpose(2, 0, 1, 3)
+    second = quads.reshape(4, size // 16, 4, 4).transpose(1, 0, 2, 3)
+    blocks = first[..., None] * second[:, None]
+    return blocks.reshape(size // 16, 16, 16)
 
 
 def _two_round_product(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """nu M^2 from the blocks of :func:`_two_round_blocks`: nu as (16,
     size/16), one row per block, in one batched matmul."""
-    batch, span, _, _ = blocks.shape
-    rows = weights.reshape(batch, 16, span).swapaxes(1, 2)[:, :, None]
-    return (rows @ blocks).reshape(batch, 16 * span)
+    span = len(blocks)
+    return (weights.reshape(16, span).T[:, None] @ blocks).reshape(16 * span)
 
 
 def _two_round_right(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M^2 v from the blocks of :func:`_two_round_blocks`: block m maps v
     at the 16 states (m, k1, k2) to the 16 states (a1, a2, m)."""
-    batch, span, _, _ = blocks.shape
-    product = blocks @ v.reshape(batch, span, 16, 1)
-    return product.reshape(batch, span, 16).swapaxes(1, 2).reshape(batch, 16 * span)
+    span = len(blocks)
+    return (blocks @ v.reshape(span, 16, 1)).reshape(span, 16).T.reshape(16 * span)
 
 
 def build_transition_matrix(p: StrategyVector, q: StrategyVector) -> TransitionMatrix:
@@ -363,49 +362,8 @@ def iteration_budget(size: int) -> int:
     converged: 1,000 per 1,024 states from memory 5 up, about what the
     dense solve it replaces costs (and far less than it from 4,096 states
     up), and ``SMALL_CHAIN_BUDGET`` below.  A two-round product spends 2 of
-    them, so a stride with its check spends 9."""
+    them, so a stride with its check spends 2 ``STRIDE`` + 1 = 17."""
     return max(SMALL_CHAIN_BUDGET, 1000 * (size // 1024))
-
-
-def _settle(chain: tuple, state: tuple, advance, max_iter: int, width: int):
-    """Iterate ``state <- advance(chain, state)`` on each member of a stack
-    until ``advance`` reports the member settled, within ``max_iter`` chain
-    rounds.
-
-    ``chain`` and ``state`` are tuples of arrays whose first axis is the
-    member; ``state`` is overwritten with each member's last iterate.
-    ``advance`` returns the new state, which members settled and the rounds
-    each member's step took, at most ``width``; a member leaves unsettled
-    before a step could take it past ``max_iter``.  A settled member leaves
-    the stack, so its result does not depend on the other members.  Returns
-    the rounds each member took (``max_iter`` for one that did not settle)
-    and whether it settled.
-    """
-    batch = len(state[0])
-    rounds = np.zeros(batch, dtype=int)
-    settled = np.zeros(batch, dtype=bool)
-    live = np.arange(batch)
-    used = np.zeros(batch, dtype=int)  # the rounds of the live members
-    current, done = state, np.zeros(batch, dtype=bool)
-    last = max_iter - width  # the most rounds from which a step may start
-    for step in itertools.count():
-        # used <= step * width: until that passes last, no member can leave unsettled
-        leave = done if step * width <= last else done | (used > last)
-        if leave.any():
-            gone = live[leave]
-            for out, rows in zip(state, current):
-                out[gone] = rows[leave]
-            rounds[gone] = used[leave]
-            settled[gone] = done[leave]
-            keep = ~leave
-            live, used = live[keep], used[keep]
-            chain = tuple(part[keep] for part in chain)
-            current = tuple(rows[keep] for rows in current)
-        if not len(live):
-            rounds[~settled] = max_iter
-            return rounds, settled
-        current, done, taken = advance(chain, current)
-        used += taken
 
 
 def _residual(quads, nu, column, h) -> np.ndarray:
@@ -419,19 +377,67 @@ def _residual(quads, nu, column, h) -> np.ndarray:
     return residual
 
 
+def _power_iteration(quads, blocks, max_iter: int):
+    """nu of one chain, the chain rounds it took (``max_iter`` if it did not
+    settle) and whether it settled, as :func:`iterate_chain` says."""
+    nu = np.full(len(quads), 1.0 / len(quads))
+    rounds = 0
+    while rounds + 2 * STRIDE < max_iter:  # the stride and its check fit the budget
+        for _ in range(STRIDE - 1):
+            nu = _two_round_product(nu, blocks)
+        nu /= nu.sum()
+        nxt = _two_round_product(nu, blocks)
+        nxt /= nxt.sum()
+        rounds += 2 * STRIDE
+        if np.abs(nxt - nu).sum() <= ITERATION_TOL:
+            # the single-round check decides
+            check = _left_product(nxt, quads)
+            check /= check.sum()
+            rounds += 1
+            if np.abs(check - nxt).sum() <= ITERATION_TOL:
+                return check, rounds, True
+            nxt = check
+        nu = nxt
+    return nu, max_iter, False
+
+
+def _poisson_series(quads, blocks, column, max_iter: int):
+    """h of one chain, the chain rounds it took (``max_iter`` if it did not
+    settle) and whether it settled, as :func:`iterate_chain` says."""
+    v = column - column[-1]
+    w = v + _right_product(quads, v)
+    w -= w[-1]
+    h = w.copy()
+    rounds = 1
+    while rounds + 2 * STRIDE < max_iter:  # the stride and its check fit the budget
+        for _ in range(STRIDE):
+            w = _two_round_right(blocks, w)
+            h += w
+        w -= w[-1]
+        h -= h[-1]
+        scale = np.abs(h).max()
+        rounds += 2 * STRIDE
+        if np.ptp(w) <= ITERATION_TOL * scale:
+            defect = v + _right_product(quads, h) - h
+            rounds += 1
+            if np.ptp(defect) <= POISSON_DEFECT_TOL * scale:
+                return h, rounds, True
+    return h, max_iter, False
+
+
 def iterate_chain(quads, column=None) -> ChainSolve:
     """Matrix-free nu and h of each chain of a (batch, size, 4) stack,
-    memory 2 up.
+    memory 2 up, one member at a time.
 
-    Both run on the blocks of M^2 from :func:`_two_round_blocks`, built
-    once per call, ``STRIDE`` two-round products per stop test.  nu is
-    iterated as nu <- nu M^2 / |nu M^2|_1 from the uniform start, normalised
-    before the last product of a stride, and a member settles only when two
-    conditions hold in order: that last product moves nu by at most
+    Each member runs two plain loops on the blocks of its M^2 from
+    :func:`_two_round_blocks`, ``STRIDE`` two-round products per stop test.
+    nu is iterated as nu <- nu M^2 / |nu M^2|_1 from the uniform start,
+    normalised before the last product of a stride, and settles only when
+    two conditions hold in order: that last product moves nu by at most
     ``ITERATION_TOL`` in the 1-norm, and then one single round, nu' = nu M /
     |nu M|_1, satisfies |nu' - nu|_1 <= ``ITERATION_TOL``; nu' is returned.
-    If that check fails, strides resume: M^2 hides a period-2 mode (an
-    eigenvalue near -1), so a periodic chain would otherwise settle on a
+    If that check fails, strides resume from nu': M^2 hides a period-2 mode
+    (an eigenvalue near -1), so a periodic chain would otherwise settle on a
     vector that is not stationary.  Given a ``column`` (one, or one per
     member), h is the paired Poisson series h = sum_j M^(2j) u with u = (I +
     M) v and v = column - column[-1]: the terms w <- M^2 w are summed into h,
@@ -441,69 +447,32 @@ def iterate_chain(quads, column=None) -> ChainSolve:
     and h[-1] is exactly 0.  (I + M) hides the same eigenvalue -1 from the
     series, so h settles only when the defect of one single round, v + M h
     - h, also spans at most ``POISSON_DEFECT_TOL`` times |h|_inf; otherwise
-    strides resume.  ``iterations`` counts chain rounds: a two-round product
-    counts 2, u and each check 1.  Each of the two runs within
-    :func:`iteration_budget` rounds; a member that has not settled keeps its
-    last iterate, ``converged`` False and ``iterations`` the budget.  No
-    member is solved dense.
+    strides resume.  ``iterations`` counts chain rounds, the longer of the
+    two loops: a two-round product counts 2, u and each check 1, so a stride
+    with its check spends 2 ``STRIDE`` + 1.  Each loop stays within
+    :func:`iteration_budget` rounds, starting no stride that the budget
+    could not hold with its check; a member that has not settled keeps its
+    last iterate, ``converged`` False and ``iterations`` the budget.  A
+    member's result does not depend on the other members, and no member is
+    solved dense.
     """
     quads = np.asarray(quads, dtype=float)
     batch, size, _ = quads.shape
     max_iter = iteration_budget(size)
-    rounds = 2 * STRIDE
-
-    def nu_stride(chain, state):
-        q, blocks = chain
-        (nu,) = state
-        for _ in range(STRIDE - 1):
-            nu = _two_round_product(nu, blocks)
-        nu /= nu.sum(-1, keepdims=True)
-        nxt = _two_round_product(nu, blocks)
-        nxt /= nxt.sum(-1, keepdims=True)
-        done = np.abs(nxt - nu).sum(-1) <= ITERATION_TOL
-        if not done.any():
-            return (nxt,), done, rounds
-        # the single-round check decides
-        tested = done.copy()
-        check = _left_product(nxt[tested], q[tested])
-        check /= check.sum(-1, keepdims=True)
-        done[tested] = np.abs(check - nxt[tested]).sum(-1) <= ITERATION_TOL
-        nxt[tested] = check
-        return (nxt,), done, np.where(tested, rounds + 1, rounds)
-
-    def series_stride(chain, state):
-        q, blocks, v = chain
-        w, h = state
-        for _ in range(STRIDE):
-            w = _two_round_right(blocks, w)
-            h += w
-        w -= w[:, -1:]
-        h -= h[:, -1:]
-        scale = np.abs(h).max(-1)
-        done = np.ptp(w, axis=-1) <= ITERATION_TOL * scale
-        if not done.any():
-            return (w, h), done, rounds
-        tested = done.copy()
-        defect = v[tested] + _right_product(q[tested], h[tested]) - h[tested]
-        done[tested] = np.ptp(defect, axis=-1) <= POISSON_DEFECT_TOL * scale[tested]
-        return (w, h), done, np.where(tested, rounds + 1, rounds)
-
-    nu = np.full((batch, size), 1.0 / size)
-    blocks = _two_round_blocks(quads)
-    width = rounds + 1
-    iterations, converged = _settle((quads, blocks), (nu,), nu_stride, max_iter, width)
-    h = None
+    nu = np.empty((batch, size))
+    iterations = np.empty(batch, dtype=int)
+    converged = np.empty(batch, dtype=bool)
+    h = columns = None
     if column is not None:
-        start = np.broadcast_to(np.asarray(column, dtype=float), (batch, size))
-        v = start - start[:, -1:]
-        u = v + _right_product(quads, v)
-        u -= u[:, -1:]
-        h = u.copy()
-        series, settled = _settle(
-            (quads, blocks, v), (u, h), series_stride, max_iter - 1, width
-        )
-        iterations = np.maximum(iterations, series + 1)
-        converged &= settled
+        h = np.empty((batch, size))
+        columns = np.broadcast_to(np.asarray(column, dtype=float), (batch, size))
+    for k, chain in enumerate(quads):
+        blocks = _two_round_blocks(chain)
+        nu[k], iterations[k], converged[k] = _power_iteration(chain, blocks, max_iter)
+        if h is not None:
+            h[k], rounds, settled = _poisson_series(chain, blocks, columns[k], max_iter)
+            iterations[k] = max(iterations[k], rounds)
+            converged[k] &= settled
     return ChainSolve(
         quads, column, nu, h, iterations, converged, np.zeros(batch, dtype=bool)
     )

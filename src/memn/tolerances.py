@@ -26,6 +26,7 @@ DEFAULTS = {
     "closed_form_relative": 1e-6,
     "field_decomposition": 1e-8,
     "collinearity_angle": 1e-6,
+    "counting_invariance": 1e-9,
     "reactive_fields": 1e-10,
     "conserved_drift_per_time": 1e-7,
     "tft_order_minimum": 1.0,

@@ -11,7 +11,7 @@ import pytest
 
 import memn
 from memn import __version__
-from memn.battery import _BATTERY, FAULT_DELTA
+from memn.battery import _BATTERY, FAULT_DELTA, run_battery
 from memn.cli import build_parser, main
 from memn.core import GameParams, StrategyVector, bar_permutation, build_payoff_vector
 from memn.markov import decompose_payoff, payoff, payoff_from_column
@@ -391,6 +391,24 @@ def test_admissible_row_sum_override_governs_admissibility(tmp_path, monkeypatch
     assert outcomes["default"]["detail"]["memory1_admissible_count"] == 8
     assert not outcomes["exact"]["passed"]
     assert outcomes["exact"]["detail"]["memory1_admissible_count"] < 8
+
+
+def test_counting_invariance_override_governs_counting_consistency(tmp_path, monkeypatch):
+    """The counting-consistency check reads its hyperplane-gap bound from
+    the ledger and passes it to the restriction: tightened below the
+    rounding gap of the memory-1 field (about 1e-16), the check fails with
+    an infinite residual where the default passes."""
+    overrides = tmp_path / "tol.json"
+    overrides.write_text(json.dumps({"counting_invariance": 1e-17}))
+    checks = {}
+    for label, env in (("default", None), ("strict", str(overrides))):
+        if env is None:
+            monkeypatch.delenv("MEMN_TOLERANCES", raising=False)
+        else:
+            monkeypatch.setenv("MEMN_TOLERANCES", env)
+        (checks[label],) = run_battery(trials=10, only={"counting-consistency"}).checks
+    assert checks["default"].passed
+    assert not checks["strict"].passed and checks["strict"].max_residual == float("inf")
 
 
 def test_reactive_fields_override_governs_reactive_fields(tmp_path, monkeypatch):

@@ -459,7 +459,7 @@ def test_nu_settles_at_the_first_stride_whose_last_pair_passes(monkeypatch):
     def moved(k):
         """The 1-norm move of nu in the last product of stride ``k``."""
         last = markov.STRIDE * k
-        nu, nxt = (v[0] / v[0].sum() for v in products[last - 2 : last])
+        nu, nxt = (v / v.sum() for v in products[last - 2 : last])
         return np.abs(nxt - nu).sum()
 
     assert strides > 8
@@ -481,6 +481,51 @@ def test_a_member_settles_within_its_budget_and_not_past_it(monkeypatch, with_co
         solve = iterate_chain(quads, column)
         assert solve.converged[0] == settles
         assert solve.iterations[0] == (needed if settles else budget)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_each_member_of_a_stack_equals_its_solo_solve(n):
+    """A stack is iterated one member at a time: each member's nu, h,
+    rounds and convergence equal its solve alone bit for bit, with a
+    column per member, including a near-tit-for-tat member (eps = 0.01)
+    that exhausts its budget."""
+    rng = np.random.default_rng(80 + n)
+    f = build_payoff_vector(DONATION, n)
+    swapped = f.values[bar_permutation(n)]
+    columns = np.stack(
+        [f.values, 0.5 * (f.values + swapped), 0.5 * (f.values - swapped), f.values]
+    )
+    tft = tft_strategy(n, eps=0.01)
+    pairs = [random_pair(rng, n), (tft, tft), random_pair(rng, n), random_pair(rng, n)]
+    quads = np.stack([build_transition_matrix(p, q).quads for p, q in pairs])
+    stack = iterate_chain(quads, columns)
+    assert stack.converged.tolist() == [True, False, True, True]
+    for k in range(len(pairs)):
+        alone = iterate_chain(quads[k : k + 1], columns[k])
+        np.testing.assert_array_equal(stack.nu[k], alone.nu[0])
+        np.testing.assert_array_equal(stack.h[k], alone.h[0])
+        assert stack.iterations[k] == alone.iterations[0]
+        assert stack.converged[k] == alone.converged[0]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_self_play_solve_is_symmetric_under_the_player_swap(n):
+    """At mutant = resident the chain commutes with the player swap bar, so
+    nu∘bar = nu, and for the anti-symmetric column c (c∘bar = -c, drift 0)
+    h + h∘bar solves the homogeneous Poisson equation and is constant:
+    both to 1e-13 relative, dense below memory 4 and matrix-free from
+    there up, at seeded interior points."""
+    rng = np.random.default_rng(90 + n)
+    bar = bar_permutation(n)
+    f = build_payoff_vector(DONATION, n)
+    anti = 0.5 * (f.values - f.values[bar])
+    points = rng.uniform(0.05, 0.95, (3, n_states(n)))
+    quads = np.stack([markov.quadruples(x, x[bar]) for x in points])
+    solve = solve_chain(quads, anti)
+    assert {solve.method(k) for k in range(3)} == {"dense" if n < 4 else "matrix-free"}
+    for nu, h in zip(solve.nu, solve.h):
+        assert np.abs(nu[bar] - nu).max() <= 1e-13 * nu.max()
+        assert np.ptp(h + h[bar]) <= 1e-13 * np.abs(h).max()
 
 
 def test_payoff_split_memory5_matches_determinant_quotients():
