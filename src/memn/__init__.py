@@ -53,7 +53,6 @@ from .dynamics import (
     FieldSpec,
     Trajectory,
     adaptive_field,
-    conserved_pair_difference,
     conserved_quantities_memory1,
     counting_field,
     field_batch,

@@ -9,8 +9,7 @@ order of the C/D index strings (C before D) coincides with numeric order.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -96,6 +95,8 @@ class StrategyVector:
     probs: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("memory order must be >= 1")
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (n_states(self.n),):
             raise ValueError(
@@ -113,25 +114,9 @@ class StrategyVector:
     def __len__(self) -> int:
         return self.probs.shape[0]
 
-    def interior(self, eps: float) -> bool:
-        """True if every entry is at least ``eps`` away from 0 and 1."""
-        return bool(self.probs.min() >= eps and self.probs.max() <= 1.0 - eps)
-
     def boundary_distance(self) -> float:
         """Smallest distance of any entry to {0, 1}."""
         return float(min(self.probs.min(), 1.0 - self.probs.max()))
-
-    def clamp(self, eps: float) -> "StrategyVector":
-        """Push entries into [eps, 1-eps]."""
-        return StrategyVector(self.n, np.clip(self.probs, eps, 1.0 - eps))
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "probs": self.probs.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "StrategyVector":
-        data = json.loads(text)
-        return cls(int(data["n"]), np.asarray(data["probs"], dtype=float))
 
 
 def label_swap(p: StrategyVector) -> StrategyVector:
@@ -152,29 +137,21 @@ class GameParams:
     S: float
     T: float
     P: float
-    require_pd: bool = field(default=False, compare=False)
-    require_equal_gains: bool = field(default=False, compare=False)
-
-    def __post_init__(self):
-        if self.require_pd and not self.is_prisoners_dilemma():
-            raise ValueError("payoffs violate T > R > P > S and 2R > T + S")
-        if self.require_equal_gains and not self.has_equal_gains():
-            raise ValueError("payoffs violate R + P = T + S")
 
     @classmethod
-    def donation(cls, b: float, c: float, **kwargs) -> "GameParams":
+    def donation(cls, b: float, c: float) -> "GameParams":
         """Donation game: pay cost ``c`` to grant benefit ``b`` (b > c > 0)."""
         if not b > c > 0:
             raise ValueError(f"donation game needs b > c > 0, got b={b}, c={c}")
-        return cls(R=b - c, S=-c, T=b, P=0.0, **kwargs)
+        return cls(R=b - c, S=-c, T=b, P=0.0)
 
     def is_prisoners_dilemma(self) -> bool:
         return (
             self.T > self.R > self.P > self.S and 2 * self.R > self.T + self.S
         )
 
-    def has_equal_gains(self, tol: float = 1e-12) -> bool:
-        return abs((self.R + self.P) - (self.T + self.S)) <= tol
+    def has_equal_gains(self) -> bool:
+        return abs((self.R + self.P) - (self.T + self.S)) <= 1e-12
 
     def as_tuple(self):
         return (self.R, self.S, self.T, self.P)
@@ -210,8 +187,11 @@ class PayoffVector:
             self.n, self.values + constant, self.params, self.normalized
         )
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "probs": self.values.tolist()})
+    def parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The player-symmetric and anti-symmetric columns 0.5 (f ± f∘bar),
+        which split the payoff and select the field variants."""
+        swapped = self.values[bar_permutation(self.n)]
+        return 0.5 * (self.values + swapped), 0.5 * (self.values - swapped)
 
 
 def build_payoff_vector(

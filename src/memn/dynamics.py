@@ -9,11 +9,12 @@ enters one row of M, so the gradient is nu_i * dM_i . h, where dM_i is that
 row's derivative (qb, 1 - qb, -qb, -(1 - qb)) at its quadruple columns.
 
 Variants select the column: the full payoff vector, its player-symmetric
-half-sum, its anti-symmetric half-difference, or (for the reparametrised
-anti-symmetric flow) f - f∘bar with the gradient scaled by |det B|.  As the
-anti-symmetric payoff vanishes at mutant = resident, that is the derivative
-of the determinant-quotient numerator oriented by the sign of det B; it
-rescales speed, never direction.
+or anti-symmetric part from :meth:`PayoffVector.parts`, or (for the
+reparametrised anti-symmetric flow) twice the anti-symmetric part, f -
+f∘bar, with the gradient scaled by |det B|.  As the anti-symmetric payoff
+vanishes at mutant = resident, that is the derivative of the
+determinant-quotient numerator oriented by the sign of det B; it rescales
+speed, never direction.
 
 One kernel, :func:`field_batch`, evaluates this field at every row of a
 (batch, size) array of points, with a payoff column and a sign per row.  It
@@ -85,15 +86,14 @@ class FieldSpec:
 
 def variant_column(spec: FieldSpec) -> np.ndarray:
     """Payoff column implied by the field variant."""
-    f = spec.payoff.values
-    swapped = f[bar_permutation(spec.n)]
     if spec.variant == "full":
-        return f.copy()
+        return spec.payoff.values.copy()
+    sym, anti = spec.payoff.parts()
     if spec.variant == "symmetric":
-        return 0.5 * (f + swapped)
+        return sym
     if spec.variant == "antisymmetric":
-        return 0.5 * (f - swapped)
-    return f - swapped  # antisymmetric_reparam
+        return anti
+    return 2 * anti  # antisymmetric_reparam: exactly f - f∘bar
 
 
 def _check_margin(x: StrategyVector, margin: float):
@@ -373,28 +373,17 @@ def counting_field(
     q1: float,
     q0: float,
     f: PayoffVector,
-    variant: str = "restriction",
+    variant: str = "full",
     invariance_tol: float = DEFAULTS["counting_invariance"],
 ) -> np.ndarray:
     """Three-dimensional field on the counting hyperplane p_CD = p_DC.
 
-    ``restriction`` embeds the point into memory 1, evaluates the full
-    field, checks that the two middle components agree to
-    ``invariance_tol`` (the hyperplane is invariant; InvarianceViolationError
-    otherwise), and returns (dq2, dq1, dq0).  ``restriction_sym`` and
-    ``restriction_antisym`` restrict those variants instead, and
-    ``antisym_closed`` evaluates the printed polynomial form.
+    Embeds the point into memory 1, evaluates the field of the
+    :class:`FieldSpec` ``variant`` there, checks that the two middle
+    components agree to ``invariance_tol`` (the hyperplane is invariant;
+    InvarianceViolationError otherwise), and returns (dq2, dq1, dq0).
     """
-    if variant == "antisym_closed":
-        return counting_antisym_closed(q2, q1, q0)
-    mapping = {
-        "restriction": "full",
-        "restriction_sym": "symmetric",
-        "restriction_antisym": "antisymmetric",
-    }
-    if variant not in mapping:
-        raise ValueError(f"unknown counting variant {variant!r}")
-    spec = FieldSpec(n=1, payoff=f, variant=mapping[variant])
+    spec = FieldSpec(n=1, payoff=f, variant=variant)
     full = adaptive_field(counting_to_full(q2, q1, q0), spec)
     return _restrict_to_counting(full[None], invariance_tol)[0]
 
@@ -433,15 +422,17 @@ def counting_sign_study(b: float, c: float) -> dict:
     }
 
 
-def counting_edge_equilibria(samples: int = 101, tol: float = 1e-12):
+def counting_edge_equilibria():
     """Zero set of the counting polynomials on the 12 edges of the cube.
 
     The two coordinates named in each entry are pinned to the stated corner
-    values while the third runs over [0, 1].  Returned instead of a
-    hardcoded equilibrium edge because the prose descriptions of this edge
-    are inconsistent; the polynomial form is evaluable on the closed cube.
+    values while the third runs over 51 points of [0, 1]; an edge is an
+    equilibrium where the field stays within 1e-12 of zero.  Returned
+    instead of a hardcoded equilibrium edge because the prose descriptions
+    of this edge are inconsistent; the polynomial form is evaluable on the
+    closed cube.
     """
-    free_values = np.linspace(0.0, 1.0, samples)
+    free_values = np.linspace(0.0, 1.0, 51)
     names = ("q2", "q1", "q0")
     edges = []
     for fixed in ((0, 1), (0, 2), (1, 2)):
@@ -461,7 +452,7 @@ def counting_edge_equilibria(samples: int = 101, tol: float = 1e-12):
                         "edge": f"{names[fixed[0]]}={v1:g}, {names[fixed[1]]}={v2:g}",
                         "free": names[free],
                         "max_field": worst,
-                        "equilibrium": worst <= tol,
+                        "equilibrium": worst <= 1e-12,
                     }
                 )
     return edges
@@ -510,27 +501,13 @@ def valid_pair_suffixes(n: int):
     return suffixes
 
 
-def conserved_pair_difference(p: StrategyVector, suffix) -> float:
-    """p[CD.suffix] - p[DC.suffix] for a same-decision suffix.
-
-    The suffix covers the most recent n-1 rounds; every round in it must be
-    CC or DD.  These differences are conserved by the anti-symmetric flow.
-    """
-    suffix = [tuple(r) for r in suffix]
-    if len(suffix) != p.n - 1:
-        raise ValueError(f"suffix must cover {p.n - 1} rounds")
-    for focal, opponent in suffix:
-        if focal != opponent:
-            raise ValueError("suffix rounds must have equal focal/opponent actions")
-    i_cd = encode_history([("C", "D")] + suffix, p.n)
-    i_dc = encode_history([("D", "C")] + suffix, p.n)
-    return float(p.probs[i_cd] - p.probs[i_dc])
-
-
 def default_conserved(n: int):
     """Named invariants recorded along trajectories.
 
-    Each maps an array of states (one per row) to one value per state.
+    Each maps an array of states (one per row) to one value per state: G1,
+    G2 and G3 at memory 1, and from memory 2 up the pair differences
+    p[CD s] - p[DC s], conserved by the anti-symmetric flow, for every
+    suffix s of :func:`valid_pair_suffixes`.
     """
     if n == 1:
         return {
@@ -560,7 +537,6 @@ class Trajectory:
     states: np.ndarray
     step_sizes: np.ndarray
     field_norms: np.ndarray
-    cube_distances: np.ndarray
     conserved: dict
     stop_reason: str
     rejected_steps: int = 0
@@ -769,7 +745,6 @@ def integrate_path(
                 states=path,
                 step_sizes=entries[:, width + 1],
                 field_norms=entries[:, width + 2],
-                cube_distances=_cube_distance(path),
                 conserved={
                     name: np.asarray(obs(path), dtype=float)
                     for name, obs in observers.items()
@@ -878,34 +853,30 @@ def _cubic_monomials(states: np.ndarray):
     return np.stack(columns, axis=1), exponents
 
 
-def fit_polynomial_invariant(states: np.ndarray, reference: dict | None = None):
+def fit_polynomial_invariant(states: np.ndarray, reference: dict):
     """Cubic polynomials that stay (numerically) constant along a path.
 
     Returns the conserved subspace found by an SVD of the time-centered
     monomial matrix: a list of (exponent tuple, coefficient) maps, plus the
     projection of ``reference`` (exponent -> coefficient) onto that subspace
-    when given.  This is a diagnostic for drift-test failures; it reports an
-    empirically conserved candidate instead of silently amending a formula.
+    and its distance from it.  This is a diagnostic for drift-test failures;
+    it reports an empirically conserved candidate instead of silently
+    amending a formula.
     """
     design, exponents = _cubic_monomials(states)
     centered = design - design.mean(axis=0)
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
     threshold = max(singular[0] * 1e-9, 1e-14)
     conserved = vt[singular < threshold]
-    result = {
+    ref = np.array([reference.get(e, 0.0) for e in exponents])
+    projected = conserved.T @ (conserved @ ref)  # zeros when nothing is conserved
+    return {
         "singular_values": singular,
         "exponents": exponents,
         "conserved_directions": conserved,
+        "reference_projection": projected,
+        "reference_residual": float(np.linalg.norm(ref - projected)),
     }
-    if reference is not None:
-        ref = np.array([reference.get(e, 0.0) for e in exponents])
-        if conserved.size:
-            projected = conserved.T @ (conserved @ ref)
-        else:
-            projected = np.zeros_like(ref)
-        result["reference_projection"] = projected
-        result["reference_residual"] = float(np.linalg.norm(ref - projected))
-    return result
 
 
 _JACOBIAN_STEP = 1e-6

@@ -257,17 +257,12 @@ def det_magnitude(quads: np.ndarray) -> np.ndarray:
     """|det B| of each chain of a (batch, size, 4) stack, NaN where B is
     singular.
 
-    There is no matrix-free determinant: B is built dense, for the whole
-    stack below ``MATRIX_FREE_SIZE`` states and one member at a time from
-    there up, so :func:`chain_system` refuses it above
-    ``DENSE_FALLBACK_SIZE`` states.
+    There is no matrix-free determinant: B is built dense, one member at a
+    time, so :func:`chain_system` refuses it above ``DENSE_FALLBACK_SIZE``
+    states.
     """
     quads = np.asarray(quads, dtype=float)
-    size = quads.shape[-2]
-    if size < MATRIX_FREE_SIZE:
-        signs, logs = np.linalg.slogdet(chain_system(quads))
-    else:
-        signs, logs = np.array([np.linalg.slogdet(chain_system(q)) for q in quads]).T
+    signs, logs = np.array([np.linalg.slogdet(chain_system(q)) for q in quads]).T
     return np.where(signs == 0.0, np.nan, np.exp(logs))
 
 
@@ -313,7 +308,9 @@ def _dense_solve(quads: np.ndarray, column=None):
     alone.  A singular member's nu and h come back all NaN.  The pair is
     allocated before B: with B allocated first, malloc could return the
     large blocks to the system after each call and fault them in again on
-    the next, hundreds of page faults a call at memory 4.
+    the next.  That costs page faults only for the one-member fallbacks of
+    :func:`solve_chain` from ``MATRIX_FREE_SIZE`` states up; the stacked
+    solves below it hold B in at most 32 KB a member.
     """
     batch, size, _ = quads.shape
     if column is None:
@@ -592,12 +589,6 @@ def payoff(
     raise ValueError(f"unknown method {method!r}")
 
 
-def swap_column(f: PayoffVector) -> np.ndarray:
-    """Payoff vector read through the player-swap permutation."""
-    perm = bar_permutation(f.n)
-    return f.values[perm]
-
-
 def payoff_solve(
     p: StrategyVector, q: StrategyVector, f: PayoffVector
 ) -> tuple[tuple[float, float, float], ChainSolve]:
@@ -608,13 +599,8 @@ def payoff_solve(
     _require_interior(p, q)
     solve = solve_chain(build_transition_matrix(p, q).quads[None])
     nu = solved(solve.nu[0])
-    swapped = swap_column(f)
-    values = (
-        float(nu @ f.values),
-        float(nu @ (0.5 * (f.values + swapped))),
-        float(nu @ (0.5 * (f.values - swapped))),
-    )
-    return values, solve
+    sym, anti = f.parts()
+    return (float(nu @ f.values), float(nu @ sym), float(nu @ anti)), solve
 
 
 def decompose_payoff(
@@ -624,7 +610,7 @@ def decompose_payoff(
 
     Returns (A_s, A_a) where A_s(p,q) = A_s(q,p), A_a(p,q) = -A_a(q,p) and
     A_s + A_a equals the payoff; the parts are the stationary averages of
-    (f + f∘bar)/2 and (f - f∘bar)/2.
+    the columns of :meth:`PayoffVector.parts`.
     """
     return payoff_solve(p, q, f)[0][1:]
 

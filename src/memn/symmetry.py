@@ -25,6 +25,7 @@ from .core import (
     n_states,
 )
 from .markov import TransitionMatrix, build_transition_matrix, quad_columns
+from .tolerances import DEFAULTS
 
 KINDS = ("J1", "J2", "J3", "J4", "J5", "J6", "J7", "J8")
 
@@ -58,7 +59,6 @@ class SymmetryPermutation:
     n: int
     kind: str
     perm: np.ndarray
-    generators: tuple
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=int)
@@ -93,7 +93,7 @@ def build_j(kind: str, n: int) -> SymmetryPermutation:
     idx = idx ^ mask
     if swap:
         idx = np.array([bar_index(int(i), n) for i in idx])
-    return SymmetryPermutation(n, kind, idx, GENERATORS[kind])
+    return SymmetryPermutation(n, kind, idx)
 
 
 def build_j_recursive(kind: str, n: int) -> SymmetryPermutation:
@@ -113,7 +113,7 @@ def build_j_recursive(kind: str, n: int) -> SymmetryPermutation:
             block = slice(prefix * sub, (prefix + 1) * sub)
             new[block] = base[prefix] * sub + perm
         perm = new
-    return SymmetryPermutation(n, kind, perm, GENERATORS[kind])
+    return SymmetryPermutation(n, kind, perm)
 
 
 def full_group(n: int) -> dict:
@@ -180,8 +180,8 @@ def check_admissible(
     n: int,
     trials: int = 5,
     rng: np.random.Generator | None = None,
-    rank1_tol: float = 1e-10,
-    row_sum_tol: float = 1e-12,
+    rank1_tol: float = DEFAULTS["admissible_rank1"],
+    row_sum_tol: float = DEFAULTS["admissible_row_sum"],
 ) -> bool:
     """Test whether conjugating by ``perm`` preserves transition structure.
 
@@ -215,8 +215,8 @@ def check_admissible(
 def admissible_set_bruteforce_memory1(
     trials: int = 5,
     rng: np.random.Generator | None = None,
-    rank1_tol: float = 1e-10,
-    row_sum_tol: float = 1e-12,
+    rank1_tol: float = DEFAULTS["admissible_rank1"],
+    row_sum_tol: float = DEFAULTS["admissible_row_sum"],
 ):
     """All permutations of the 4 memory-1 states that pass admissibility."""
     if rng is None:

@@ -287,6 +287,24 @@ def test_usage_errors_exit_two(tmp_path):
     assert err.value.code == 2
 
 
+def test_matrix_rejects_memory_order_zero(tmp_path):
+    """A strategy file with n = 0 is refused when the strategy is built,
+    before any history index is computed."""
+    x = tmp_path / "n0.json"
+    x.write_text(json.dumps({"n": 0, "probs": [0.5]}))
+    src = str(Path(memn.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "memn.cli", "matrix", "--n", "0", "--p", str(x), "--q", str(x)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert "memory order must be >= 1" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -331,6 +349,45 @@ def test_every_ledger_key_governs_a_check():
     for *_, key in _BATTERY:
         named.update(key if isinstance(key, tuple) else (key,))
     assert set(DEFAULTS) == named
+
+
+# ledger keys that bound a measured value from below
+LOWER_BOUNDS = {"tft_order_minimum", "perturbation_ratio_low"}
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULTS))
+def test_ledger_key_past_its_value_fails_its_checks(key, tmp_path, monkeypatch):
+    """Set alone past any value a check can measure (-1 for an upper bound,
+    1e9 for a lower one), a ledger key fails every check that names it."""
+    governed = {
+        check_id
+        for check_id, _, _, tol_key in _BATTERY
+        if key in (tol_key if isinstance(tol_key, tuple) else (tol_key,))
+    }
+    overrides = tmp_path / "tol.json"
+    overrides.write_text(json.dumps({key: 1e9 if key in LOWER_BOUNDS else -1.0}))
+    monkeypatch.setenv("MEMN_TOLERANCES", str(overrides))
+    checks = run_battery(trials=3, only=governed).checks
+    assert {c.check_id for c in checks} == governed
+    assert not any(c.passed for c in checks)
+
+
+def test_conserved_drift_fails_when_g2_drifts(monkeypatch):
+    """A G2 that the anti-symmetric flow does not conserve (the paper's G2
+    plus 0.1 p_CC^2) fails conserved-drift, and the detail fits the cubic
+    that the path does conserve."""
+    original = memn.dynamics.conserved_quantities_memory1
+
+    def drifting(p):
+        g1, g2, g3 = original(p)
+        return g1, g2 + 0.1 * np.asarray(p)[..., 0] ** 2, g3
+
+    monkeypatch.setattr(memn.dynamics, "conserved_quantities_memory1", drifting)
+    (check,) = run_battery(trials=3, only={"conserved-drift"}).checks
+    assert not check.passed
+    assert not check.detail["G2_passed"]
+    assert check.max_residual == check.detail["G2"] > check.tolerance
+    assert check.detail["G2_fit_residual"] <= 1e-4
 
 
 def test_tolerance_override_env(tmp_path, monkeypatch):

@@ -18,7 +18,6 @@ from memn.core import (
 from memn.dynamics import (
     FieldSpec,
     adaptive_field,
-    conserved_pair_difference,
     conserved_quantities_memory1,
     conserved_report,
     counting_antisym_closed,
@@ -243,11 +242,13 @@ def test_counting_restriction_well_defined():
     rng = np.random.default_rng(14)
     for _ in range(1000):
         q2, q1, q0 = rng.uniform(0.05, 0.95, 3)
-        counting_field(q2, q1, q0, F1, "restriction")
+        counting_field(q2, q1, q0, F1, "full")
 
 
 @pytest.mark.parametrize(
-    "variant", ["restriction", "restriction_sym", "restriction_antisym"]
+    "variant",
+    ["full", "symmetric", "antisymmetric"],
+    ids=["restriction", "restriction_sym", "restriction_antisym"],
 )
 def test_counting_hyperplane_invariant_all_variants(variant):
     """Every field variant keeps equal middle components on the hyperplane."""
@@ -263,8 +264,8 @@ def test_counting_closed_collinear_with_restriction():
     rng = np.random.default_rng(15)
     for _ in range(50):
         q2, q1, q0 = rng.uniform(0.1, 0.9, 3)
-        anti = counting_field(q2, q1, q0, F1, "restriction_antisym")
-        closed = counting_field(q2, q1, q0, F1, "antisym_closed")
+        anti = counting_field(q2, q1, q0, F1, "antisymmetric")
+        closed = counting_antisym_closed(q2, q1, q0)
         cosine = anti @ closed / np.linalg.norm(anti) / np.linalg.norm(closed)
         angle = np.arccos(min(abs(cosine), 1.0))
         assert angle <= 1e-6
@@ -293,7 +294,7 @@ def test_counting_equilibrium_edges():
     full cooperation after mutual cooperation, none after mutual defection."""
     from memn.dynamics import counting_edge_equilibria
 
-    edges = counting_edge_equilibria(samples=101)
+    edges = counting_edge_equilibria()
     assert len(edges) == 12
     zero_edges = [e for e in edges if e["equilibrium"]]
     assert len(zero_edges) == 1
@@ -585,7 +586,6 @@ def test_trajectory_diagnostics_shape():
     steps = len(trajectory.times)
     assert trajectory.states.shape == (steps, 4)
     assert trajectory.field_norms.shape == (steps,)
-    assert trajectory.cube_distances.shape == (steps,)
     assert set(trajectory.conserved) == {"G1", "G2", "G3"}
     assert np.all(np.diff(trajectory.times) > 0)
 
@@ -611,22 +611,19 @@ def test_conserved_drift_memory1():
 def test_conserved_pair_difference_indices():
     rng = np.random.default_rng(19)
     p = random_point(rng, 2)
-    cc = conserved_pair_difference(p, [("C", "C")])
+    pairs = dynamics.default_conserved(2)
+    cc = pairs["pair_CC"](p.probs)
     expected = (
         p.probs[encode_history([("C", "D"), ("C", "C")], 2)]
         - p.probs[encode_history([("D", "C"), ("C", "C")], 2)]
     )
     assert cc == pytest.approx(expected)
-    dd = conserved_pair_difference(p, [("D", "D")])
+    dd = pairs["pair_DD"](p.probs)
     expected_dd = (
         p.probs[encode_history([("C", "D"), ("D", "D")], 2)]
         - p.probs[encode_history([("D", "C"), ("D", "D")], 2)]
     )
     assert dd == pytest.approx(expected_dd)
-    with pytest.raises(ValueError):
-        conserved_pair_difference(p, [("C", "D")])
-    with pytest.raises(ValueError):
-        conserved_pair_difference(p, [])
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 8)])
