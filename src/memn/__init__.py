@@ -32,16 +32,15 @@ from .errors import (
     MemnError,
 )
 from .markov import (
-    TransitionMatrix,
     build_transition_matrix,
     build_transition_matrix_recursive,
     decompose_payoff,
+    dense_matrix,
     payoff,
     reactive_payoff,
     stationary_distribution,
 )
 from .symmetry import (
-    SymmetryPermutation,
     build_j,
     check_admissible,
     conjugate_matrix,

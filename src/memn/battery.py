@@ -47,6 +47,7 @@ from .markov import (
     build_transition_matrix,
     build_transition_matrix_recursive,
     decompose_payoff,
+    dense_matrix,
     payoff,
     reactive_payoff,
 )
@@ -144,15 +145,13 @@ def check_matrix_structure(rng, n_max, trials, tol, inject_fault=False):
             p, q = _random_pair(rng, n, 0.0, 1.0)
             m = build_transition_matrix(p, q)
             if inject_fault and n == 1 and trial == 0:
-                m.quads[0, 0] += FAULT_DELTA
+                m[0, 0] += FAULT_DELTA
                 detail["fault_injected"] = {
                     "n": 1, "row": 0, "column": 0, "delta": FAULT_DELTA,
                 }
-            worst_row_sum = max(
-                worst_row_sum, float(np.abs(m.quads.sum(axis=1) - 1).max())
-            )
+            worst_row_sum = max(worst_row_sum, float(np.abs(m.sum(axis=1) - 1).max()))
             if n >= 2 and not np.array_equal(
-                m.entries, build_transition_matrix_recursive(p, q)
+                dense_matrix(m), build_transition_matrix_recursive(p, q)
             ):
                 recursion_equal = False
     residual = worst_row_sum if recursion_equal else float("inf")
@@ -165,15 +164,13 @@ def check_group_structure(rng, n_max, trials, tol):
     failed = 0
     for n in range(1, min(n_max, 3) + 1):
         group = full_group(n)
-        maps = {tuple(j.perm.tolist()) for j in group.values()}
+        maps = {tuple(j.tolist()) for j in group.values()}
         for a in group.values():
             for b in group.values():
                 if tuple(compose(a, b).tolist()) not in maps:
                     failed += 1
         for kind in KINDS:
-            if not np.array_equal(
-                group[kind].perm, build_j_recursive(kind, n).perm
-            ):
+            if not np.array_equal(group[kind], build_j_recursive(kind, n)):
                 failed += 1
         # product relations tying the swap-and-flip family together
         for left, right, product in (
@@ -181,9 +178,7 @@ def check_group_structure(rng, n_max, trials, tol):
             ("J3", "J8", "J6"),
             ("J2", "J8", "J7"),
         ):
-            if not np.array_equal(
-                compose(group[left], group[right]), group[product].perm
-            ):
+            if not np.array_equal(compose(group[left], group[right]), group[product]):
                 failed += 1
     return float(failed), tol, {}
 
@@ -197,15 +192,11 @@ def check_conjugation_identities(rng, n_max, trials, tol):
         for _ in range(trials):
             p, q = _random_pair(rng, n, 0.0, 1.0)
             m = build_transition_matrix(p, q)
-            if not np.array_equal(
-                conjugate_matrix(m, j2).quads,
-                build_transition_matrix(q, p).quads,
-            ):
+            swapped = build_transition_matrix(q, p)
+            relabeled = build_transition_matrix(label_swap(p), label_swap(q))
+            if not np.array_equal(conjugate_matrix(m, j2), swapped):
                 failed += 1
-            if not np.array_equal(
-                conjugate_matrix(m, j8).quads,
-                build_transition_matrix(label_swap(p), label_swap(q)).quads,
-            ):
+            if not np.array_equal(conjugate_matrix(m, j8), relabeled):
                 failed += 1
     return float(failed), tol, {}
 
@@ -215,14 +206,14 @@ def check_admissibility(rng, n_max, trials, tol):
     memory 2.  ``tol`` is the (rank-1, row-sum) pair of bounds of the
     structure test; the check is held to the first."""
     passing = admissible_set_bruteforce_memory1(3, rng, *tol)
-    j_maps = sorted(tuple(build_j(k, 1).perm.tolist()) for k in KINDS)
+    j_maps = sorted(tuple(build_j(k, 1).tolist()) for k in KINDS)
     ok = sorted(passing) == j_maps
     detail = {"memory1_admissible_count": len(passing)}
     if n_max >= 2:
         for kind in KINDS:
-            if not check_admissible(build_j(kind, 2).perm, 2, 3, rng, *tol):
+            if not check_admissible(build_j(kind, 2), 2, 3, rng, *tol):
                 ok = False
-        j2_maps = {tuple(build_j(k, 2).perm.tolist()) for k in KINDS}
+        j2_maps = {tuple(build_j(k, 2).tolist()) for k in KINDS}
         false_passes = 0
         tested = 0
         while tested < 1000:

@@ -31,7 +31,7 @@ from .dynamics import (
     default_conserved,
     integrate,
 )
-from .markov import build_transition_matrix, payoff_solve
+from .markov import build_transition_matrix, payoff_solve, quad_columns
 
 VARIANT_ALIASES = {
     "full": "full",
@@ -81,7 +81,10 @@ def _load_strategy(path: str, n: int | None = None) -> StrategyVector:
     except json.JSONDecodeError as exc:
         parser_error(f"strategy file {path} is not valid JSON (line {exc.lineno}): {exc.msg}")
     try:
-        strategy = StrategyVector(int(data["n"]), np.asarray(data["probs"], float))
+        n_field = data["n"]
+        if type(n_field) is not int:  # 1.9, "1" and true are not memory orders
+            raise TypeError(f"n must be a JSON integer, not {json.dumps(n_field)}")
+        strategy = StrategyVector(n_field, np.asarray(data["probs"], float))
     except KeyError as exc:
         parser_error(f"strategy file {path} is missing field {exc.args[0]!r}")
     except (TypeError, ValueError) as exc:
@@ -119,11 +122,13 @@ def _add_game_flags(parser):
 def cmd_matrix(args) -> int:
     p = _load_strategy(args.p, args.n)
     q = _load_strategy(args.q, args.n)
-    matrix = build_transition_matrix(p, q)
+    quads = build_transition_matrix(p, q)
+    # each row as its (column, value) pairs at the quadruple positions
+    rows = zip(quad_columns(len(quads)).tolist(), quads.tolist())
     payload = {
         "version": __version__,
-        "n": matrix.n,
-        "rows": matrix.sparse_rows(),
+        "n": p.n,
+        "rows": [[list(pair) for pair in zip(cols, values)] for cols, values in rows],
     }
     _write_json(args.out, payload)
     return 0
@@ -205,7 +210,7 @@ def cmd_integrate(args) -> int:
 
 def cmd_verify(args) -> int:
     n_cap = 4 if args.deep else 2
-    n_max = args.n_max if args.n_max is not None else (4 if args.deep else 2)
+    n_max = n_cap if args.n_max is None else args.n_max
     if n_max > n_cap:
         parser_error(f"n_max={n_max} needs --deep (cap {n_cap} without it)")
     report = run_battery(

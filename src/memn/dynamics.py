@@ -141,12 +141,12 @@ def _field_central(x: StrategyVector, column: np.ndarray, h: float, reparam: boo
     oriented by the sign of det B at the resident.
     """
     if reparam:
-        sign, _ = np.linalg.slogdet(chain_system(build_transition_matrix(x, x).quads))
+        sign, _ = np.linalg.slogdet(chain_system(build_transition_matrix(x, x)))
         if sign == 0.0:
             raise DegeneracyError("denominator determinant vanished")
 
         def value(p):
-            numerator = chain_system(build_transition_matrix(p, x).quads)
+            numerator = chain_system(build_transition_matrix(p, x))
             numerator[:, -1] = column
             sign_n, log_n = np.linalg.slogdet(numerator)
             return sign * sign_n * math.exp(log_n)

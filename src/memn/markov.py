@@ -11,9 +11,9 @@ appending the new joint action, so the nonzeros of row ``i`` sit at columns
 where ``qb`` is the co-player's cooperation probability at the mirrored
 history ``bar(i)``.
 
-A chain is stored as these (size, 4) quadruples and nothing else; this is
-the only module that knows where they sit.  The dense matrix is derived on
-demand (``TransitionMatrix.entries``) for the oracles and tests alone.
+A chain is these (size, 4) quadruples, a plain array, and nothing else;
+this is the only module that knows where they sit.  The dense matrix is
+derived on demand (:func:`dense_matrix`) for the oracles and tests alone.
 
 Payoffs, their split and the adaptive field need the stationary
 distribution nu, nu (M - I) = 0, and the Poisson vector h, (I - M) h =
@@ -31,16 +31,15 @@ passes.  Budgets and iteration counts are in chain rounds.  A member that
 does not converge within its budget (a slowly mixing chain near the
 boundary) is solved dense alone up to ``DENSE_FALLBACK_SIZE`` states and
 comes back NaN above, where B would take gigabytes; :func:`solved` names
-the error.  :func:`chain_system`, which alone builds B, refuses a chain
-above that size.  The determinant quotient, the dense references
-:func:`stationary_distribution` and :func:`poisson_vector`, and the block
-recursion are kept as oracles.
+the error.  :func:`dense_matrix`, the one dense scatter and the base of
+:func:`chain_system`, refuses a chain above that size.  The determinant
+quotient, the dense references :func:`stationary_distribution` and
+:func:`poisson_vector`, and the block recursion are kept as oracles.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,7 +59,7 @@ INTERIOR_THRESHOLD = 1e-12
 # B) LU against 0.8-1.3 ms iterated at 256 states (memory 4), and 0.09-0.15
 # ms against 1.2 ms at 64 states (memory 3).
 MATRIX_FREE_SIZE = 256
-# the largest chain whose dense B is ever built: 134 MB at 4,096 states
+# the largest chain whose dense M or B is ever built: 134 MB at 4,096 states
 DENSE_FALLBACK_SIZE = 4096
 ITERATION_TOL = 4 * np.finfo(float).eps
 # The span of the Poisson defect v + M h - h of a converged h sits at 4-11
@@ -100,37 +99,6 @@ def quadruples(p: np.ndarray, qb: np.ndarray) -> np.ndarray:
     np.multiply(not_p, qb, out=out[..., 2])
     np.multiply(not_p, not_qb, out=out[..., 3])
     return out
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic 2^(2n) x 2^(2n) matrix, stored as its row quadruples."""
-
-    n: int
-    quads: np.ndarray
-
-    def __post_init__(self):
-        quads = np.asarray(self.quads, dtype=float)
-        size = n_states(self.n)
-        if quads.shape != (size, 4):
-            raise ValueError(f"expected {size}x4 quadruples for n={self.n}")
-        object.__setattr__(self, "quads", quads)
-
-    @property
-    def size(self) -> int:
-        return self.quads.shape[0]
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Dense matrix, built on every access; for oracles and tests only."""
-        out = np.zeros((self.size, self.size))
-        np.put_along_axis(out, quad_columns(self.size), self.quads, axis=1)
-        return out
-
-    def sparse_rows(self):
-        """Per-row list of (column, value) pairs at the quadruple positions."""
-        rows = zip(quad_columns(self.size).tolist(), self.quads.tolist())
-        return [[list(pair) for pair in zip(cols, values)] for cols, values in rows]
 
 
 def _left_product(weights: np.ndarray, quads: np.ndarray) -> np.ndarray:
@@ -188,11 +156,11 @@ def _two_round_right(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (blocks @ v.reshape(span, 16, 1)).reshape(span, 16).T.reshape(16 * span)
 
 
-def build_transition_matrix(p: StrategyVector, q: StrategyVector) -> TransitionMatrix:
-    """Direct construction from the quadruple rule."""
+def build_transition_matrix(p: StrategyVector, q: StrategyVector) -> np.ndarray:
+    """The chain of ``p`` against ``q``: its (size, 4) row quadruples."""
     if p.n != q.n:
         raise ValueError(f"memory orders differ: {p.n} vs {q.n}")
-    return TransitionMatrix(p.n, quadruples(p.probs, q.probs[bar_permutation(p.n)]))
+    return quadruples(p.probs, q.probs[bar_permutation(p.n)])
 
 
 def build_transition_matrix_recursive(
@@ -210,7 +178,7 @@ def build_transition_matrix_recursive(
         raise ValueError(f"memory orders differ: {p.n} vs {q.n}")
     n = p.n
     if n == 1:
-        return build_transition_matrix(p, q).entries
+        return dense_matrix(build_transition_matrix(p, q))
     sub = n_states(n - 1)
     strip = sub // 4
     size = n_states(n)
@@ -230,15 +198,12 @@ def build_transition_matrix_recursive(
     return entries
 
 
-def chain_system(quads: np.ndarray) -> np.ndarray:
-    """B = M - I with its last column set to 1, from the quadruples.
+def dense_matrix(quads: np.ndarray) -> np.ndarray:
+    """The dense M of one chain's (size, 4) quadruples, or a (batch, size,
+    size) stack of M from a (batch, size, 4) stack: the only dense scatter.
 
-    ``quads`` is one chain's (size, 4) array or a (batch, size, 4) stack,
-    giving B or a (batch, size, size) stack of B.  B is the
-    determinant-quotient denominator and the one matrix behind the
-    stationary and Poisson solves: nu B = e_last says nu (M - I) = 0 and
-    nu . 1 = 1.  Above ``DENSE_FALLBACK_SIZE`` states, where one B takes
-    gigabytes, it is refused (``ValueError``) before anything is allocated.
+    Above ``DENSE_FALLBACK_SIZE`` states, where one M takes gigabytes, it is
+    refused (``ValueError``) before anything is allocated.
     """
     quads = np.asarray(quads)
     *lead, size, _ = quads.shape
@@ -248,7 +213,22 @@ def chain_system(quads: np.ndarray) -> np.ndarray:
         )
     out = np.zeros((*lead, size, size))
     out[..., np.arange(size)[:, None], quad_columns(size)] = quads
-    out.reshape(*lead, size * size)[..., :: size + 1] -= 1.0  # the diagonal
+    return out
+
+
+def chain_system(quads: np.ndarray) -> np.ndarray:
+    """B = M - I with its last column set to 1, from the quadruples.
+
+    ``quads`` is one chain's (size, 4) array or a (batch, size, 4) stack,
+    giving B or a (batch, size, size) stack of B.  B is the
+    determinant-quotient denominator and the one matrix behind the
+    stationary and Poisson solves: nu B = e_last says nu (M - I) = 0 and
+    nu . 1 = 1.  :func:`dense_matrix` refuses it above
+    ``DENSE_FALLBACK_SIZE`` states.
+    """
+    out = dense_matrix(quads)
+    size = out.shape[-1]
+    out.reshape(-1, size * size)[:, :: size + 1] -= 1.0  # the diagonal
     out[..., -1] = 1.0
     return out
 
@@ -512,13 +492,13 @@ def solve_chain(quads, column=None) -> ChainSolve:
     return solve
 
 
-def stationary_distribution(matrix: TransitionMatrix) -> np.ndarray:
-    """Left unit eigenvector of the transition matrix, normalized to sum 1,
-    by the dense solve of B^T nu = e_last with B from :func:`chain_system`:
-    the reference that tests compare :func:`solve_chain` against.  A
-    singular B raises as :func:`solved` says.
+def stationary_distribution(quads: np.ndarray) -> np.ndarray:
+    """Left unit eigenvector of one chain's M, normalized to sum 1, by the
+    dense solve of B^T nu = e_last with B from :func:`chain_system`: the
+    reference that tests compare :func:`solve_chain` against.  A singular B
+    raises as :func:`solved` says.
     """
-    nu, _ = _dense_solve(matrix.quads[None])
+    nu, _ = _dense_solve(quads[None])
     return solved(nu[0])
 
 
@@ -542,14 +522,15 @@ def _det_ratio(numerator: np.ndarray, denominator: np.ndarray) -> float:
     return float(sign_n * sign_d * np.exp(log_n - log_d))
 
 
-def poisson_vector(system: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """h with (I - M) h = column - (nu . column) * 1 and h[-1] = 0.
+def poisson_vector(quads: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """h of one chain with (I - M) h = column - (nu . column) * 1 and h[-1]
+    = 0, the dense reference.
 
     It is the solution y of B y = -column, B from :func:`chain_system`, with
     its last entry zeroed: that entry multiplies the all-ones column of B and
     equals -(nu . column).
     """
-    h = solved(solve_systems(system, -column))
+    h = solved(solve_systems(chain_system(quads), -column))
     h[-1] = 0.0
     return h
 
@@ -558,7 +539,7 @@ def payoff_from_column(
     p: StrategyVector, q: StrategyVector, column: np.ndarray
 ) -> float:
     """Determinant-quotient payoff with an arbitrary final column (oracle)."""
-    denominator = chain_system(build_transition_matrix(p, q).quads)
+    denominator = chain_system(build_transition_matrix(p, q))
     numerator = denominator.copy()
     numerator[:, -1] = column
     return _det_ratio(numerator, denominator)
@@ -597,7 +578,7 @@ def payoff_solve(
     A solve that failed raises as :func:`solved` says.
     """
     _require_interior(p, q)
-    solve = solve_chain(build_transition_matrix(p, q).quads[None])
+    solve = solve_chain(build_transition_matrix(p, q)[None])
     nu = solved(solve.nu[0])
     sym, anti = f.parts()
     return (float(nu @ f.values), float(nu @ sym), float(nu @ anti)), solve

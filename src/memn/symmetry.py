@@ -3,14 +3,14 @@
 Each permutation is generated by up to three involutions on history indices:
 flipping the focal player's action labels, flipping the co-player's labels,
 and swapping the two players' roles within every round.  Flips are applied
-first, then the swap.  Stored as index arrays ``perm`` with the convention
-that the corresponding permutation matrix J has ``J[i, perm[i]] = 1``, so
-``(J v)[i] = v[perm[i]]`` and conjugation ``J M J^T`` relabels both axes.
+first, then the swap.  A permutation is its read-only index array ``perm``,
+with the convention that the corresponding permutation matrix J has
+``J[i, perm[i]] = 1``, so ``J v`` is ``v[perm]`` and conjugation ``J M J^T``
+relabels both axes of a chain's quadruples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations as all_permutations
 
 import numpy as np
@@ -24,7 +24,7 @@ from .core import (
     bar_index,
     n_states,
 )
-from .markov import TransitionMatrix, build_transition_matrix, quad_columns
+from .markov import build_transition_matrix, quad_columns
 from .tolerances import DEFAULTS
 
 KINDS = ("J1", "J2", "J3", "J4", "J5", "J6", "J7", "J8")
@@ -54,31 +54,9 @@ _BASE_MAPS = {
 }
 
 
-@dataclass(frozen=True)
-class SymmetryPermutation:
-    n: int
-    kind: str
-    perm: np.ndarray
-
-    def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=int)
-        perm.flags.writeable = False
-        object.__setattr__(self, "perm", perm)
-
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        """Multiply the permutation matrix into a vector."""
-        return np.asarray(vector)[self.perm]
-
-    def matrix(self) -> np.ndarray:
-        """Dense 0/1 matrix; only for inspection, never used internally."""
-        size = self.perm.shape[0]
-        out = np.zeros((size, size))
-        out[np.arange(size), self.perm] = 1.0
-        return out
-
-
-def build_j(kind: str, n: int) -> SymmetryPermutation:
-    """Construct one of the eight admissible permutations at memory ``n``."""
+def build_j(kind: str, n: int) -> np.ndarray:
+    """One of the eight admissible permutations at memory ``n``, as its
+    read-only index array."""
     if kind not in GENERATORS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if n < 1:
@@ -93,10 +71,11 @@ def build_j(kind: str, n: int) -> SymmetryPermutation:
     idx = idx ^ mask
     if swap:
         idx = np.array([bar_index(int(i), n) for i in idx])
-    return SymmetryPermutation(n, kind, idx)
+    idx.flags.writeable = False
+    return idx
 
 
-def build_j_recursive(kind: str, n: int) -> SymmetryPermutation:
+def build_j_recursive(kind: str, n: int) -> np.ndarray:
     """Block-recursive construction (test oracle for :func:`build_j`).
 
     The memory-``n`` matrix replaces each 1 of the memory-1 matrix with a
@@ -113,16 +92,17 @@ def build_j_recursive(kind: str, n: int) -> SymmetryPermutation:
             block = slice(prefix * sub, (prefix + 1) * sub)
             new[block] = base[prefix] * sub + perm
         perm = new
-    return SymmetryPermutation(n, kind, perm)
+    perm.flags.writeable = False
+    return perm
 
 
 def full_group(n: int) -> dict:
     return {kind: build_j(kind, n) for kind in KINDS}
 
 
-def compose(a: SymmetryPermutation, b: SymmetryPermutation) -> np.ndarray:
+def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Index map of the matrix product a . b."""
-    return b.perm[a.perm]
+    return b[a]
 
 
 def _conjugation_layout(perm: np.ndarray) -> np.ndarray | None:
@@ -140,19 +120,18 @@ def _conjugation_layout(perm: np.ndarray) -> np.ndarray | None:
     return k if k.min() >= 0 and k.max() <= 3 else None
 
 
-def conjugate_matrix(
-    matrix: TransitionMatrix, j: SymmetryPermutation
-) -> TransitionMatrix:
-    """J M J^T as a pure relabeling of the quadruples (no arithmetic).
+def conjugate_matrix(quads: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """J M J^T of a chain's quadruples as a pure relabeling (no arithmetic).
 
-    Raises ValueError when ``j`` does not keep the quadruple layout.
+    Raises ValueError when ``perm`` has another size than the chain or does
+    not keep the quadruple layout.
     """
-    if n_states(j.n) != matrix.size:
+    if len(perm) != len(quads):
         raise ValueError("permutation and matrix dimensions differ")
-    k = _conjugation_layout(j.perm)
+    k = _conjugation_layout(perm)
     if k is None:
-        raise ValueError(f"{j.kind} does not keep the quadruple layout")
-    return TransitionMatrix(matrix.n, matrix.quads[j.perm[:, None], k])
+        raise ValueError("the permutation does not keep the quadruple layout")
+    return quads[perm[:, None], k]
 
 
 def payoff_vector_reflection_residual(f: PayoffVector) -> float:
@@ -205,7 +184,7 @@ def check_admissible(
         # the pair is drawn first, so later draws do not depend on the layout
         if k is None:
             return False
-        conj = build_transition_matrix(p, q).quads[perm[:, None], k]
+        conj = build_transition_matrix(p, q)[perm[:, None], k]
         neg, row_sum, rank1 = _quadruple_residuals(conj)
         if neg > 0.0 or row_sum > row_sum_tol or rank1 > rank1_tol:
             return False

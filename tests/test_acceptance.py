@@ -33,6 +33,7 @@ from memn.markov import (
     build_transition_matrix,
     build_transition_matrix_recursive,
     decompose_payoff,
+    dense_matrix,
     payoff,
     reactive_payoff,
 )
@@ -72,9 +73,9 @@ def test_criterion_01_structure_and_recursion():
             p, q = random_pair(rng, n, 0.0, 1.0)
             direct = build_transition_matrix(p, q)
             recursive = build_transition_matrix_recursive(p, q)
-            identical &= np.array_equal(direct.entries, recursive)
+            identical &= np.array_equal(dense_matrix(direct), recursive)
             worst_row_sum = max(
-                worst_row_sum, float(np.abs(direct.entries.sum(axis=1) - 1).max())
+                worst_row_sum, float(np.abs(dense_matrix(direct).sum(axis=1) - 1).max())
             )
     elapsed = time.time() - t0
     ok = identical and worst_row_sum <= 1e-12 and elapsed < 10.0
@@ -96,12 +97,12 @@ def test_criterion_02_conjugation_identities():
             p, q = random_pair(rng, n, 0.0, 1.0)
             m = build_transition_matrix(p, q)
             exact &= np.array_equal(
-                conjugate_matrix(m, j2).entries,
-                build_transition_matrix(q, p).entries,
+                dense_matrix(conjugate_matrix(m, j2)),
+                dense_matrix(build_transition_matrix(q, p)),
             )
             exact &= np.array_equal(
-                conjugate_matrix(m, j8).entries,
-                build_transition_matrix(label_swap(p), label_swap(q)).entries,
+                dense_matrix(conjugate_matrix(m, j8)),
+                dense_matrix(build_transition_matrix(label_swap(p), label_swap(q))),
             )
     assert report(2, "conjugation-identities", exact, "(zero tolerance)")
 
@@ -110,13 +111,13 @@ def test_criterion_03_admissibility_classification():
     rng = np.random.default_rng(103)
     t0 = time.time()
     passing = admissible_set_bruteforce_memory1(trials=5, rng=rng)
-    expected = sorted(tuple(build_j(k, 1).perm.tolist()) for k in KINDS)
+    expected = sorted(tuple(build_j(k, 1).tolist()) for k in KINDS)
     n1_ok = sorted(passing) == expected
     n2_all_pass = all(
-        check_admissible(build_j(kind, 2).perm, 2, trials=3, rng=rng)
+        check_admissible(build_j(kind, 2), 2, trials=3, rng=rng)
         for kind in KINDS
     )
-    j_maps = {tuple(build_j(k, 2).perm.tolist()) for k in KINDS}
+    j_maps = {tuple(build_j(k, 2).tolist()) for k in KINDS}
     false_passes = 0
     tested = 0
     while tested < 1000:

@@ -305,6 +305,25 @@ def test_matrix_rejects_memory_order_zero(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("n", [1.9, "1", True], ids=["float", "string", "bool"])
+def test_matrix_rejects_a_memory_order_that_is_not_an_integer(n, tmp_path):
+    """Only a JSON integer is a memory order: 1.9 is not truncated to 1, and
+    "1" and true are refused too."""
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"n": n, "probs": [0.5, 0.5, 0.5, 0.5]}))
+    src = str(Path(memn.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "memn.cli", "matrix", "--n", "1", "--p", str(x), "--q", str(x)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    message = f"strategy file {x}: n must be a JSON integer, not {json.dumps(n)}"
+    assert done.stderr == f"memn: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -99,7 +99,7 @@ def test_reparam_is_scaled_antisymmetric_field(n):
         x = random_point(rng, n)
         anti = adaptive_field(x, FieldSpec(n, f, "antisymmetric"))
         reparam = adaptive_field(x, FieldSpec(n, f, "antisymmetric_reparam"))
-        det = abs(np.linalg.det(chain_system(build_transition_matrix(x, x).quads)))
+        det = abs(np.linalg.det(chain_system(build_transition_matrix(x, x))))
         assert det > 0.0
         np.testing.assert_allclose(reparam, 2.0 * det * anti, rtol=1e-9, atol=0.0)
 
@@ -453,7 +453,7 @@ def test_field_batch_memory5_matches_dense_formula():
     x = StrategyVector(5, points[0])
     coords = rng.choice(n_states(5), 4, replace=False)
     step = 1e-5
-    det_sign = np.linalg.slogdet(chain_system(build_transition_matrix(x, x).quads))[0]
+    det_sign = np.linalg.slogdet(chain_system(build_transition_matrix(x, x)))[0]
     for variant in ("full", "symmetric", "antisymmetric", "antisymmetric_reparam"):
         column = variant_column(FieldSpec(5, F5, variant))
         reparam = variant == "antisymmetric_reparam"
@@ -464,7 +464,7 @@ def test_field_batch_memory5_matches_dense_formula():
             mutant = StrategyVector(5, probs)
             if not reparam:
                 return payoff_from_column(mutant, x, column)
-            numerator = chain_system(build_transition_matrix(mutant, x).quads)
+            numerator = chain_system(build_transition_matrix(mutant, x))
             numerator[:, -1] = column
             sign, log_det = np.linalg.slogdet(numerator)
             return det_sign * sign * np.exp(log_det)

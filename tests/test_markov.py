@@ -1,6 +1,7 @@
 """Transition matrix, stationary distribution, and payoff tests."""
 
 import ast
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from memn import markov
+from memn.cli import main
 from memn.core import (
     GameParams,
     bar_permutation,
@@ -22,8 +24,8 @@ from memn.errors import ConvergenceError, DegeneracyError
 from memn.markov import (
     build_transition_matrix,
     build_transition_matrix_recursive,
-    chain_system,
     decompose_payoff,
+    dense_matrix,
     iterate_chain,
     iteration_budget,
     payoff,
@@ -50,7 +52,7 @@ def random_pair(rng, n, low=0.05, high=0.95):
 def test_memory1_matrix_row_cd():
     rng = np.random.default_rng(0)
     p, q = random_pair(rng, 1)
-    m = build_transition_matrix(p, q).entries
+    m = dense_matrix(build_transition_matrix(p, q))
     p_cd = p.probs[1]
     q_dc = q.probs[2]  # the co-player reads CD as DC
     np.testing.assert_allclose(
@@ -61,7 +63,7 @@ def test_memory1_matrix_row_cd():
 
 def test_uniform_strategies_give_uniform_rows():
     half = StrategyVector(1, np.full(4, 0.5))
-    m = build_transition_matrix(half, half).entries
+    m = dense_matrix(build_transition_matrix(half, half))
     np.testing.assert_array_equal(m, np.full((4, 4), 0.25))
 
 
@@ -78,9 +80,9 @@ def test_structure_invariants(n):
     for _ in range(100):
         p, q = random_pair(rng, n, 0.0, 1.0)
         m = build_transition_matrix(p, q)
-        assert np.abs(m.entries.sum(axis=1) - 1).max() <= 1e-12
-        assert not m.entries[~mask].any()
-        cols = quad_columns(m.size)[3]
+        assert np.abs(dense_matrix(m).sum(axis=1) - 1).max() <= 1e-12
+        assert not dense_matrix(m)[~mask].any()
+        cols = quad_columns(len(m))[3]
         assert cols[0] == 4 * (3 % (size // 4))
 
 
@@ -89,7 +91,7 @@ def test_recursive_construction_bit_exact(n):
     rng = np.random.default_rng(2 * n)
     for _ in range(20):
         p, q = random_pair(rng, n, 0.0, 1.0)
-        direct = build_transition_matrix(p, q).entries
+        direct = dense_matrix(build_transition_matrix(p, q))
         recursive = build_transition_matrix_recursive(p, q)
         assert np.array_equal(direct, recursive)
 
@@ -106,7 +108,7 @@ def test_stationary_uniform():
     m = build_transition_matrix(half, half)
     nu = stationary_distribution(m)
     np.testing.assert_allclose(nu, np.full(4, 0.25), atol=1e-14)
-    assert np.abs(nu @ m.entries - nu).max() < 1e-12
+    assert np.abs(nu @ dense_matrix(m) - nu).max() < 1e-12
 
 
 def test_stationary_near_absorbing_cooperation():
@@ -124,7 +126,7 @@ def test_power_iteration_agrees_with_solve(n):
         p, q = random_pair(rng, n)
         m = build_transition_matrix(p, q)
         direct = stationary_distribution(m)
-        solve = iterate_chain(m.quads[None])
+        solve = iterate_chain(m[None])
         iterated = solve.nu[0]
         assert solve.converged[0]
         assert np.abs(direct - iterated).max() <= 1e-9
@@ -173,10 +175,10 @@ def test_poisson_vector_solves_poisson_equation(n):
     f = build_payoff_vector(DONATION, n)
     p, q = random_pair(rng, n)
     m = build_transition_matrix(p, q)
-    h = poisson_vector(chain_system(m.quads), f.values)
+    h = poisson_vector(m, f.values)
     value = payoff_from_column(p, q, f.values)
     assert h[-1] == 0.0
-    residual = h - m.entries @ h - (f.values - value)
+    residual = h - dense_matrix(m) @ h - (f.values - value)
     assert np.abs(residual).max() <= 1e-12
 
 
@@ -279,14 +281,19 @@ def test_reactive_payoff_degenerate_denominator():
         reactive_payoff(1.5, 0, 1, 0, 2.0, 1.0)
 
 
-def test_sparse_rows_schema():
+def test_sparse_rows_schema(tmp_path, capsys):
+    """``memn matrix`` writes each row as its (column, value) pairs."""
     rng = np.random.default_rng(23)
     p, q = random_pair(rng, 1)
-    m = build_transition_matrix(p, q)
-    rows = m.sparse_rows()
+    paths = []
+    for name, x in (("p", p), ("q", q)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"n": 1, "probs": x.probs.tolist()}))
+    assert main(["matrix", "--n", "1", "--p", str(paths[0]), "--q", str(paths[1])]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(rows) == 4
     for i, row in enumerate(rows):
-        assert [col for col, _ in row] == list(quad_columns(m.size)[i])
+        assert [col for col, _ in row] == list(quad_columns(4)[i])
         assert sum(v for _, v in row) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -308,7 +315,7 @@ def test_iterate_chain_matches_dense_solves(n):
     swapped = f.values[bar_permutation(n)]
     columns = np.stack([f.values, 0.5 * (f.values + swapped), 0.5 * (f.values - swapped)])
     pairs = [random_pair(rng, n) for _ in columns]
-    quads = np.stack([build_transition_matrix(p, q).quads for p, q in pairs])
+    quads = np.stack([build_transition_matrix(p, q) for p, q in pairs])
     solve = iterate_chain(quads, columns)
     assert solve.converged.all() and not solve.dense.any()
     assert np.all((solve.iterations > 0) & (solve.iterations < iteration_budget(n_states(n))))
@@ -316,7 +323,7 @@ def test_iterate_chain_matches_dense_solves(n):
     for k, (p, q) in enumerate(pairs):
         m = build_transition_matrix(p, q)
         nu = stationary_distribution(m)
-        h = poisson_vector(chain_system(m.quads), columns[k])
+        h = poisson_vector(m, columns[k])
         assert np.abs(solve.nu[k] - nu).max() <= 1e-12 * nu.max()
         assert np.abs(solve.h[k] - h).max() <= 1e-11 * np.abs(h).max()
 
@@ -333,10 +340,10 @@ def test_power_iteration_does_not_settle_on_a_two_cycle():
     p = StrategyVector(2, np.where(states & 3 == 0, 0.0, 1.0))
     q = StrategyVector(2, np.ones(n_states(2)))
     m = build_transition_matrix(p, q)
-    solve = iterate_chain(m.quads[None])
+    solve = iterate_chain(m[None])
     assert not solve.converged[0] and solve.iterations[0] == iteration_budget(16)
     nu = solve.nu[0]
-    np.testing.assert_array_equal(nu @ m.entries @ m.entries, nu)
+    np.testing.assert_array_equal(nu @ dense_matrix(m) @ dense_matrix(m), nu)
     assert sorted(nu[nu > 0]) == [0.25, 0.75]
 
 
@@ -350,13 +357,13 @@ def test_two_round_power_iteration_near_tit_for_tat(n):
     interior = random_pair(rng, n)
     pairs = [interior, (tft, tft), (interior[0], tft)]
     chains = [build_transition_matrix(p, q) for p, q in pairs]
-    solve = iterate_chain(np.stack([m.quads for m in chains]))
+    solve = iterate_chain(np.stack(chains))
     assert solve.converged.all()
     for nu, m in zip(solve.nu, chains):
         dense = stationary_distribution(m)
         assert np.abs(nu - dense).max() <= 1e-12
         step = np.zeros_like(nu)
-        np.add.at(step, quad_columns(len(nu)), nu[:, None] * m.quads)
+        np.add.at(step, quad_columns(len(nu)), nu[:, None] * m)
         assert np.abs(step / step.sum() - nu).sum() <= 4 * np.finfo(float).eps
 
 
@@ -371,7 +378,7 @@ def test_solve_chain_below_memory4_is_one_dense_solve(n):
     swapped = f.values[bar_permutation(n)]
     columns = np.stack([f.values, 0.5 * (f.values + swapped), 0.5 * (f.values - swapped)])
     pairs = [random_pair(rng, n), (tft_strategy(n), tft_strategy(n)), random_pair(rng, n)]
-    quads = np.stack([build_transition_matrix(p, q).quads for p, q in pairs])
+    quads = np.stack([build_transition_matrix(p, q) for p, q in pairs])
     solve = solve_chain(quads, columns)
     assert solve.dense.all() and not solve.converged.any() and not solve.iterations.any()
     assert np.isnan(solve.nu[1]).all() and np.isnan(solve.h[1]).all()
@@ -379,7 +386,7 @@ def test_solve_chain_below_memory4_is_one_dense_solve(n):
     for k in (0, 2):
         m = build_transition_matrix(*pairs[k])
         nu = stationary_distribution(m)
-        h = poisson_vector(chain_system(m.quads), columns[k])
+        h = poisson_vector(m, columns[k])
         np.testing.assert_allclose(solve.nu[k], nu, rtol=1e-13, atol=0)
         np.testing.assert_allclose(solve.h[k], h, rtol=1e-13, atol=1e-15)
         assert residual[k] <= 1e-13
@@ -399,7 +406,7 @@ def test_memory4_stack_is_matrix_free_with_dense_fallback():
     swapped = f.values[bar_permutation(4)]
     columns = np.stack([f.values, 0.5 * (f.values + swapped), 0.5 * (f.values - swapped)])
     pairs = [random_pair(rng, 4), (tft_strategy(4), tft_strategy(4)), random_pair(rng, 4)]
-    quads = np.stack([build_transition_matrix(p, q).quads for p, q in pairs])
+    quads = np.stack([build_transition_matrix(p, q) for p, q in pairs])
     solve = solve_chain(quads, columns)
     assert [solve.method(k) for k in range(3)] == ["matrix-free", "dense", "matrix-free"]
     assert solve.converged.tolist() == [True, False, True]
@@ -408,7 +415,7 @@ def test_memory4_stack_is_matrix_free_with_dense_fallback():
     for k in (0, 2):
         m = build_transition_matrix(*pairs[k])
         nu = stationary_distribution(m)
-        h = poisson_vector(chain_system(m.quads), columns[k])
+        h = poisson_vector(m, columns[k])
         assert np.abs(solve.nu[k] - nu).max() <= 1e-12 * nu.max()
         assert np.abs(solve.h[k] - h).max() <= 1e-11 * np.abs(h).max()
 
@@ -427,11 +434,11 @@ def test_poisson_series_does_not_settle_on_a_hidden_two_cycle():
     q = StrategyVector(4, np.ones(n_states(4)))
     m = build_transition_matrix(p, q)
     column = np.random.default_rng(45).uniform(-1.0, 1.0, n_states(4))
-    solve = solve_chain(m.quads[None], column)
+    solve = solve_chain(m[None], column)
     assert solve.method() == "dense" and not solve.converged[0]
     assert solve.iterations[0] == iteration_budget(256)
     np.testing.assert_allclose(solve.nu[0], stationary_distribution(m), rtol=0, atol=1e-15)
-    h = poisson_vector(chain_system(m.quads), column)
+    h = poisson_vector(m, column)
     assert np.abs(solve.h[0] - h).max() <= 1e-12 * np.abs(h).max()
 
 
@@ -450,7 +457,7 @@ def test_nu_settles_at_the_first_stride_whose_last_pair_passes(monkeypatch):
     two_round_product = markov._two_round_product
     monkeypatch.setattr(markov, "_two_round_product", recorded)
     x = sticky_strategy(3, 0.05, 0.1)
-    solve = iterate_chain(build_transition_matrix(x, x).quads[None])
+    solve = iterate_chain(build_transition_matrix(x, x)[None])
     stride = 2 * markov.STRIDE
     strides = (solve.iterations[0] - 1) // stride
     assert solve.converged[0] and solve.iterations[0] == stride * strides + 1
@@ -473,7 +480,7 @@ def test_a_member_settles_within_its_budget_and_not_past_it(monkeypatch, with_co
     check may take it past the budget."""
     rng = np.random.default_rng(46)
     p, q = random_pair(rng, 4)
-    quads = build_transition_matrix(p, q).quads[None]
+    quads = build_transition_matrix(p, q)[None]
     column = build_payoff_vector(DONATION, 4).values if with_column else None
     needed = iterate_chain(quads, column).iterations[0]
     for budget, settles in ((needed, True), (needed - 1, False)):
@@ -497,7 +504,7 @@ def test_each_member_of_a_stack_equals_its_solo_solve(n):
     )
     tft = tft_strategy(n, eps=0.01)
     pairs = [random_pair(rng, n), (tft, tft), random_pair(rng, n), random_pair(rng, n)]
-    quads = np.stack([build_transition_matrix(p, q).quads for p, q in pairs])
+    quads = np.stack([build_transition_matrix(p, q) for p, q in pairs])
     stack = iterate_chain(quads, columns)
     assert stack.converged.tolist() == [True, False, True, True]
     for k in range(len(pairs)):
@@ -548,7 +555,7 @@ def test_memory6_residuals_on_the_quadruples():
     rng = np.random.default_rng(66)
     f = build_payoff_vector(DONATION, 6)
     p, q = random_pair(rng, 6)
-    quads = build_transition_matrix(p, q).quads
+    quads = build_transition_matrix(p, q)
     solve = solve_chain(quads[None], f.values)
     assert solve.method() == "matrix-free" and solve.converged[0]
     nu, h = solve.nu[0], solve.h[0]

@@ -11,7 +11,7 @@ from memn.core import (
     label_swap,
     n_states,
 )
-from memn.markov import build_transition_matrix, stationary_distribution
+from memn.markov import build_transition_matrix, dense_matrix, stationary_distribution
 from memn.symmetry import (
     KINDS,
     admissible_set_bruteforce_memory1,
@@ -43,39 +43,39 @@ J3_MEMORY2_MAP = [5, 4, 7, 6, 1, 0, 3, 2, 13, 12, 15, 14, 9, 8, 11, 10]
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_memory1_matrices(kind):
-    assert build_j(kind, 1).perm.tolist() == MEMORY1_MAPS[kind]
+    assert build_j(kind, 1).tolist() == MEMORY1_MAPS[kind]
 
 
 def test_j8_reverses_indices():
-    assert build_j("J8", 1).perm.tolist() == [3, 2, 1, 0]
+    assert build_j("J8", 1).tolist() == [3, 2, 1, 0]
     for n in (2, 3):
         size = n_states(n)
-        assert build_j("J8", n).perm.tolist() == list(range(size - 1, -1, -1))
+        assert build_j("J8", n).tolist() == list(range(size - 1, -1, -1))
 
 
 def test_j2_is_player_swap():
     for n in (1, 2, 3):
         j2 = build_j("J2", n)
         expected = [bar_index(i, n) for i in range(n_states(n))]
-        assert j2.perm.tolist() == expected
+        assert j2.tolist() == expected
 
 
 def test_j3_memory2_block_form():
-    assert build_j("J3", 2).perm.tolist() == J3_MEMORY2_MAP
+    assert build_j("J3", 2).tolist() == J3_MEMORY2_MAP
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("kind", KINDS)
 def test_recursive_equals_bit_operations(n, kind):
     np.testing.assert_array_equal(
-        build_j(kind, n).perm, build_j_recursive(kind, n).perm
+        build_j(kind, n), build_j_recursive(kind, n)
     )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_group_closure_and_size(n):
     group = full_group(n)
-    maps = {kind: tuple(j.perm.tolist()) for kind, j in group.items()}
+    maps = {kind: tuple(j.tolist()) for kind, j in group.items()}
     assert len(set(maps.values())) == 8
     values = set(maps.values())
     for a in group.values():
@@ -85,12 +85,12 @@ def test_group_closure_and_size(n):
 
 def test_generator_algebra():
     group = full_group(2)
-    identity = tuple(group["J1"].perm.tolist())
+    identity = tuple(group["J1"].tolist())
     for kind in ("J1", "J2", "J3", "J6", "J7", "J8"):
         squared = compose(group[kind], group[kind])
         assert tuple(squared.tolist()) == identity
     # the two swap-and-single-flip elements have order four
-    j8_map = tuple(group["J8"].perm.tolist())
+    j8_map = tuple(group["J8"].tolist())
     assert tuple(compose(group["J4"], group["J4"]).tolist()) == j8_map
     assert tuple(compose(group["J5"], group["J5"]).tolist()) == j8_map
     assert tuple(compose(group["J4"], group["J5"]).tolist()) == identity
@@ -105,7 +105,7 @@ def test_product_relations():
             ("J2", "J8", "J7"),
         ):
             np.testing.assert_array_equal(
-                compose(group[left], group[right]), group[result].perm
+                compose(group[left], group[right]), group[result]
             )
 
 
@@ -115,7 +115,7 @@ def test_conjugation_identity_is_noop():
     q = StrategyVector(1, rng.uniform(0, 1, 4))
     m = build_transition_matrix(p, q)
     np.testing.assert_array_equal(
-        conjugate_matrix(m, build_j("J1", 1)).entries, m.entries
+        dense_matrix(conjugate_matrix(m, build_j("J1", 1))), dense_matrix(m)
     )
 
 
@@ -130,13 +130,27 @@ def test_conjugation_identities_exact(n):
         q = StrategyVector(n, rng.uniform(0, 1, n_states(n)))
         m = build_transition_matrix(p, q)
         assert np.array_equal(
-            conjugate_matrix(m, j2).entries,
-            build_transition_matrix(q, p).entries,
+            dense_matrix(conjugate_matrix(m, j2)),
+            dense_matrix(build_transition_matrix(q, p)),
         )
         assert np.array_equal(
-            conjugate_matrix(m, j8).entries,
-            build_transition_matrix(label_swap(p), label_swap(q)).entries,
+            dense_matrix(conjugate_matrix(m, j8)),
+            dense_matrix(build_transition_matrix(label_swap(p), label_swap(q))),
         )
+
+
+def test_conjugate_matrix_refuses_a_permutation_that_does_not_fit():
+    """A relabeling that breaks the quadruple layout, and one of another
+    size than the chain, raise ValueError."""
+    rng = np.random.default_rng(8)
+    p = StrategyVector(2, rng.uniform(0.05, 0.95, 16))
+    m = build_transition_matrix(p, p)
+    broken = np.arange(16)
+    broken[[0, 1]] = [1, 0]
+    with pytest.raises(ValueError, match="quadruple layout"):
+        conjugate_matrix(m, broken)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        conjugate_matrix(m, build_j("J2", 1))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -154,9 +168,9 @@ def test_payoff_invariance_under_conjugation(kind):
         base = float(nu @ f.values)
         conjugated = conjugate_matrix(m, j)
         nu_conj = stationary_distribution(conjugated)
-        transformed = float(nu_conj @ j.apply(f.values))
+        transformed = float(nu_conj @ f.values[j])
         assert transformed == pytest.approx(base, abs=1e-10)
-        np.testing.assert_allclose(nu_conj, j.apply(nu), atol=1e-10)
+        np.testing.assert_allclose(nu_conj, nu[j], atol=1e-10)
 
 
 def test_reflection_identity_memory1():
@@ -190,12 +204,12 @@ def test_bruteforce_memory1_admissible_set():
 def test_all_eight_pass_memory2():
     rng = np.random.default_rng(1)
     for kind in KINDS:
-        assert check_admissible(build_j(kind, 2).perm, 2, trials=3, rng=rng)
+        assert check_admissible(build_j(kind, 2), 2, trials=3, rng=rng)
 
 
 def test_random_non_j_permutations_fail_memory2():
     rng = np.random.default_rng(2)
-    j_maps = {tuple(build_j(k, 2).perm.tolist()) for k in KINDS}
+    j_maps = {tuple(build_j(k, 2).tolist()) for k in KINDS}
     tested = 0
     while tested < 50:
         perm = rng.permutation(16)
@@ -240,7 +254,8 @@ def test_j2_multiplicity_examples():
 
 
 def test_j2_eigenvector_base_case():
-    j2 = build_j("J2", 1).matrix()
+    j2 = np.zeros((4, 4))
+    j2[np.arange(4), build_j("J2", 1)] = 1.0
     vec = np.array([0.0, 1.0, -1.0, 0.0])
     np.testing.assert_array_equal(j2 @ vec, -vec)
 
