@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .core import (
     GameParams,
-    PayoffVector,
     StrategyVector,
     bar_index,
     build_payoff_vector,
@@ -21,6 +20,7 @@ from .core import (
     k_constant,
     label_swap,
     n_states,
+    payoff_parts,
     reactive_strategy,
     tft_strategy,
 )

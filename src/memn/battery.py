@@ -262,7 +262,7 @@ def check_constant_shift(rng, n_max, trials, tol):
             p, q = _random_pair(rng, n)
             shift = rng.uniform(-5, 5)
             base = payoff(p, q, f)
-            shifted = payoff(p, q, f.shifted(shift))
+            shifted = payoff(p, q, f + shift)
             worst = max(worst, abs(shifted - base - shift))
     return worst, tol, {}
 
@@ -318,11 +318,11 @@ def check_closed_forms(rng, n_max, trials, tol):
     for _ in range(trials):
         x = StrategyVector(1, rng.uniform(0.1, 0.9, 4))
         a = adaptive_field(x, spec_full)
-        closed = memory1_field_closed(x, tuple(f.values))
+        closed = memory1_field_closed(x, tuple(f))
         scale = max(float(np.abs(a).max()), 1e-12)
         worst = max(worst, float(np.abs(a - closed).max()) / scale)
         a2 = adaptive_field(x, spec_anti)
-        closed2 = memory1_antisym_field_closed(x, f.values[1], f.values[2])
+        closed2 = memory1_antisym_field_closed(x, f[1], f[2])
         scale2 = max(float(np.abs(a2).max()), 1e-12)
         worst = max(worst, float(np.abs(a2 - closed2).max()) / scale2)
     return worst, tol, {}

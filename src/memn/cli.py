@@ -20,7 +20,6 @@ from . import __version__
 from .battery import run_battery
 from .core import (
     GameParams,
-    PayoffVector,
     StrategyVector,
     build_payoff_vector,
 )
@@ -84,7 +83,11 @@ def _load_strategy(path: str, n: int | None = None) -> StrategyVector:
         n_field = data["n"]
         if type(n_field) is not int:  # 1.9, "1" and true are not memory orders
             raise TypeError(f"n must be a JSON integer, not {json.dumps(n_field)}")
-        strategy = StrategyVector(n_field, np.asarray(data["probs"], float))
+        probs = data["probs"] if type(data["probs"]) is list else [data["probs"]]
+        if not set(map(type, probs)) <= {int, float}:  # "0.5" and true are not probabilities
+            bad = next(v for v in probs if type(v) not in (int, float))
+            raise TypeError(f"probs must be a list of JSON numbers; found {json.dumps(bad)}")
+        strategy = StrategyVector(n_field, np.asarray(probs, float))
     except KeyError as exc:
         parser_error(f"strategy file {path} is missing field {exc.args[0]!r}")
     except (TypeError, ValueError) as exc:
@@ -94,7 +97,7 @@ def _load_strategy(path: str, n: int | None = None) -> StrategyVector:
     return strategy
 
 
-def _payoff_vector(args, n: int) -> PayoffVector:
+def _payoff_vector(args, n: int) -> np.ndarray:
     if args.payoffs is not None:
         params = GameParams(*args.payoffs)
     else:

@@ -157,55 +157,22 @@ class GameParams:
         return (self.R, self.S, self.T, self.P)
 
 
-@dataclass(frozen=True)
-class PayoffVector:
-    """Per-history average one-round payoff for the focal player.
-
-    When ``normalized`` is True the entries are divided by the memory order,
-    so entry ``i`` equals the mean of the ``n`` one-round payoffs encoded by
-    history ``i``; otherwise the plain recursive sums are kept.
-    """
-
-    n: int
-    values: np.ndarray
-    params: GameParams
-    normalized: bool = True
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (n_states(self.n),):
-            raise ValueError(
-                f"payoff vector for n={self.n} needs {n_states(self.n)} entries"
-            )
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def shifted(self, constant: float) -> "PayoffVector":
-        """Add a constant to every entry."""
-        return PayoffVector(
-            self.n, self.values + constant, self.params, self.normalized
-        )
-
-    def parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The player-symmetric and anti-symmetric columns 0.5 (f ± f∘bar),
-        which split the payoff and select the field variants."""
-        swapped = self.values[bar_permutation(self.n)]
-        return 0.5 * (self.values + swapped), 0.5 * (self.values - swapped)
-
-
 def build_payoff_vector(
     params: GameParams, n: int, normalized: bool = True
-) -> PayoffVector:
-    """Construct the payoff vector by stacking the one-round payoffs.
+) -> np.ndarray:
+    """Per-history average one-round payoff of the focal player, as a
+    read-only array of length 4^n.
 
     The length-4 base case is (R, S, T, P).  Each recursion step prepends one
     more remembered round: the four stacked copies gain R, S, T and P
-    respectively, and the normalized variant averages over the ``n`` rounds.
+    respectively.  When ``normalized`` entry ``i`` is the mean of the ``n``
+    one-round payoffs encoded by history ``i``; otherwise their plain sum.
     """
     if n < 1:
         raise ValueError("memory order must be >= 1")
     base = np.array(params.as_tuple(), dtype=float)
+    if not np.all(np.isfinite(base)):
+        raise ValueError(f"game payoffs (R, S, T, P) must be finite, got {params.as_tuple()}")
     values = base.copy()
     for level in range(2, n + 1):
         if normalized:
@@ -214,25 +181,24 @@ def build_payoff_vector(
             )
         else:
             values = np.concatenate([values + payoff for payoff in base])
-    return PayoffVector(n, values, params, normalized)
+    values.flags.writeable = False
+    return values
+
+
+def payoff_parts(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The player-symmetric and anti-symmetric columns 0.5 (f ± f∘bar) of a
+    payoff vector, which split the payoff and select the field variants."""
+    swapped = f[bar_permutation((len(f).bit_length() - 1) // 2)]
+    return 0.5 * (f + swapped), 0.5 * (f - swapped)
 
 
 def k_constant(params: GameParams, n: int) -> float:
-    """Constant linking a payoff vector to its action-relabelled reflection.
-
-    Only defined under equal gains from switching; the recursion starts at
-    R + P and stays there for every memory order.
-    """
+    """Constant K of the reflection identity -f + K 1 = J8 f of a normalized
+    payoff vector: R + P at every memory order, under equal gains from
+    switching alone."""
     if not params.has_equal_gains():
         raise ValueError("constant requires R + P = T + S")
-    return _k_recursion(params, n)
-
-
-def _k_recursion(params: GameParams, n: int) -> float:
-    k = params.R + params.P
-    for level in range(2, n + 1):
-        k = (level - 1) / level * k + (params.R + params.P) / level
-    return k
+    return params.R + params.P
 
 
 def tft_strategy(n: int, eps: float = 0.0) -> StrategyVector:

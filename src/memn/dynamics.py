@@ -9,7 +9,7 @@ enters one row of M, so the gradient is nu_i * dM_i . h, where dM_i is that
 row's derivative (qb, 1 - qb, -qb, -(1 - qb)) at its quadruple columns.
 
 Variants select the column: the full payoff vector, its player-symmetric
-or anti-symmetric part from :meth:`PayoffVector.parts`, or (for the
+or anti-symmetric part from :func:`core.payoff_parts`, or (for the
 reparametrised anti-symmetric flow) twice the anti-symmetric part, f -
 f∘bar, with the gradient scaled by |det B|.  As the anti-symmetric payoff
 vanishes at mutant = resident, that is the derivative of the
@@ -17,7 +17,7 @@ determinant-quotient numerator oriented by the sign of det B; it rescales
 speed, never direction.
 
 One kernel, :func:`field_batch`, evaluates this field at every row of a
-(batch, size) array of points, with a payoff column and a sign per row.  It
+(batch, size) array of points, with one payoff column or one per row.  It
 builds the quadruples and takes nu and h from :func:`markov.solve_chain`
 and |det B| from :func:`markov.det_magnitude`: :mod:`markov` alone knows
 the chain layout and how, and at what sizes, its systems are solved.
@@ -38,11 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PayoffVector,
     StrategyVector,
     bar_permutation,
     counting_to_full,
     encode_history,
+    n_states,
+    payoff_parts,
 )
 from .errors import BoundaryMarginError, DegeneracyError, InvarianceViolationError
 from .markov import (
@@ -68,7 +69,7 @@ class FieldSpec:
     """Everything needed to evaluate one adaptive-dynamics vector field."""
 
     n: int
-    payoff: PayoffVector
+    payoff: np.ndarray
     variant: str = "full"
     gradient_method: str = "analytic_determinant"
     h: float = 1e-5
@@ -80,15 +81,15 @@ class FieldSpec:
             raise ValueError(f"unknown gradient method {self.gradient_method!r}")
         if not 1e-8 <= self.h <= 1e-4:
             raise ValueError("central-difference step must lie in [1e-8, 1e-4]")
-        if self.payoff.n != self.n:
+        if len(self.payoff) != n_states(self.n):
             raise ValueError("payoff vector memory order disagrees with spec")
 
 
 def variant_column(spec: FieldSpec) -> np.ndarray:
     """Payoff column implied by the field variant."""
     if spec.variant == "full":
-        return spec.payoff.values.copy()
-    sym, anti = spec.payoff.parts()
+        return spec.payoff.copy()
+    sym, anti = payoff_parts(spec.payoff)
     if spec.variant == "symmetric":
         return sym
     if spec.variant == "antisymmetric":
@@ -104,18 +105,18 @@ def _check_margin(x: StrategyVector, margin: float):
         )
 
 
-def field_batch(points, column, reparam: bool = False, sign=1.0) -> np.ndarray:
+def field_batch(points, column, reparam: bool = False) -> np.ndarray:
     """Analytic field at each row of a (batch, size) array of interior points.
 
-    ``column`` is one payoff column or one per row, ``sign`` a scalar or one
-    per row; ``reparam`` scales each gradient by |det B| (the
-    ``antisymmetric_reparam`` variant, given its column f - f∘bar), which
-    :func:`markov.det_magnitude` refuses above 4,096 states before any
-    solve runs.  Rows are neither validated nor margin-checked.  nu and h
-    of every row come from one :func:`markov.solve_chain`; a row whose
-    solve failed (a singular chain system, or a matrix-free solve that
-    neither converged nor could fall back to dense) comes back NaN.  The
-    gradient is that of the module docstring.
+    ``column`` is one payoff column or one per row; ``reparam`` scales each
+    gradient by |det B| (the ``antisymmetric_reparam`` variant, given its
+    column f - f∘bar), which :func:`markov.det_magnitude` refuses above
+    4,096 states before any solve runs.  Rows are neither validated nor
+    margin-checked.  nu and h of every row come from one
+    :func:`markov.solve_chain`; a row whose solve failed (a singular chain
+    system, or a matrix-free solve that neither converged nor could fall
+    back to dense) comes back NaN.  The gradient is that of the module
+    docstring.
     """
     x = np.asarray(points, dtype=float)
     size = x.shape[1]
@@ -130,7 +131,6 @@ def field_batch(points, column, reparam: bool = False, sign=1.0) -> np.ndarray:
     )
     if reparam:
         grad *= scale
-    np.multiply(grad.T, sign, out=grad.T)  # a scalar or one sign per row
     return grad
 
 
@@ -372,7 +372,7 @@ def counting_field(
     q2: float,
     q1: float,
     q0: float,
-    f: PayoffVector,
+    f: np.ndarray,
     variant: str = "full",
     invariance_tol: float = DEFAULTS["counting_invariance"],
 ) -> np.ndarray:
@@ -407,7 +407,7 @@ def counting_sign_study(b: float, c: float) -> dict:
     for q2 in grid:
         q2g = np.full_like(q1g, q2)
         denom, w_cc, _, w_dd = _antisym_terms(q2g, q1g, q1g, q0g)
-        scale = (f.values[1] - f.values[2]) / denom
+        scale = (f[1] - f[2]) / denom
         printed = counting_antisym_closed(q2g, q1g, q0g)
         for row, arr in enumerate((scale * w_cc, scale * w_dd, printed[0], printed[2])):
             signs[row] += (arr < 0).sum(), (arr > 0).sum(), (arr == 0).sum()
@@ -757,20 +757,13 @@ def integrate_path(
     return members[0] if np.ndim(y0) == 1 else Ensemble(members)
 
 
-def field_function(spec: FieldSpec, sign=1.0):
-    """(batch, size) -> (batch, size) analytic field for the integrators.
-
-    ``sign`` is a scalar or one per row; -1 runs that member backward.
-    """
+def field_function(spec: FieldSpec):
+    """(batch, size) -> (batch, size) analytic field for the integrators."""
     if spec.gradient_method != "analytic_determinant":
         raise ValueError("integration uses the analytic field")
     column = variant_column(spec)
     reparam = spec.variant == "antisymmetric_reparam"
-
-    def fn(v: np.ndarray) -> np.ndarray:
-        return field_batch(v, column, reparam, sign)
-
-    return fn
+    return lambda v: field_batch(v, column, reparam)
 
 
 def _starts(spec: FieldSpec, x0) -> np.ndarray:
@@ -824,8 +817,10 @@ def z2_mirror_check(
     """
     starts = np.array(_starts(spec, x0), ndmin=2)
     count = len(starts)
+    fn = field_function(spec)
+    orientation = np.repeat([1.0, -1.0], count)[:, None]
     ensemble = integrate_path(
-        field_function(spec, np.repeat([1.0, -1.0], count)),
+        lambda v: orientation * fn(v),
         np.concatenate([1.0 - starts[:, ::-1], starts]),
         dt,
         t_max,

@@ -45,11 +45,11 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    PayoffVector,
     StrategyVector,
     bar_index,
     bar_permutation,
     n_states,
+    payoff_parts,
 )
 from .errors import ConvergenceError, DegeneracyError
 
@@ -548,7 +548,7 @@ def payoff_from_column(
 def payoff(
     p: StrategyVector,
     q: StrategyVector,
-    f: PayoffVector,
+    f: np.ndarray,
     method: str = "stationary",
 ) -> float:
     """Long-run average payoff of the focal player.
@@ -560,18 +560,18 @@ def payoff(
     kept as the oracle.  Both refuse strategies within
     ``INTERIOR_THRESHOLD`` of the cube boundary (``DegeneracyError``).
     """
-    if not (p.n == q.n == f.n):
+    if p.n != q.n or len(f) != n_states(p.n):
         raise ValueError("memory orders of p, q, f must agree")
     if method == "determinant":
         _require_interior(p, q)
-        return payoff_from_column(p, q, f.values)
+        return payoff_from_column(p, q, f)
     if method == "stationary":
         return payoff_solve(p, q, f)[0][0]
     raise ValueError(f"unknown method {method!r}")
 
 
 def payoff_solve(
-    p: StrategyVector, q: StrategyVector, f: PayoffVector
+    p: StrategyVector, q: StrategyVector, f: np.ndarray
 ) -> tuple[tuple[float, float, float], ChainSolve]:
     """(A, A_s, A_a) from one stationary solve, and that solve.
 
@@ -580,18 +580,18 @@ def payoff_solve(
     _require_interior(p, q)
     solve = solve_chain(build_transition_matrix(p, q)[None])
     nu = solved(solve.nu[0])
-    sym, anti = f.parts()
-    return (float(nu @ f.values), float(nu @ sym), float(nu @ anti)), solve
+    sym, anti = payoff_parts(f)
+    return (float(nu @ f), float(nu @ sym), float(nu @ anti)), solve
 
 
 def decompose_payoff(
-    p: StrategyVector, q: StrategyVector, f: PayoffVector
+    p: StrategyVector, q: StrategyVector, f: np.ndarray
 ) -> tuple[float, float]:
     """Split the payoff into player-symmetric and anti-symmetric parts.
 
     Returns (A_s, A_a) where A_s(p,q) = A_s(q,p), A_a(p,q) = -A_a(q,p) and
     A_s + A_a equals the payoff; the parts are the stationary averages of
-    the columns of :meth:`PayoffVector.parts`.
+    the columns of :func:`core.payoff_parts`.
     """
     return payoff_solve(p, q, f)[0][1:]
 

@@ -16,10 +16,8 @@ from itertools import permutations as all_permutations
 import numpy as np
 
 from .core import (
-    PayoffVector,
     StrategyVector,
     _focal_mask,
-    _k_recursion,
     _opponent_mask,
     bar_index,
     n_states,
@@ -134,16 +132,15 @@ def conjugate_matrix(quads: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return quads[perm[:, None], k]
 
 
-def payoff_vector_reflection_residual(f: PayoffVector) -> float:
-    """Max-norm defect of -f + K 1 = J8 f.
+def payoff_vector_reflection_residual(f: np.ndarray) -> float:
+    """Max-norm defect of -f + K 1 = J8 f, with K = f[0] + f[-1].
 
-    Vanishes for payoff vectors built under equal gains from switching; for
-    other payoffs the returned residual is positive and reports how far the
-    reflection identity fails (K still taken from the R+P recursion).
+    The all-CC and all-DD entries sum to R + P in a normalized payoff vector
+    and to n (R + P) in an unnormalized one.  The residual vanishes for
+    payoff vectors built under equal gains from switching; for other payoffs
+    it is positive and reports how far the reflection identity fails.
     """
-    k = _k_recursion(f.params, f.n)
-    reflected = f.values[::-1]
-    return float(np.abs(-f.values + k - reflected).max())
+    return float(np.abs(-f + (f[0] + f[-1]) - f[::-1]).max())
 
 
 def _quadruple_residuals(quads: np.ndarray) -> tuple[float, float, float]:

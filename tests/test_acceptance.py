@@ -170,7 +170,7 @@ def test_criterion_04_payoff_consistency():
             shift = rng.uniform(-5, 5)
             worst_shift = max(
                 worst_shift,
-                abs(payoff(p, q, f.shifted(shift)) - payoff(p, q, f) - shift),
+                abs(payoff(p, q, f + shift) - payoff(p, q, f) - shift),
             )
     ok = worst_methods <= 1e-8 and worst_reactive <= 1e-10 and worst_shift <= 1e-10
     assert report(
@@ -230,7 +230,7 @@ def test_criterion_06_gradient_and_field_consistency():
     for _ in range(100):
         x = StrategyVector(1, rng.uniform(0.1, 0.9, 4))
         numeric = adaptive_field(x, spec_full)
-        closed = memory1_field_closed(x, tuple(f1.values))
+        closed = memory1_field_closed(x, tuple(f1))
         scale = max(float(np.abs(numeric).max()), 1e-12)
         worst_closed = max(worst_closed, float(np.abs(numeric - closed).max()) / scale)
     worst_split = 0.0

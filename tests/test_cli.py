@@ -78,7 +78,7 @@ def test_payoff_command_memory5_matches_determinant_quotient(tmp_path, capsys):
         strategies.append(StrategyVector(5, probs))
     assert main(["payoff", "--n", "5", "--p", paths[0], "--q", paths[1]]) == 0
     payload = json.loads(capsys.readouterr().out)
-    f = build_payoff_vector(GameParams.donation(2, 1), 5).values
+    f = build_payoff_vector(GameParams.donation(2, 1), 5)
     swapped = f[bar_permutation(5)]
     columns = {"A": f, "A_s": 0.5 * (f + swapped), "A_a": 0.5 * (f - swapped)}
     for key, column in columns.items():
@@ -322,6 +322,77 @@ def test_matrix_rejects_a_memory_order_that_is_not_an_integer(n, tmp_path):
     assert done.returncode == 2
     message = f"strategy file {x}: n must be a JSON integer, not {json.dumps(n)}"
     assert done.stderr == f"memn: {message}\n"
+
+
+@pytest.mark.parametrize(
+    ("value", "found"),
+    [(["0.5", 0.5, 0.5, 0.5], '"0.5"'), ([0.5, 0.5, True, 0.5], "true")],
+    ids=["string", "bool"],
+)
+def test_matrix_rejects_probabilities_that_are_not_numbers(value, found, tmp_path):
+    """Only JSON numbers are probabilities: "0.5" is not parsed and true is
+    not 1."""
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"n": 1, "probs": value}))
+    src = str(Path(memn.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "memn.cli", "matrix", "--n", "1", "--p", str(x), "--q", str(x)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    message = f"strategy file {x}: probs must be a list of JSON numbers; found {found}"
+    assert done.stderr == f"memn: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["payoff", "field"])
+@pytest.mark.parametrize(
+    ("game", "payoffs"),
+    [(["--payoffs", "nan", "0", "5", "1"], "(nan, 0.0, 5.0, 1.0)"),
+     (["--b", "inf", "--c", "1"], "(inf, -1.0, inf, 0.0)")],
+    ids=["nan", "inf"],
+)
+def test_non_finite_game_payoffs_exit_two(command, game, payoffs, tmp_path):
+    """A NaN or infinite one-round payoff is refused before any solve, so no
+    NaN reaches the JSON and no singular-chain error names the wrong cause."""
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"n": 1, "probs": [0.6, 0.45, 0.5, 0.4]}))
+    if command == "payoff":
+        argv = ["payoff", "--n", "1", "--p", str(x), "--q", str(x)]
+    else:
+        argv = ["field", "--at", str(x)]
+    src = str(Path(memn.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "memn.cli", *argv, *game],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert done.stderr == f"memn: game payoffs (R, S, T, P) must be finite, got {payoffs}\n"
+    assert "Traceback" not in done.stderr
+
+
+def test_imports_need_numpy_alone():
+    """numpy is the only declared runtime dependency: importing the package,
+    its CLI and its battery loads none of scipy, mpmath or sympy."""
+    src = str(Path(memn.__file__).resolve().parents[1])
+    code = (
+        "import sys, memn, memn.cli, memn.battery; "
+        "print(sorted({'scipy', 'mpmath', 'sympy'} & {m.split('.')[0] for m in sys.modules}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

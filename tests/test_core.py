@@ -18,6 +18,7 @@ from memn.core import (
     k_constant,
     label_swap,
     n_states,
+    payoff_parts,
     reactive_strategy,
     tft_strategy,
 )
@@ -140,7 +141,7 @@ def test_label_swap_involution(n, seed):
 
 def test_payoff_vector_memory1_donation():
     f = build_payoff_vector(GameParams.donation(2, 1), 1)
-    np.testing.assert_array_equal(f.values, [1.0, -1.0, 2.0, 0.0])
+    np.testing.assert_array_equal(f, [1.0, -1.0, 2.0, 0.0])
 
 
 def test_payoff_vector_memory2_leading_block():
@@ -148,7 +149,7 @@ def test_payoff_vector_memory2_leading_block():
     f = build_payoff_vector(params, 2)
     r, s, t, p = params.as_tuple()
     np.testing.assert_allclose(
-        f.values[:4], [(r + r) / 2, (r + s) / 2, (r + t) / 2, (r + p) / 2]
+        f[:4], [(r + r) / 2, (r + s) / 2, (r + t) / 2, (r + p) / 2]
     )
 
 
@@ -167,7 +168,7 @@ def test_payoff_vector_memory3_single_entry():
     params = GameParams(R=3.0, S=0.0, T=5.0, P=1.0)
     f = build_payoff_vector(params, 3)
     idx = encode_history([("C", "C"), ("C", "D"), ("D", "C")], 3)
-    assert f.values[idx] == pytest.approx(
+    assert f[idx] == pytest.approx(
         (params.R + params.S + params.T) / 3, abs=1e-14
     )
 
@@ -182,7 +183,7 @@ def test_payoff_vector_matches_enumeration(n, normalized):
         rounds = decode_history(idx, n)
         total = sum(round_payoff(a, b, params) for a, b in rounds)
         expected = total / n if normalized else total
-        assert f.values[idx] == pytest.approx(expected, abs=1e-12)
+        assert f[idx] == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -190,9 +191,9 @@ def test_payoff_parts_split_under_the_player_swap(n):
     """The parts reassemble f; the player swap fixes the symmetric part and
     negates the anti-symmetric one."""
     f = build_payoff_vector(GameParams(R=2.5, S=-1.5, T=4.0, P=0.5), n)
-    sym, anti = f.parts()
+    sym, anti = payoff_parts(f)
     swap = [bar_index(i, n) for i in range(n_states(n))]
-    np.testing.assert_allclose(sym + anti, f.values, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sym + anti, f, rtol=0, atol=1e-15)
     np.testing.assert_array_equal(sym[swap], sym)
     np.testing.assert_array_equal(anti[swap], -anti)
 

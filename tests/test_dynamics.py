@@ -6,7 +6,6 @@ import pytest
 from memn import dynamics
 from memn.core import (
     GameParams,
-    PayoffVector,
     StrategyVector,
     bar_permutation,
     build_payoff_vector,
@@ -126,7 +125,7 @@ def test_memory1_closed_form_matches_numeric():
     for _ in range(100):
         x = random_point(rng, 1)
         values = rng.uniform(-2, 3, 4)
-        f = PayoffVector(1, values, DONATION)
+        f = values
         numeric = adaptive_field(x, FieldSpec(1, f, "full"))
         closed = memory1_field_closed(x, tuple(values))
         scale = max(np.abs(numeric).max(), 1e-12)
@@ -138,7 +137,7 @@ def test_memory1_closed_form_counting_plane():
     for _ in range(20):
         a, m, d = rng.uniform(0.1, 0.9, 3)
         x = StrategyVector(1, np.array([a, m, m, d]))
-        field = memory1_field_closed(x, tuple(F1.values))
+        field = memory1_field_closed(x, tuple(F1))
         assert field[1] == pytest.approx(field[2], abs=1e-12)
 
 
@@ -159,7 +158,7 @@ def test_antisym_closed_form_matches_numeric():
     for _ in range(100):
         x = random_point(rng, 1)
         numeric = adaptive_field(x, spec)
-        closed = memory1_antisym_field_closed(x, F1.values[1], F1.values[2])
+        closed = memory1_antisym_field_closed(x, F1[1], F1[2])
         scale = max(np.abs(numeric).max(), 1e-12)
         assert np.abs(numeric - closed).max() / scale <= 1e-6
 
@@ -193,7 +192,7 @@ def test_conserved_directional_derivatives_vanish():
     rng = np.random.default_rng(10)
     for _ in range(100):
         x = random_point(rng, 1)
-        field = memory1_antisym_field_closed(x, F1.values[1], F1.values[2])
+        field = memory1_antisym_field_closed(x, F1[1], F1[2])
         for grad in invariant_gradients(x.probs):
             assert abs(grad @ field) <= 1e-8
 
@@ -331,7 +330,7 @@ def test_reactive_fields_degenerate_cases():
 
 
 def test_integrate_zero_field_is_constant():
-    f = PayoffVector(1, np.zeros(4), DONATION)
+    f = np.zeros(4)
     x0 = StrategyVector(1, np.array([0.6, 0.45, 0.5, 0.4]))
     trajectory = integrate(FieldSpec(1, f, "full"), x0, dt=1e-2, t_max=0.3)
     assert trajectory.stop_reason == "t_max"
@@ -400,7 +399,7 @@ def test_field_batch_matches_adaptive_field(n):
     points = rng.uniform(0.05, 0.95, (len(plain), n_states(n)))
     columns = np.stack([variant_column(FieldSpec(n, f, v)) for v in plain])
     signs = np.where(np.arange(len(plain)) % 2, -1.0, 1.0)
-    batched = field_batch(points, columns, sign=signs)
+    batched = signs[:, None] * field_batch(points, columns)
     for row, variant, sign, x in zip(batched, plain, signs, points):
         expected = sign * adaptive_field(StrategyVector(n, x), FieldSpec(n, f, variant))
         np.testing.assert_allclose(row, expected, rtol=1e-13, atol=1e-15)

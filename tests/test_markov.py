@@ -175,10 +175,10 @@ def test_poisson_vector_solves_poisson_equation(n):
     f = build_payoff_vector(DONATION, n)
     p, q = random_pair(rng, n)
     m = build_transition_matrix(p, q)
-    h = poisson_vector(m, f.values)
-    value = payoff_from_column(p, q, f.values)
+    h = poisson_vector(m, f)
+    value = payoff_from_column(p, q, f)
     assert h[-1] == 0.0
-    residual = h - dense_matrix(m) @ h - (f.values - value)
+    residual = h - dense_matrix(m) @ h - (f - value)
     assert np.abs(residual).max() <= 1e-12
 
 
@@ -186,16 +186,16 @@ def test_poisson_vector_solves_poisson_equation(n):
 def test_payoff_split_matches_determinant_quotients(n):
     rng = np.random.default_rng(37 + n)
     f = build_payoff_vector(DONATION, n)
-    swapped = f.values[bar_permutation(n)]
+    swapped = f[bar_permutation(n)]
     for _ in range(5):
         p, q = random_pair(rng, n)
         a, a_s, a_a = payoff_solve(p, q, f)[0]
         assert a == pytest.approx(payoff(p, q, f, method="determinant"), abs=1e-10)
         assert a_s == pytest.approx(
-            payoff_from_column(p, q, 0.5 * (f.values + swapped)), abs=1e-10
+            payoff_from_column(p, q, 0.5 * (f + swapped)), abs=1e-10
         )
         assert a_a == pytest.approx(
-            payoff_from_column(p, q, 0.5 * (f.values - swapped)), abs=1e-10
+            payoff_from_column(p, q, 0.5 * (f - swapped)), abs=1e-10
         )
 
 
@@ -206,7 +206,7 @@ def test_payoff_constant_shift():
         for _ in range(10):
             p, q = random_pair(rng, n)
             shift = rng.uniform(-4, 4)
-            assert payoff(p, q, f.shifted(shift)) == pytest.approx(
+            assert payoff(p, q, f + shift) == pytest.approx(
                 payoff(p, q, f) + shift, abs=1e-10
             )
 
@@ -312,8 +312,8 @@ def test_iterate_chain_matches_dense_solves(n):
     member, equal the dense solves: nu to 1e-12 and h to 1e-11 relative."""
     rng = np.random.default_rng(60 + n)
     f = build_payoff_vector(DONATION, n)
-    swapped = f.values[bar_permutation(n)]
-    columns = np.stack([f.values, 0.5 * (f.values + swapped), 0.5 * (f.values - swapped)])
+    swapped = f[bar_permutation(n)]
+    columns = np.stack([f, 0.5 * (f + swapped), 0.5 * (f - swapped)])
     pairs = [random_pair(rng, n) for _ in columns]
     quads = np.stack([build_transition_matrix(p, q) for p, q in pairs])
     solve = iterate_chain(quads, columns)
@@ -375,8 +375,8 @@ def test_solve_chain_below_memory4_is_one_dense_solve(n):
     their equations."""
     rng = np.random.default_rng(40 + n)
     f = build_payoff_vector(DONATION, n)
-    swapped = f.values[bar_permutation(n)]
-    columns = np.stack([f.values, 0.5 * (f.values + swapped), 0.5 * (f.values - swapped)])
+    swapped = f[bar_permutation(n)]
+    columns = np.stack([f, 0.5 * (f + swapped), 0.5 * (f - swapped)])
     pairs = [random_pair(rng, n), (tft_strategy(n), tft_strategy(n)), random_pair(rng, n)]
     quads = np.stack([build_transition_matrix(p, q) for p, q in pairs])
     solve = solve_chain(quads, columns)
@@ -403,8 +403,8 @@ def test_memory4_stack_is_matrix_free_with_dense_fallback():
     the dense fallback."""
     rng = np.random.default_rng(44)
     f = build_payoff_vector(DONATION, 4)
-    swapped = f.values[bar_permutation(4)]
-    columns = np.stack([f.values, 0.5 * (f.values + swapped), 0.5 * (f.values - swapped)])
+    swapped = f[bar_permutation(4)]
+    columns = np.stack([f, 0.5 * (f + swapped), 0.5 * (f - swapped)])
     pairs = [random_pair(rng, 4), (tft_strategy(4), tft_strategy(4)), random_pair(rng, 4)]
     quads = np.stack([build_transition_matrix(p, q) for p, q in pairs])
     solve = solve_chain(quads, columns)
@@ -481,7 +481,7 @@ def test_a_member_settles_within_its_budget_and_not_past_it(monkeypatch, with_co
     rng = np.random.default_rng(46)
     p, q = random_pair(rng, 4)
     quads = build_transition_matrix(p, q)[None]
-    column = build_payoff_vector(DONATION, 4).values if with_column else None
+    column = build_payoff_vector(DONATION, 4) if with_column else None
     needed = iterate_chain(quads, column).iterations[0]
     for budget, settles in ((needed, True), (needed - 1, False)):
         monkeypatch.setattr(markov, "iteration_budget", lambda size: budget)
@@ -498,9 +498,9 @@ def test_each_member_of_a_stack_equals_its_solo_solve(n):
     that exhausts its budget."""
     rng = np.random.default_rng(80 + n)
     f = build_payoff_vector(DONATION, n)
-    swapped = f.values[bar_permutation(n)]
+    swapped = f[bar_permutation(n)]
     columns = np.stack(
-        [f.values, 0.5 * (f.values + swapped), 0.5 * (f.values - swapped), f.values]
+        [f, 0.5 * (f + swapped), 0.5 * (f - swapped), f]
     )
     tft = tft_strategy(n, eps=0.01)
     pairs = [random_pair(rng, n), (tft, tft), random_pair(rng, n), random_pair(rng, n)]
@@ -525,7 +525,7 @@ def test_self_play_solve_is_symmetric_under_the_player_swap(n):
     rng = np.random.default_rng(90 + n)
     bar = bar_permutation(n)
     f = build_payoff_vector(DONATION, n)
-    anti = 0.5 * (f.values - f.values[bar])
+    anti = 0.5 * (f - f[bar])
     points = rng.uniform(0.05, 0.95, (3, n_states(n)))
     quads = np.stack([markov.quadruples(x, x[bar]) for x in points])
     solve = solve_chain(quads, anti)
@@ -538,8 +538,8 @@ def test_self_play_solve_is_symmetric_under_the_player_swap(n):
 def test_payoff_split_memory5_matches_determinant_quotients():
     rng = np.random.default_rng(75)
     f = build_payoff_vector(DONATION, 5)
-    swapped = f.values[bar_permutation(5)]
-    columns = (f.values, 0.5 * (f.values + swapped), 0.5 * (f.values - swapped))
+    swapped = f[bar_permutation(5)]
+    columns = (f, 0.5 * (f + swapped), 0.5 * (f - swapped))
     for _ in range(2):
         p, q = random_pair(rng, 5)
         values, solve = payoff_solve(p, q, f)
@@ -556,7 +556,7 @@ def test_memory6_residuals_on_the_quadruples():
     f = build_payoff_vector(DONATION, 6)
     p, q = random_pair(rng, 6)
     quads = build_transition_matrix(p, q)
-    solve = solve_chain(quads[None], f.values)
+    solve = solve_chain(quads[None], f)
     assert solve.method() == "matrix-free" and solve.converged[0]
     nu, h = solve.nu[0], solve.h[0]
     cols = quad_columns(len(nu))
@@ -566,7 +566,7 @@ def test_memory6_residuals_on_the_quadruples():
     assert nu.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.abs(nu_m - nu).max() <= 1e-15
     assert h[-1] == 0.0
-    assert np.abs(h - m_h - (f.values - nu @ f.values)).max() <= 1e-12
+    assert np.abs(h - m_h - (f - nu @ f)).max() <= 1e-12
 
 
 def test_slow_chain_falls_back_to_dense_at_memory5():
@@ -577,7 +577,7 @@ def test_slow_chain_falls_back_to_dense_at_memory5():
     (value, _, _), solve = payoff_solve(p, p, f)
     assert solve.method() == "dense" and not solve.converged[0]
     assert solve.iterations[0] == iteration_budget(n_states(5))
-    assert value == pytest.approx(payoff_from_column(p, p, f.values), abs=1e-10)
+    assert value == pytest.approx(payoff_from_column(p, p, f), abs=1e-10)
 
 
 def test_nonconverging_chain_at_memory7_raises_without_dense_matrix():

@@ -8,6 +8,7 @@ from memn.core import (
     StrategyVector,
     bar_index,
     build_payoff_vector,
+    k_constant,
     label_swap,
     n_states,
 )
@@ -165,10 +166,10 @@ def test_payoff_invariance_under_conjugation(kind):
         q = StrategyVector(n, rng.uniform(0.05, 0.95, 16))
         m = build_transition_matrix(p, q)
         nu = stationary_distribution(m)
-        base = float(nu @ f.values)
+        base = float(nu @ f)
         conjugated = conjugate_matrix(m, j)
         nu_conj = stationary_distribution(conjugated)
-        transformed = float(nu_conj @ f.values[j])
+        transformed = float(nu_conj @ f[j])
         assert transformed == pytest.approx(base, abs=1e-10)
         np.testing.assert_allclose(nu_conj, nu[j], atol=1e-10)
 
@@ -178,7 +179,7 @@ def test_reflection_identity_memory1():
     f = build_payoff_vector(params, 1)
     k = params.R + params.P
     np.testing.assert_allclose(
-        -f.values + k, f.values[::-1], atol=1e-14
+        -f + k, f[::-1], atol=1e-14
     )
     assert payoff_vector_reflection_residual(f) <= 1e-14
 
@@ -187,6 +188,18 @@ def test_reflection_identity_memory1():
 def test_reflection_residual_donation(n):
     f = build_payoff_vector(GameParams.donation(2, 1), n)
     assert payoff_vector_reflection_residual(f) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reflection_residual_unnormalized_donation(n):
+    """An unnormalized vector reflects onto n (R + P) - f, and the residual
+    reads K off the vector, so the identity holds there too; in a normalized
+    vector the all-CC and all-DD entries sum to the constant K."""
+    params = GameParams.donation(2, 1)
+    f = build_payoff_vector(params, n, normalized=False)
+    assert payoff_vector_reflection_residual(f) <= 1e-14
+    g = build_payoff_vector(params, n)
+    assert g[0] + g[-1] == pytest.approx(k_constant(params, n), abs=1e-14)
 
 
 def test_reflection_residual_flags_unequal_gains():
