@@ -174,22 +174,27 @@ def build_payoff_vector(
     if not np.all(np.isfinite(base)):
         raise ValueError(f"game payoffs (R, S, T, P) must be finite, got {params.as_tuple()}")
     values = base.copy()
-    for level in range(2, n + 1):
-        if normalized:
-            values = np.concatenate(
-                [(level - 1) / level * values + payoff / level for payoff in base]
-            )
-        else:
-            values = np.concatenate([values + payoff for payoff in base])
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for level in range(2, n + 1):
+            if normalized:
+                values = np.concatenate(
+                    [(level - 1) / level * values + payoff / level for payoff in base]
+                )
+            else:
+                values = np.concatenate([values + payoff for payoff in base])
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"game payoffs (R, S, T, P) = {params.as_tuple()} overflow memory {n}")
     values.flags.writeable = False
     return values
 
 
 def payoff_parts(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The player-symmetric and anti-symmetric columns 0.5 (f ± f∘bar) of a
-    payoff vector, which split the payoff and select the field variants."""
-    swapped = f[bar_permutation((len(f).bit_length() - 1) // 2)]
-    return 0.5 * (f + swapped), 0.5 * (f - swapped)
+    payoff vector, which split the payoff and select the field variants;
+    halving first is exact and overflows nothing."""
+    half = 0.5 * f
+    swapped = half[bar_permutation((len(f).bit_length() - 1) // 2)]
+    return half + swapped, half - swapped
 
 
 def k_constant(params: GameParams, n: int) -> float:

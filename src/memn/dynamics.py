@@ -581,7 +581,6 @@ def _cube_distance(v: np.ndarray) -> np.ndarray:
     return np.minimum(v.min(axis=-1), 1.0 - v.max(axis=-1))
 
 
-_RK45_NODES = (0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
 _RK45_COEFFS = (
     (),
     (0.25,),

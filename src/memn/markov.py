@@ -24,17 +24,20 @@ M - I with its last column set to 1 (:func:`chain_system`).  From there up
 :func:`iterate_chain` takes one chain at a time through two plain loops on
 the (size/16, 16, 16) blocks of M^2, each step O(size), with ``STRIDE``
 two-round products per stop test: nu by power iteration, and h by the
-paired Poisson series h = sum_j M^(2j) (I + M) v.  M^2 and (I + M) both hide
-an eigenvalue -1, so nu settles only after one single round also passes
-the stop rule, and h only after a single-round Poisson defect check also
-passes.  Budgets and iteration counts are in chain rounds.  A member that
-does not converge within its budget (a slowly mixing chain near the
-boundary) is solved dense alone up to ``DENSE_FALLBACK_SIZE`` states and
-comes back NaN above, where B would take gigabytes; :func:`solved` names
-the error.  :func:`dense_matrix`, the one dense scatter and the base of
-:func:`chain_system`, refuses a chain above that size.  The determinant
-quotient, the dense references :func:`stationary_distribution` and
-:func:`poisson_vector`, and the block recursion are kept as oracles.
+paired Poisson series h = sum_j M^(2j) (I + M) v.  M^2 and (I + M) hide an
+eigenvalue -1, so each loop ends with one damped round, (I + M)/2 (Stewart
+1994): nu' = (nu + nu M)/2 has nu' M - nu' = (nu M^2 - nu)/2, and h' = (v +
+h + M h)/2 the Poisson defect M^2 w/2 + const, w the series' last term, so
+each stop test bounds the returned vector's own residual, above a rounding
+floor of a few eps |h|_inf for h.  Budgets and iteration counts are in
+chain rounds.  A member that does not converge within its budget (a slowly
+mixing chain near the boundary) is solved dense alone up to
+``DENSE_FALLBACK_SIZE`` states and comes back NaN above, where B would take
+gigabytes; :func:`solved` names the error.  :func:`dense_matrix`, the one
+dense scatter and the base of :func:`chain_system`, refuses a chain above
+that size.  The determinant quotient, the dense references
+:func:`stationary_distribution` and :func:`poisson_vector`, and the block
+recursion are kept as oracles.
 """
 
 from __future__ import annotations
@@ -62,10 +65,6 @@ MATRIX_FREE_SIZE = 256
 # the largest chain whose dense M or B is ever built: 134 MB at 4,096 states
 DENSE_FALLBACK_SIZE = 4096
 ITERATION_TOL = 4 * np.finfo(float).eps
-# The span of the Poisson defect v + M h - h of a converged h sits at 4-11
-# eps |h|_inf from rounding (memory 4-7, random and near-tit-for-tat
-# chains); a mode that (I + M) hid leaves a defect of the size of v.
-POISSON_DEFECT_TOL = 64 * np.finfo(float).eps
 # Two-round products per stop test.  nu + h of one chain, median over five
 # interior chains in two in-process runs on a 2-core host, took 0.90-1.02,
 # 0.85-0.86 and 0.91-0.97 ms at a stride of 4, 8 and 16 at memory 4,
@@ -317,7 +316,9 @@ class ChainSolve:
     runs; 0 below ``MATRIX_FREE_SIZE``), whether it ``converged``, whether
     the member was solved ``dense`` instead, and the max-norm ``residual``
     of nu M = nu and, with h, of (I - M) h = column - (nu . column) 1.  The
-    residual is computed when read: the field never reads it.
+    residual is computed when read: the field never reads it.  A converged
+    matrix-free member's defects are (nu M^2 - nu)/2 and M^2 w/2 + const,
+    which its stop tests bound (:func:`iterate_chain`), above rounding.
     """
 
     def __init__(self, quads, column, nu, h, iterations, converged, dense):
@@ -339,7 +340,8 @@ def iteration_budget(size: int) -> int:
     converged: 1,000 per 1,024 states from memory 5 up, about what the
     dense solve it replaces costs (and far less than it from 4,096 states
     up), and ``SMALL_CHAIN_BUDGET`` below.  A two-round product spends 2 of
-    them, so a stride with its check spends 2 ``STRIDE`` + 1 = 17."""
+    them, so a stride spends 2 ``STRIDE``, and the damped round that ends a
+    loop, with residual (nu M^2 - nu)/2 or M^2 w/2 + const, 1 more."""
     return max(SMALL_CHAIN_BUDGET, 1000 * (size // 1024))
 
 
@@ -359,7 +361,7 @@ def _power_iteration(quads, blocks, max_iter: int):
     settle) and whether it settled, as :func:`iterate_chain` says."""
     nu = np.full(len(quads), 1.0 / len(quads))
     rounds = 0
-    while rounds + 2 * STRIDE < max_iter:  # the stride and its check fit the budget
+    while rounds + 2 * STRIDE < max_iter:  # the stride and its damped round fit the budget
         for _ in range(STRIDE - 1):
             nu = _two_round_product(nu, blocks)
         nu /= nu.sum()
@@ -367,13 +369,8 @@ def _power_iteration(quads, blocks, max_iter: int):
         nxt /= nxt.sum()
         rounds += 2 * STRIDE
         if np.abs(nxt - nu).sum() <= ITERATION_TOL:
-            # the single-round check decides
-            check = _left_product(nxt, quads)
-            check /= check.sum()
-            rounds += 1
-            if np.abs(check - nxt).sum() <= ITERATION_TOL:
-                return check, rounds, True
-            nxt = check
+            nu += _left_product(nu, quads)
+            return nu / nu.sum(), rounds + 1, True
         nu = nxt
     return nu, max_iter, False
 
@@ -386,19 +383,16 @@ def _poisson_series(quads, blocks, column, max_iter: int):
     w -= w[-1]
     h = w.copy()
     rounds = 1
-    while rounds + 2 * STRIDE < max_iter:  # the stride and its check fit the budget
+    while rounds + 2 * STRIDE < max_iter:  # the stride and its damped round fit the budget
         for _ in range(STRIDE):
             w = _two_round_right(blocks, w)
             h += w
         w -= w[-1]
         h -= h[-1]
-        scale = np.abs(h).max()
         rounds += 2 * STRIDE
-        if np.ptp(w) <= ITERATION_TOL * scale:
-            defect = v + _right_product(quads, h) - h
-            rounds += 1
-            if np.ptp(defect) <= POISSON_DEFECT_TOL * scale:
-                return h, rounds, True
+        if np.ptp(w) <= ITERATION_TOL * np.abs(h).max():
+            h = 0.5 * (v + h + _right_product(quads, h))
+            return h - h[-1], rounds + 1, True
     return h, max_iter, False
 
 
@@ -409,29 +403,30 @@ def iterate_chain(quads, column=None) -> ChainSolve:
     Each member runs two plain loops on the blocks of its M^2 from
     :func:`_two_round_blocks`, ``STRIDE`` two-round products per stop test.
     nu is iterated as nu <- nu M^2 / |nu M^2|_1 from the uniform start,
-    normalised before the last product of a stride, and settles only when
-    two conditions hold in order: that last product moves nu by at most
-    ``ITERATION_TOL`` in the 1-norm, and then one single round, nu' = nu M /
-    |nu M|_1, satisfies |nu' - nu|_1 <= ``ITERATION_TOL``; nu' is returned.
-    If that check fails, strides resume from nu': M^2 hides a period-2 mode
-    (an eigenvalue near -1), so a periodic chain would otherwise settle on a
-    vector that is not stationary.  Given a ``column`` (one, or one per
-    member), h is the paired Poisson series h = sum_j M^(2j) u with u = (I +
-    M) v and v = column - column[-1]: the terms w <- M^2 w are summed into h,
-    each stride's last term and h shifted by their last entries, until the
-    span of w is at most ``ITERATION_TOL`` times |h|_inf.  The drift nu .
-    column is constant across states, so it cancels without being known,
-    and h[-1] is exactly 0.  (I + M) hides the same eigenvalue -1 from the
-    series, so h settles only when the defect of one single round, v + M h
-    - h, also spans at most ``POISSON_DEFECT_TOL`` times |h|_inf; otherwise
-    strides resume.  ``iterations`` counts chain rounds, the longer of the
-    two loops: a two-round product counts 2, u and each check 1, so a stride
-    with its check spends 2 ``STRIDE`` + 1.  Each loop stays within
-    :func:`iteration_budget` rounds, starting no stride that the budget
-    could not hold with its check; a member that has not settled keeps its
-    last iterate, ``converged`` False and ``iterations`` the budget.  A
-    member's result does not depend on the other members, and no member is
-    solved dense.
+    normalised before the last product of a stride, until that last
+    product moves nu by at most ``ITERATION_TOL`` in the 1-norm.  M^2 hides
+    a period-2 mode (an eigenvalue near -1), so a periodic chain passes
+    that test on a vector that is not stationary; one averaging round ends
+    the loop, and nu' = (nu + nu M) / |nu + nu M|_1 is returned.  In exact
+    arithmetic nu' M - nu' = (nu M^2 - nu)/2, so |nu' M - nu'|_1 <=
+    ``ITERATION_TOL``/2.  Given a ``column`` (one, or one per member), h is
+    the paired Poisson series h = sum_j M^(2j) u with u = (I + M) v and v =
+    column - column[-1]: the terms w <- M^2 w are summed into h, each
+    stride's last term and h shifted by their last entries, until the span
+    of w is at most ``ITERATION_TOL`` times |h|_inf.  The drift nu . column
+    is constant across states, so it cancels without being known.  (I + M)
+    hides the same eigenvalue from the series, so one damped round ends it:
+    h' = (v + h + M h)/2, shifted so that h'[-1] = 0, is returned.  Its
+    Poisson defect v + M h' - h' is M^2 w/2 + const, so it spans at most
+    ``ITERATION_TOL``/2 times |h|_inf, above a rounding floor that measured
+    3-6 eps |h|_inf (memory 4-7, random and near-tit-for-tat chains).
+    ``iterations`` counts chain rounds, the longer of the two loops: a
+    two-round product counts 2, u and the damped round 1 each.  Each loop
+    stays within :func:`iteration_budget` rounds, starting no stride that
+    the budget could not hold with the damped round; a member that has not
+    settled keeps its last iterate, ``converged`` False and ``iterations``
+    the budget.  A member's result does not depend on the other members,
+    and no member is solved dense.
     """
     quads = np.asarray(quads, dtype=float)
     batch, size, _ = quads.shape
@@ -502,7 +497,9 @@ def stationary_distribution(quads: np.ndarray) -> np.ndarray:
     return solved(nu[0])
 
 
-def _require_interior(p: StrategyVector, q: StrategyVector):
+def _require_game(p: StrategyVector, q: StrategyVector, f: np.ndarray):
+    if p.n != q.n or len(f) != n_states(p.n):
+        raise ValueError("memory orders of p, q, f must agree")
     dist = min(p.boundary_distance(), q.boundary_distance())
     if dist < INTERIOR_THRESHOLD:
         raise DegeneracyError(
@@ -560,10 +557,8 @@ def payoff(
     kept as the oracle.  Both refuse strategies within
     ``INTERIOR_THRESHOLD`` of the cube boundary (``DegeneracyError``).
     """
-    if p.n != q.n or len(f) != n_states(p.n):
-        raise ValueError("memory orders of p, q, f must agree")
     if method == "determinant":
-        _require_interior(p, q)
+        _require_game(p, q, f)
         return payoff_from_column(p, q, f)
     if method == "stationary":
         return payoff_solve(p, q, f)[0][0]
@@ -577,7 +572,7 @@ def payoff_solve(
 
     A solve that failed raises as :func:`solved` says.
     """
-    _require_interior(p, q)
+    _require_game(p, q, f)
     solve = solve_chain(build_transition_matrix(p, q)[None])
     nu = solved(solve.nu[0])
     sym, anti = payoff_parts(f)

@@ -376,6 +376,39 @@ def test_non_finite_game_payoffs_exit_two(command, game, payoffs, tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("unnormalized", [False, True])
+def test_payoffs_near_the_float_limit_give_json_or_exit_two(unnormalized, tmp_path):
+    """R = T = 1e308 is finite: the normalized memory-1 payoff and its split
+    stay finite, so the output is strict JSON; the unnormalized memory-2
+    vector sums two of them and overflows, which is refused with exit 2, the
+    payoffs named and no traceback."""
+    x = tmp_path / "x.json"
+    n = 2 if unnormalized else 1
+    x.write_text(json.dumps({"n": n, "probs": [0.6, 0.45, 0.5, 0.4] * 4 ** (n - 1)}))
+    argv = ["payoff", "--n", str(n), "--p", str(x), "--q", str(x)]
+    argv += ["--payoffs", "1e308", "0", "1e308", "0"] + ["--unnormalized"] * unnormalized
+    src = str(Path(memn.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "memn.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    if unnormalized:
+        assert done.returncode == 2
+        payoffs = "(1e+308, 0.0, 1e+308, 0.0)"
+        assert done.stderr == f"memn: game payoffs (R, S, T, P) = {payoffs} overflow memory 2\n"
+        return
+    assert done.returncode == 0, done.stderr
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    out = json.loads(done.stdout, parse_constant=refuse)
+    assert 0 < out["A_s"] < 1e308 and out["A"] == pytest.approx(out["A_s"] + out["A_a"])
+
+
 def test_imports_need_numpy_alone():
     """numpy is the only declared runtime dependency: importing the package,
     its CLI and its battery loads none of scipy, mpmath or sympy."""

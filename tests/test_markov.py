@@ -328,23 +328,42 @@ def test_iterate_chain_matches_dense_solves(n):
         assert np.abs(solve.h[k] - h).max() <= 1e-11 * np.abs(h).max()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [payoff, lambda p, q, f: payoff(p, q, f, method="determinant"), payoff_solve,
+     decompose_payoff],
+    ids=["payoff", "payoff-determinant", "payoff_solve", "decompose_payoff"],
+)
+@pytest.mark.parametrize("mismatch", ["f", "q"])
+def test_payoff_calls_refuse_differing_memory_orders(call, mismatch):
+    """Every payoff entry point names differing memory orders of p, q and f
+    before any matrix product sees them."""
+    p1, q1 = random_pair(np.random.default_rng(47), 1)
+    q2, _ = random_pair(np.random.default_rng(48), 2)
+    f = build_payoff_vector(DONATION, 2 if mismatch == "f" else 1)
+    q = q1 if mismatch == "f" else q2
+    with pytest.raises(ValueError, match="memory orders of p, q, f must agree"):
+        call(p1, q, f)
+
+
 def test_power_iteration_does_not_settle_on_a_two_cycle():
     """A memory-2 boundary chain with period 2: the focal player defects
     after mutual cooperation and cooperates otherwise, against unconditional
     cooperation, so play alternates CC, DC.  The uniform start feeds 3/4 of
     its mass to one phase, and M^2 fixes that uneven split from the fourth
-    round on; the single-round check sees each step swap the two phases,
-    so the iteration never settles, and the stationary split (1/2, 1/2) is
-    not mistaken for the start's."""
+    round on, so the stride's stop test passes at once.  The one averaging
+    round that ends the loop, (nu + nu M) / 2, evens the two phases: the
+    member converges on the stationary split (1/2, 1/2), not the start's
+    (1/4, 3/4), and nu M equals nu exactly."""
     states = np.arange(n_states(2))
     p = StrategyVector(2, np.where(states & 3 == 0, 0.0, 1.0))
     q = StrategyVector(2, np.ones(n_states(2)))
     m = build_transition_matrix(p, q)
     solve = iterate_chain(m[None])
-    assert not solve.converged[0] and solve.iterations[0] == iteration_budget(16)
+    assert solve.converged[0] and solve.iterations[0] == 2 * markov.STRIDE + 1
     nu = solve.nu[0]
-    np.testing.assert_array_equal(nu @ dense_matrix(m) @ dense_matrix(m), nu)
-    assert sorted(nu[nu > 0]) == [0.25, 0.75]
+    assert sorted(nu[nu > 0]) == [0.5, 0.5]
+    np.testing.assert_array_equal(nu @ dense_matrix(m), nu)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -423,20 +442,19 @@ def test_memory4_stack_is_matrix_free_with_dense_fallback():
 def test_poisson_series_does_not_settle_on_a_hidden_two_cycle():
     """A memory-4 chain with period 2: the focal player reverses its own
     last action against unconditional cooperation, so play alternates CC,
-    DC.  nu settles in the first stride, but M has the eigenvalue -1, which
-    (I + M) removes from the paired series: its terms vanish after one
-    stride while h misses its alternating part.  The
-    single-round Poisson defect check refuses that h, so the member
-    exhausts its budget and is solved dense, and h equals the dense
-    Poisson vector."""
+    DC.  M has the eigenvalue -1, which (I + M) removes from the paired
+    series: its terms vanish after one stride while the partial sum misses
+    its alternating part.  The damped round that ends the series, (v + h +
+    M h) / 2, restores that part, so the member is solved matrix-free, and
+    converged, in its first stride, and h equals the dense Poisson vector."""
     states = np.arange(n_states(4))
     p = StrategyVector(4, np.where((states >> 1) & 1 == 0, 0.0, 1.0))
     q = StrategyVector(4, np.ones(n_states(4)))
     m = build_transition_matrix(p, q)
     column = np.random.default_rng(45).uniform(-1.0, 1.0, n_states(4))
     solve = solve_chain(m[None], column)
-    assert solve.method() == "dense" and not solve.converged[0]
-    assert solve.iterations[0] == iteration_budget(256)
+    assert solve.method() == "matrix-free" and solve.converged[0]
+    assert solve.iterations[0] == 2 * markov.STRIDE + 2
     np.testing.assert_allclose(solve.nu[0], stationary_distribution(m), rtol=0, atol=1e-15)
     h = poisson_vector(m, column)
     assert np.abs(solve.h[0] - h).max() <= 1e-12 * np.abs(h).max()
