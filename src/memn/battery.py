@@ -4,8 +4,9 @@ Each check exercises one finitely checkable identity of the model at desk
 scale and returns its worst residual, the bound it is held to and a detail
 map; it passes when the residual is at most the bound.  The bound is a
 ledger value, or 0 where the residual is already a shortfall or an excess
-measured against the ledger.  Checks are deterministic given the seed; the
-report records seed, tolerance hash and per-check wall time.
+measured against the ledger.  Checks are deterministic given the seed, each
+from its own generator (:func:`run_battery`); the report records seed,
+tolerance hash and per-check wall time.
 """
 
 from __future__ import annotations
@@ -202,18 +203,15 @@ def check_conjugation_identities(rng, n_max, trials, tol):
 
 
 def check_admissibility(rng, n_max, trials, tol):
-    """Exactly eight admissible permutations; 1,000 random others fail at
-    memory 2.  ``tol`` is the (rank-1, row-sum) pair of bounds of the
-    structure test; the check is held to the first."""
-    passing = admissible_set_bruteforce_memory1(3, rng, *tol)
-    j_maps = sorted(tuple(build_j(k, 1).tolist()) for k in KINDS)
-    ok = sorted(passing) == j_maps
+    """Exactly the eight relabelings map every chain to a chain: all 24
+    permutations at memory 1, and at memory 2 the eight and 1,000 random
+    others.  The residual counts the misclassified permutations."""
+    passing = admissible_set_bruteforce_memory1()
+    misclassified = len(set(passing) ^ {tuple(build_j(k, 1).tolist()) for k in KINDS})
     detail = {"memory1_admissible_count": len(passing)}
     if n_max >= 2:
-        for kind in KINDS:
-            if not check_admissible(build_j(kind, 2), 2, 3, rng, *tol):
-                ok = False
         j2_maps = {tuple(build_j(k, 2).tolist()) for k in KINDS}
+        misclassified += sum(not check_admissible(np.array(j), 2) for j in j2_maps)
         false_passes = 0
         tested = 0
         while tested < 1000:
@@ -221,11 +219,10 @@ def check_admissibility(rng, n_max, trials, tol):
             if tuple(perm.tolist()) in j2_maps:
                 continue
             tested += 1
-            if check_admissible(perm, 2, 2, rng, *tol):
-                false_passes += 1
+            false_passes += check_admissible(perm, 2)
         detail["memory2_random_false_passes"] = false_passes
-        ok = ok and false_passes == 0
-    return (0.0 if ok else float("inf")), tol[0], detail
+        misclassified += false_passes
+    return float(misclassified), tol, detail
 
 
 def check_payoff_methods(rng, n_max, trials, tol):
@@ -547,7 +544,7 @@ _BATTERY = [
         "admissibility",
         "exactly eight permutations preserve transition structure",
         check_admissibility,
-        ("admissible_rank1", "admissible_row_sum"),
+        "conjugation_equality",
     ),
     (
         "payoff-methods",
@@ -651,6 +648,9 @@ def run_battery(
 ) -> VerificationReport:
     """Run the checks (all, or the ids in ``only``) and assemble the report.
 
+    Each check draws from its own generator, seeded by ``seed`` and its id,
+    so what it sees depends neither on the checks run before it nor on
+    ``only``: a check run alone reports what it reports in the full run.
     ``fault_injection`` adds ``FAULT_DELTA`` to one entry of the first
     memory-1 transition matrix that the structure check builds, as a
     negative control that must fail.
@@ -658,7 +658,6 @@ def run_battery(
     if n_max < 1 or trials < 1:
         raise ValueError(f"n_max and trials must be >= 1, got {n_max} and {trials}")
     tolerances = load_tolerances()
-    rng = np.random.default_rng(seed)
     checks = []
     t_start = time.perf_counter()
     selected = [
@@ -672,6 +671,7 @@ def run_battery(
         faulted = fault_injection and check_id == "matrix-structure"
         extra = {"inject_fault": True} if faulted else {}
         t0 = time.perf_counter()
+        rng = np.random.default_rng([seed, *check_id.encode()])
         residual, bound, detail = fn(rng, n_max, trials, tol, **extra)
         checks.append(
             CheckResult(

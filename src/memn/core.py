@@ -63,8 +63,9 @@ def decode_history(index: int, n: int):
     return rounds
 
 
-def bar_index(index: int, n: int) -> int:
-    """Swap focal and opponent bits within every round pair.
+def bar_index(index, n: int):
+    """Swap focal and opponent bits within every round pair, of one index
+    or an integer array of them.
 
     The result indexes the same sequence of events from the co-player's
     perspective; the map is an involution.
@@ -82,7 +83,7 @@ def complement_index(index: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def bar_permutation(n: int) -> np.ndarray:
     """The pair-swap map over all indices, as a read-only array."""
-    perm = np.array([bar_index(i, n) for i in range(n_states(n))])
+    perm = bar_index(np.arange(n_states(n)), n)
     perm.flags.writeable = False
     return perm
 

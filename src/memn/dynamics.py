@@ -169,7 +169,11 @@ def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
 
     Central differences perturb only the mutant entries, keeping the
     resident fixed at ``x``; the analytic method is :func:`field_batch` on
-    a batch of one.
+    a batch of one.  The field is linear in the column, so the analytic
+    method solves with the column scaled by a power of two to unit
+    max-norm and scales the field back, which is exact: payoffs near the
+    float limit do not overflow the solve, and a field that overflows by
+    itself raises ValueError naming the payoff magnitude.
     """
     if x.n != spec.n:
         raise ValueError("point and spec memory orders differ")
@@ -179,7 +183,14 @@ def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
         _check_margin(x, 2.0 * spec.h)
         return _field_central(x, column, spec.h, reparam)
     _check_margin(x, ANALYTIC_MARGIN)
-    return solved(field_batch(x.probs[None], column, reparam)[0])
+    exponent = np.frexp(np.abs(column).max())[1]
+    field = solved(field_batch(x.probs[None], np.ldexp(column, -exponent), reparam)[0])
+    with np.errstate(over="ignore"):
+        field = np.ldexp(field, exponent)
+    if not np.all(np.isfinite(field)):
+        magnitude = float(np.abs(spec.payoff).max())
+        raise ValueError(f"the field overflows at payoffs of magnitude {magnitude:.3g}")
+    return field
 
 
 def memory1_field_closed(p: StrategyVector, f) -> np.ndarray:

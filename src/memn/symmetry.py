@@ -1,12 +1,16 @@
 """The eight admissible index permutations and their conjugation identities.
 
-Each permutation is generated by up to three involutions on history indices:
-flipping the focal player's action labels, flipping the co-player's labels,
-and swapping the two players' roles within every round.  Flips are applied
-first, then the swap.  A permutation is its read-only index array ``perm``,
-with the convention that the corresponding permutation matrix J has
-``J[i, perm[i]] = 1``, so ``J v`` is ``v[perm]`` and conjugation ``J M J^T``
-relabels both axes of a chain's quadruples.
+A permutation is admissible when conjugating by it maps every chain to a
+chain.  That is index arithmetic, decided exactly by
+:func:`_conjugation_layout`: no chain is built and nothing is sampled.
+Exactly the eight relabelings below are admissible.  Each is generated by
+up to three involutions on history indices: flipping the focal player's
+action labels, flipping the co-player's labels, and swapping the two
+players' roles within every round.  Flips are applied first, then the swap.
+A permutation is its read-only index array ``perm``, with the convention
+that the corresponding permutation matrix J has ``J[i, perm[i]] = 1``, so
+``J v`` is ``v[perm]`` and conjugation ``J M J^T`` relabels both axes of a
+chain's quadruples.
 """
 
 from __future__ import annotations
@@ -15,15 +19,8 @@ from itertools import permutations as all_permutations
 
 import numpy as np
 
-from .core import (
-    StrategyVector,
-    _focal_mask,
-    _opponent_mask,
-    bar_index,
-    n_states,
-)
-from .markov import build_transition_matrix, quad_columns
-from .tolerances import DEFAULTS
+from .core import _focal_mask, _opponent_mask, bar_permutation, n_states
+from .markov import quad_columns
 
 KINDS = ("J1", "J2", "J3", "J4", "J5", "J6", "J7", "J8")
 
@@ -65,10 +62,9 @@ def build_j(kind: str, n: int) -> np.ndarray:
         mask |= _focal_mask(n)
     if flip_opponent:
         mask |= _opponent_mask(n)
-    idx = np.arange(n_states(n))
-    idx = idx ^ mask
+    idx = np.arange(n_states(n)) ^ mask
     if swap:
-        idx = np.array([bar_index(int(i), n) for i in idx])
+        idx = bar_permutation(n)[idx]
     idx.flags.writeable = False
     return idx
 
@@ -104,31 +100,37 @@ def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _conjugation_layout(perm: np.ndarray) -> np.ndarray | None:
-    """Where J M J^T takes each quadruple entry from, in quadruple space.
+    """Where J M J^T takes each quadruple entry from, or None when J M J^T
+    is not a chain for every M.
 
     Row ``i`` of J M J^T is row ``perm[i]`` of M with its columns relabeled;
     its quadruple columns ``c`` read M at column ``perm[c]``, which is entry
     ``k = perm[c] - (first quadruple column of row perm[i])`` of that row's
-    quadruple.  The conjugate keeps the quadruple layout iff every ``k`` lies
-    in [0, 3]; then ``quads[perm[:, None], k]`` are its quadruples, and
-    otherwise None is returned.
+    quadruple e = (pq, p(1-q), (1-p)q, (1-p)(1-q)).  Every ``k`` in [0, 3]
+    keeps the quadruple layout; the row e[k] is then nonnegative with unit
+    sum, and of product form for every p and q iff e[k0] e[k3] = e[k1] e[k2].
+    Of the six pair products of e only e0 e3 and e1 e2 are equal, so that
+    holds iff k0 + k3 = 3.  Under both rules ``quads[perm[:, None], k]``
+    are the conjugate's quadruples.
     """
     cols = quad_columns(len(perm))
     k = perm[cols] - cols[perm, 0][:, None]
-    return k if k.min() >= 0 and k.max() <= 3 else None
+    fits = k.min() >= 0 and k.max() <= 3 and np.all(k[:, 0] + k[:, 3] == 3)
+    return k if fits else None
 
 
 def conjugate_matrix(quads: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """J M J^T of a chain's quadruples as a pure relabeling (no arithmetic).
 
     Raises ValueError when ``perm`` has another size than the chain or does
-    not keep the quadruple layout.
+    not map every chain to a chain (:func:`_conjugation_layout`), such as
+    memory-1 (0, 1, 3, 2), which keeps the layout but not product form.
     """
     if len(perm) != len(quads):
         raise ValueError("permutation and matrix dimensions differ")
     k = _conjugation_layout(perm)
     if k is None:
-        raise ValueError("the permutation does not keep the quadruple layout")
+        raise ValueError("the permutation does not keep the quadruple layout of a chain")
     return quads[perm[:, None], k]
 
 
@@ -143,65 +145,18 @@ def payoff_vector_reflection_residual(f: np.ndarray) -> float:
     return float(np.abs(-f + (f[0] + f[-1]) - f[::-1]).max())
 
 
-def _quadruple_residuals(quads: np.ndarray) -> tuple[float, float, float]:
-    """(worst negative entry, worst row-sum defect, worst rank-1 defect)."""
-    neg = float(max(0.0, -quads.min()))
-    row_sum = float(np.abs(quads.sum(axis=1) - 1.0).max())
-    rank1 = float(np.abs(quads[:, 0] * quads[:, 3] - quads[:, 1] * quads[:, 2]).max())
-    return neg, row_sum, rank1
-
-
-def check_admissible(
-    perm: np.ndarray,
-    n: int,
-    trials: int = 5,
-    rng: np.random.Generator | None = None,
-    rank1_tol: float = DEFAULTS["admissible_rank1"],
-    row_sum_tol: float = DEFAULTS["admissible_row_sum"],
-) -> bool:
-    """Test whether conjugating by ``perm`` preserves transition structure.
-
-    For ``trials`` random interior strategy pairs the conjugated matrix must
-    keep the four-per-row sparsity pattern, and every row quadruple must be
-    nonnegative, sum to one, and factor as (yz, y(1-z), (1-y)z, (1-y)(1-z)),
-    which for a nonnegative unit-sum quadruple is equivalent to the 2x2
-    reshape having rank 1.  A row sum may miss one by ``row_sum_tol`` and
-    the rank-1 defect reach ``rank1_tol``.
-    """
+def check_admissible(perm: np.ndarray, n: int) -> bool:
+    """Whether conjugating by ``perm`` maps every memory-``n`` chain to a
+    chain, decided exactly by :func:`_conjugation_layout`."""
     perm = np.asarray(perm, dtype=int)
-    size = n_states(n)
-    if sorted(perm.tolist()) != list(range(size)):
+    if sorted(perm.tolist()) != list(range(n_states(n))):
         raise ValueError("perm is not a bijection on the index set")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    k = _conjugation_layout(perm)
-    for _ in range(trials):
-        p = StrategyVector(n, rng.uniform(0.05, 0.95, size))
-        q = StrategyVector(n, rng.uniform(0.05, 0.95, size))
-        # the pair is drawn first, so later draws do not depend on the layout
-        if k is None:
-            return False
-        conj = build_transition_matrix(p, q)[perm[:, None], k]
-        neg, row_sum, rank1 = _quadruple_residuals(conj)
-        if neg > 0.0 or row_sum > row_sum_tol or rank1 > rank1_tol:
-            return False
-    return True
+    return _conjugation_layout(perm) is not None
 
 
-def admissible_set_bruteforce_memory1(
-    trials: int = 5,
-    rng: np.random.Generator | None = None,
-    rank1_tol: float = DEFAULTS["admissible_rank1"],
-    row_sum_tol: float = DEFAULTS["admissible_row_sum"],
-):
+def admissible_set_bruteforce_memory1():
     """All permutations of the 4 memory-1 states that pass admissibility."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    passing = []
-    for perm in all_permutations(range(4)):
-        if check_admissible(np.array(perm), 1, trials, rng, rank1_tol, row_sum_tol):
-            passing.append(tuple(perm))
-    return passing
+    return [perm for perm in all_permutations(range(4)) if check_admissible(np.array(perm), 1)]
 
 
 def j2_eigenvalue_multiplicities(n: int) -> tuple[int, int]:
@@ -211,6 +166,6 @@ def j2_eigenvalue_multiplicities(n: int) -> tuple[int, int]:
     contributes one -1 eigenvector, every fixed point a +1 eigenvector.
     """
     size = n_states(n)
-    fixed = sum(1 for i in range(size) if bar_index(i, n) == i)
+    fixed = int(np.count_nonzero(bar_permutation(n) == np.arange(size)))
     minus = (size - fixed) // 2
     return minus, size - minus

@@ -15,8 +15,6 @@ import os
 DEFAULTS = {
     "row_sum": 1e-12,
     "conjugation_equality": 0.0,
-    "admissible_rank1": 1e-10,
-    "admissible_row_sum": 1e-12,
     "payoff_methods": 1e-8,
     "reactive_closed_form": 1e-10,
     "constant_shift": 1e-10,

@@ -110,12 +110,11 @@ def test_criterion_02_conjugation_identities():
 def test_criterion_03_admissibility_classification():
     rng = np.random.default_rng(103)
     t0 = time.time()
-    passing = admissible_set_bruteforce_memory1(trials=5, rng=rng)
+    passing = admissible_set_bruteforce_memory1()
     expected = sorted(tuple(build_j(k, 1).tolist()) for k in KINDS)
     n1_ok = sorted(passing) == expected
     n2_all_pass = all(
-        check_admissible(build_j(kind, 2), 2, trials=3, rng=rng)
-        for kind in KINDS
+        check_admissible(build_j(kind, 2), 2) for kind in KINDS
     )
     j_maps = {tuple(build_j(k, 2).tolist()) for k in KINDS}
     false_passes = 0
@@ -125,7 +124,7 @@ def test_criterion_03_admissibility_classification():
         if tuple(perm.tolist()) in j_maps:
             continue
         tested += 1
-        if check_admissible(perm, 2, trials=2, rng=rng):
+        if check_admissible(perm, 2):
             false_passes += 1
     elapsed = time.time() - t0
     ok = n1_ok and n2_all_pass and false_passes == 0 and elapsed < 60.0
@@ -328,18 +327,12 @@ def test_criterion_08_tft_stationarity():
 
 def test_criterion_09_z2_mirror():
     rng = np.random.default_rng(109)
-    f1 = build_payoff_vector(DONATION, 1)
-    spec1 = FieldSpec(1, f1, "full")
-    worst1 = 0.0
-    for _ in range(10):
-        x0 = StrategyVector(1, rng.uniform(0.3, 0.7, 4))
-        worst1 = max(worst1, z2_mirror_check(spec1, x0, t_max=1.0, dt=1e-3))
-    f2 = build_payoff_vector(DONATION, 2)
-    spec2 = FieldSpec(2, f2, "full")
-    worst2 = 0.0
-    for _ in range(10):
-        x0 = StrategyVector(2, rng.uniform(0.35, 0.65, 16))
-        worst2 = max(worst2, z2_mirror_check(spec2, x0, t_max=0.25, dt=2e-3))
+    spec1 = FieldSpec(1, build_payoff_vector(DONATION, 1), "full")
+    starts1 = [StrategyVector(1, rng.uniform(0.3, 0.7, 4)) for _ in range(10)]
+    worst1 = z2_mirror_check(spec1, starts1, t_max=1.0, dt=1e-3)
+    spec2 = FieldSpec(2, build_payoff_vector(DONATION, 2), "full")
+    starts2 = [StrategyVector(2, rng.uniform(0.35, 0.65, 16)) for _ in range(10)]
+    worst2 = z2_mirror_check(spec2, starts2, t_max=0.25, dt=2e-3)
     ok = worst1 <= 1e-6 and worst2 <= 1e-5
     assert report(
         9, "z2-mirror", ok, f"(n=1 {worst1:.1e}, n=2 {worst2:.1e})"

@@ -14,7 +14,7 @@ from memn import __version__
 from memn.battery import _BATTERY, FAULT_DELTA, run_battery
 from memn.cli import build_parser, main
 from memn.core import GameParams, StrategyVector, bar_permutation, build_payoff_vector
-from memn.markov import decompose_payoff, payoff, payoff_from_column
+from memn.markov import decompose_payoff, payoff, payoff_from_column, quad_columns
 from memn.tolerances import DEFAULTS
 
 
@@ -376,6 +376,19 @@ def test_non_finite_game_payoffs_exit_two(command, game, payoffs, tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def run_memn(argv):
+    """``python -m memn.cli argv`` in a subprocess that fails on any numpy
+    overflow or invalid-value warning."""
+    src = str(Path(memn.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "memn.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 @pytest.mark.parametrize("unnormalized", [False, True])
 def test_payoffs_near_the_float_limit_give_json_or_exit_two(unnormalized, tmp_path):
     """R = T = 1e308 is finite: the normalized memory-1 payoff and its split
@@ -387,14 +400,7 @@ def test_payoffs_near_the_float_limit_give_json_or_exit_two(unnormalized, tmp_pa
     x.write_text(json.dumps({"n": n, "probs": [0.6, 0.45, 0.5, 0.4] * 4 ** (n - 1)}))
     argv = ["payoff", "--n", str(n), "--p", str(x), "--q", str(x)]
     argv += ["--payoffs", "1e308", "0", "1e308", "0"] + ["--unnormalized"] * unnormalized
-    src = str(Path(memn.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "memn.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    done = run_memn(argv)
     if unnormalized:
         assert done.returncode == 2
         payoffs = "(1e+308, 0.0, 1e+308, 0.0)"
@@ -407,6 +413,36 @@ def test_payoffs_near_the_float_limit_give_json_or_exit_two(unnormalized, tmp_pa
 
     out = json.loads(done.stdout, parse_constant=refuse)
     assert 0 < out["A_s"] < 1e308 and out["A"] == pytest.approx(out["A_s"] + out["A_a"])
+
+
+def test_field_near_the_float_limit_is_the_scaled_field(tmp_path):
+    """The field is linear in the payoffs: at R = T = 1e308 an interior
+    memory-2 point gives strict JSON equal to 1e308 times the field at
+    R = T = 1, where the unscaled solve overflowed."""
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"n": 2, "probs": np.linspace(0.3, 0.7, 16).tolist()}))
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    fields = {}
+    for scale in ("1e308", "1"):
+        done = run_memn(["field", "--n", "2", "--at", str(x), "--payoffs", scale, "0", scale, "0"])
+        assert done.returncode == 0, done.stderr
+        fields[scale] = np.array(json.loads(done.stdout, parse_constant=refuse)["field"])
+    expected = 1e308 * fields["1"]
+    assert np.abs(fields["1e308"] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_field_that_overflows_exits_two(tmp_path):
+    """Near tit-for-tat (eps = 0.01) the memory-1 field at R = T = 1e308 is
+    3.44 * 2**1024, past the float limit: exit 2, naming the payoffs."""
+    x = tmp_path / "tft.json"
+    x.write_text(json.dumps({"n": 1, "probs": [0.99, 0.01, 0.99, 0.01]}))
+    done = run_memn(["field", "--n", "1", "--at", str(x), "--payoffs", "1e308", "0", "1e308", "0"])
+    assert done.returncode == 2
+    assert done.stderr == "memn: the field overflows at payoffs of magnitude 1e+308\n"
+    assert done.stdout == ""
 
 
 def test_imports_need_numpy_alone():
@@ -528,49 +564,38 @@ def test_tolerance_override_env(tmp_path, monkeypatch):
     assert baseline["tolerance_hash"]
 
 
-def test_admissible_rank1_override_governs_admissibility(tmp_path, monkeypatch):
-    """With the rank-1 bound relaxed to 1, every memory-1 permutation passes
-    the structure test, so the check's count of eight must fail."""
+def test_admissibility_fails_without_the_product_form_rule(tmp_path, monkeypatch):
+    """With the k0 + k3 = 3 clause taken out of the admissibility rule,
+    every memory-1 permutation keeps the quadruple layout and passes, so
+    the check's count of eight must fail, while the rule passes it."""
+
+    def layout_only(perm):
+        cols = quad_columns(len(perm))
+        k = perm[cols] - cols[perm, 0][:, None]
+        return k if k.min() >= 0 and k.max() <= 3 else None
+
     argv = ["verify", "symmetry", "--n-max", "1", "--trials", "3"]
-    overrides = tmp_path / "tol.json"
-    overrides.write_text(json.dumps({"admissible_rank1": 1.0}))
     outcomes = {}
-    for label, env in (("default", None), ("relaxed", str(overrides))):
-        if env is None:
-            monkeypatch.delenv("MEMN_TOLERANCES", raising=False)
-        else:
-            monkeypatch.setenv("MEMN_TOLERANCES", env)
+    for label in ("rule", "layout-only"):
+        if label == "layout-only":
+            monkeypatch.setattr(memn.symmetry, "_conjugation_layout", layout_only)
         path = tmp_path / f"{label}.json"
         main(argv + ["--out", str(path)])
         checks = json.loads(path.read_text())["checks"]
         outcomes[label] = next(c for c in checks if c["check_id"] == "admissibility")
-    assert outcomes["default"]["passed"]
-    assert not outcomes["relaxed"]["passed"]
-    assert outcomes["relaxed"]["detail"]["memory1_admissible_count"] == 24
+    assert outcomes["rule"]["passed"]
+    assert outcomes["rule"]["detail"]["memory1_admissible_count"] == 8
+    assert not outcomes["layout-only"]["passed"]
+    assert outcomes["layout-only"]["detail"]["memory1_admissible_count"] == 24
 
 
-def test_admissible_row_sum_override_governs_admissibility(tmp_path, monkeypatch):
-    """The structure test reads its row-sum bound from the ledger: with the
-    bound tightened to 0 an admissible map fails wherever a conjugated row
-    sums to one only up to rounding, so the check's count of eight must
-    fail, while the default passes."""
-    argv = ["verify", "symmetry", "--n-max", "1", "--trials", "3"]
-    overrides = tmp_path / "tol.json"
-    overrides.write_text(json.dumps({"admissible_row_sum": 0.0}))
-    outcomes = {}
-    for label, env in (("default", None), ("exact", str(overrides))):
-        if env is None:
-            monkeypatch.delenv("MEMN_TOLERANCES", raising=False)
-        else:
-            monkeypatch.setenv("MEMN_TOLERANCES", env)
-        path = tmp_path / f"{label}.json"
-        main(argv + ["--out", str(path)])
-        checks = json.loads(path.read_text())["checks"]
-        outcomes[label] = next(c for c in checks if c["check_id"] == "admissibility")
-    assert outcomes["default"]["passed"]
-    assert outcomes["default"]["detail"]["memory1_admissible_count"] == 8
-    assert not outcomes["exact"]["passed"]
-    assert outcomes["exact"]["detail"]["memory1_admissible_count"] < 8
+def test_a_check_draws_the_same_alone_and_after_another():
+    """Each check has its own random stream: payoff-methods run alone
+    reports what it reports after matrix-structure has drawn its pairs."""
+    (alone,) = run_battery(only={"payoff-methods"}).checks
+    after = run_battery(only={"matrix-structure", "payoff-methods"}).checks[-1]
+    assert after.check_id == "payoff-methods"
+    assert (after.max_residual, after.detail) == (alone.max_residual, alone.detail)
 
 
 def test_counting_invariance_override_governs_counting_consistency(tmp_path, monkeypatch):
