@@ -539,9 +539,11 @@ def default_conserved(n: int):
 class Trajectory:
     """Accepted states of one integration, with per-step diagnostics.
 
-    ``rejected_steps`` counts RK45 steps retried at half the step size and
-    ``floor_steps`` those accepted at the 1e-8 step floor although their
-    error estimate exceeded the 1e-10 tolerance.
+    An ensemble shares one step, so these count the ensemble's rounds while
+    this member was running: ``rejected_steps`` the steps retried at half
+    the step size and ``floor_steps`` those accepted at the 1e-8 step floor
+    although some running member's error estimate exceeded the 1e-10
+    tolerance.
     """
 
     times: np.ndarray
@@ -559,15 +561,14 @@ class Trajectory:
 
 @dataclass
 class Ensemble:
-    """Trajectories of one lockstep integration, one per row of the starts."""
+    """Trajectories of one lockstep integration, one per row of the starts.
 
+    ``times`` is the shared clock: every time at which some member moved.
+    Each member's times are a prefix of it.
+    """
+
+    times: np.ndarray
     members: list
-
-    @property
-    def times(self) -> np.ndarray:
-        """Every time at which some member has a state: the common clock of
-        an RK4 ensemble, the union of the members' clocks under RK45."""
-        return np.unique(np.concatenate([m.times for m in self.members]))
 
 
 @dataclass
@@ -651,6 +652,14 @@ def integrate_path(
     finite).  A stopped member stays frozen at its last accepted state and
     keeps its row, so rows line up with per-member columns inside ``fn``.
 
+    The whole ensemble runs on one clock and one step.  RK4 steps by
+    ``dt``.  RK45 halves the step, down to 1e-8, while any running member's
+    error estimate exceeds 1e-10, and doubles it, up to ``dt``, after a
+    step on which every running member's estimate is below 1e-11.  So each
+    member's trajectory is the first rows of one log of the rounds in
+    which some member moved, and the ensemble's ``times`` is that log's
+    clock.
+
     The field at each accepted state is evaluated once: it gives the
     recorded field norm and the next step's first stage.  ``observers``
     maps names to functions of an array of states (one per row), recorded
@@ -696,75 +705,59 @@ def integrate_path(
     slope = fn(y)
     norm = np.abs(slope).max(axis=1)
     halt(~np.isfinite(norm), "field_error")
-    t = np.zeros(batch)
-    h = np.full(batch, float(dt))
+    t, h = 0.0, float(dt)
     rejected = np.zeros(batch, dtype=int)
     floor = np.zeros(batch, dtype=int)
-    # one row per round that accepted a step: each member's state, time,
-    # step size, field norm and whether it moved; grown by doubling
-    width = y.shape[1]
-    log = np.empty((64, batch, width + 4))
-    log[0] = np.column_stack([y, t, np.zeros(batch), norm, np.ones(batch)])
-    rounds = 1
-    while True:
-        running &= t < t_max - 1e-15
+    rows = np.ones(batch, dtype=int)  # each member's rows in the log
+    # the log: one entry per round in which some member moved
+    clock, steps, states, norms = [t], [0.0], [y], [norm]
+    while running.any() and t < t_max - 1e-15:
+        h = min(h, t_max - t)
+        candidate, err = step(evaluate, y, h, slope)
+        # RK4 has no error estimate, so its step stays dt
+        worst = 0.0 if err is None else np.max(err, where=running, initial=0.0)
+        if worst > _RK45_TOL and h > _RK45_FLOOR:
+            rejected += running
+            h = max(h * 0.5, _RK45_FLOOR)
+            continue
+        if not min(candidate.min(), 1.0 - candidate.max()) >= boundary_margin:
+            halt(running & (_cube_distance(candidate) < boundary_margin), "boundary")
         if not running.any():
             break
-        h = np.minimum(dt if method == "rk4" else h, t_max - t)
-        candidate, err = step(evaluate, y, h[:, None], slope)
-        accept = running.copy()
-        if err is not None:
-            retry = accept & (err > _RK45_TOL) & (h > _RK45_FLOOR)
-            rejected += retry
-            h = np.where(retry, np.maximum(h * 0.5, _RK45_FLOOR), h)
-            accept &= ~retry
-        if not min(candidate.min(), 1.0 - candidate.max()) >= boundary_margin:
-            halt(accept & (_cube_distance(candidate) < boundary_margin), "boundary")
-            accept &= running
-        if not accept.any():
-            continue
-        # accepted members move; the others keep their rows
-        np.copyto(y, candidate, where=accept[:, None])
-        np.add(t, h, out=t, where=accept)
-        fresh = fn(y)
-        np.copyto(slope, fresh, where=accept[:, None])
-        norm = np.abs(fresh).max(axis=1)
-        halt(accept & ~np.isfinite(norm), "field_error")
-        if rounds == len(log):
-            log = np.concatenate([log, np.empty_like(log)])
-        np.concatenate(
-            [y, t[:, None], h[:, None], norm[:, None], accept[:, None]],
-            axis=1,
-            out=log[rounds],
+        # running members move; the others keep their rows
+        y = np.where(running[:, None], candidate, y)
+        t += h
+        slope = fn(y)
+        norm = np.abs(slope).max(axis=1)
+        rows += running
+        if worst > _RK45_TOL:
+            floor += running
+        halt(running & ~np.isfinite(norm), "field_error")
+        clock.append(t)
+        steps.append(h)
+        states.append(y)
+        norms.append(norm)
+        if worst < 0.1 * _RK45_TOL:
+            h = min(h * 2.0, dt)
+    clock, steps = np.array(clock), np.array(steps)
+    states, norms = np.stack(states), np.stack(norms)
+    members = [
+        Trajectory(
+            times=clock[: rows[k]],
+            states=states[: rows[k], k],
+            step_sizes=steps[: rows[k]],
+            field_norms=norms[: rows[k], k],
+            conserved={
+                name: np.asarray(obs(states[: rows[k], k]), dtype=float)
+                for name, obs in observers.items()
+            },
+            stop_reason=stop[k],
+            rejected_steps=int(rejected[k]),
+            floor_steps=int(floor[k]),
         )
-        rounds += 1
-        if err is not None:
-            floor += accept & (err > _RK45_TOL)
-            grow = accept & (err < 0.1 * _RK45_TOL)
-            h = np.where(grow, np.minimum(h * 2.0, dt), h)
-    members = []
-    for k in range(batch):
-        rows = np.flatnonzero(log[:rounds, k, -1])
-        if rows[-1] == len(rows) - 1:  # moved in every round until it stopped
-            rows = slice(len(rows))  # so its entries are a view, not a copy
-        entries = log[rows, k]
-        path = entries[:, :width]
-        members.append(
-            Trajectory(
-                times=entries[:, width],
-                states=path,
-                step_sizes=entries[:, width + 1],
-                field_norms=entries[:, width + 2],
-                conserved={
-                    name: np.asarray(obs(path), dtype=float)
-                    for name, obs in observers.items()
-                },
-                stop_reason=stop[k],
-                rejected_steps=int(rejected[k]),
-                floor_steps=int(floor[k]),
-            )
-        )
-    return members[0] if np.ndim(y0) == 1 else Ensemble(members)
+        for k in range(batch)
+    ]
+    return members[0] if np.ndim(y0) == 1 else Ensemble(clock, members)
 
 
 def field_function(spec: FieldSpec):
