@@ -389,6 +389,21 @@ def test_integrate_path_field_evaluations(method):
     np.testing.assert_allclose(trajectory.final_state(), 0.501, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    ("method", "dt", "t_max", "steps"),
+    [("rk4", 1e-3, 2.0, 2000), ("rk45-adaptive", 0.05, 3.0, 60)],
+)
+def test_last_step_lands_on_t_max(method, dt, t_max, steps):
+    """Rounding in the summed steps adds no sliver of a step at the end: the
+    run takes t_max / dt steps and its last time is t_max exactly."""
+    trajectory = integrate_path(
+        lambda v: np.full_like(v, 0.01), np.full(4, 0.5), dt, t_max, method=method
+    )
+    assert trajectory.stop_reason == "t_max"
+    assert len(trajectory.times) - 1 == steps
+    assert trajectory.times[-1] == t_max
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_field_batch_matches_adaptive_field(n):
     """One batch mixing the full, symmetric and anti-symmetric columns row by
