@@ -23,9 +23,9 @@ and |det B| from :func:`markov.det_magnitude`: :mod:`markov` alone knows
 the chain layout and how, and at what sizes, its systems are solved.
 :func:`adaptive_field` is its batch-of-one call behind the validation of
 the API edge.  The RK4/RK45 steppers of :func:`integrate_path` advance a
-whole ensemble of starts in lockstep, each member stopping on its own, so
-the checks that sample several starts (the mirror check, the conserved
-drift, the perturbation envelope) integrate them together.  The printed
+whole ensemble of starts in lockstep on one clock, each member stopping on
+its own, so the checks that sample several starts (the mirror check, the
+conserved drift, the perturbation envelope) integrate them together.  The printed
 memory-1 and counting closed forms are oracles only: the checks compare the
 kernel against them, and no integration runs on them.
 """
@@ -164,16 +164,24 @@ def _field_central(x: StrategyVector, column: np.ndarray, h: float, reparam: boo
     return out
 
 
+def _unit_column(column: np.ndarray):
+    """``column`` scaled by a power of two to a max-norm below 1, and the
+    exponent that scales a field of it back.  The field is linear in the
+    column and a power of two scales every rounding step exactly, so the
+    scaled solve gives the same field, and payoffs near the float limit do
+    not overflow it."""
+    exponent = int(np.frexp(np.abs(column).max())[1])
+    return np.ldexp(column, -exponent), exponent
+
+
 def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
     """Mutant-payoff gradient at resident ``x`` for the chosen variant.
 
     Central differences perturb only the mutant entries, keeping the
     resident fixed at ``x``; the analytic method is :func:`field_batch` on
-    a batch of one.  The field is linear in the column, so the analytic
-    method solves with the column scaled by a power of two to unit
-    max-norm and scales the field back, which is exact: payoffs near the
-    float limit do not overflow the solve, and a field that overflows by
-    itself raises ValueError naming the payoff magnitude.
+    a batch of one, solved with the column of :func:`_unit_column`.  Either
+    way, a field that is not finite, as near the float limit of the
+    payoffs, raises ValueError naming the payoff magnitude.
     """
     if x.n != spec.n:
         raise ValueError("point and spec memory orders differ")
@@ -181,12 +189,14 @@ def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
     reparam = spec.variant == "antisymmetric_reparam"
     if spec.gradient_method == "central_difference":
         _check_margin(x, 2.0 * spec.h)
-        return _field_central(x, column, spec.h, reparam)
-    _check_margin(x, ANALYTIC_MARGIN)
-    exponent = np.frexp(np.abs(column).max())[1]
-    field = solved(field_batch(x.probs[None], np.ldexp(column, -exponent), reparam)[0])
-    with np.errstate(over="ignore"):
-        field = np.ldexp(field, exponent)
+        with np.errstate(over="ignore", invalid="ignore"):
+            field = _field_central(x, column, spec.h, reparam)
+    else:
+        _check_margin(x, ANALYTIC_MARGIN)
+        scaled, exponent = _unit_column(column)
+        field = solved(field_batch(x.probs[None], scaled, reparam)[0])
+        with np.errstate(over="ignore"):
+            field = np.ldexp(field, exponent)
     if not np.all(np.isfinite(field)):
         magnitude = float(np.abs(spec.payoff).max())
         raise ValueError(f"the field overflows at payoffs of magnitude {magnitude:.3g}")
@@ -628,7 +638,8 @@ def _rk45_step(fn, y, dt, k1):
         ks.append(fn(point))
     fourth = y + dt * sum(c * k for c, k in zip(_RK45_FOURTH, ks))
     fifth = y + dt * sum(c * k for c, k in zip(_RK45_FIFTH, ks))
-    return fifth, np.linalg.norm(fifth - fourth, axis=1)
+    with np.errstate(over="ignore"):  # an estimate that overflows is rejected
+        return fifth, np.linalg.norm(fifth - fourth, axis=1)
 
 
 def integrate_path(
@@ -658,7 +669,9 @@ def integrate_path(
     step on which every running member's estimate is below 1e-11.  So each
     member's trajectory is the first rows of one log of the rounds in
     which some member moved, and the ensemble's ``times`` is that log's
-    clock.
+    clock.  The last step takes the whole remainder when it is within a
+    factor 1 + 1e-6 of the step, so a run that reaches t_max ends on it
+    exactly.
 
     The field at each accepted state is evaluated once: it gives the
     recorded field norm and the next step's first stage.  ``observers``
@@ -693,12 +706,12 @@ def integrate_path(
     def evaluate(points):
         if not min(points.min(), 1.0 - points.max()) >= ANALYTIC_MARGIN:
             halt(running & ~(_cube_distance(points) >= ANALYTIC_MARGIN), "boundary")
+        if not running.all():
             if not running.any():
                 return np.zeros_like(points)
-        if not running.all():
             points = np.where(running[:, None], points, y)
         k = fn(points)
-        if not math.isfinite(k.sum()):
+        if not np.isfinite(k).all():
             halt(running & ~np.all(np.isfinite(k), axis=1), "field_error")
         return k
 
@@ -708,7 +721,7 @@ def integrate_path(
     t, h = 0.0, float(dt)
     rejected = np.zeros(batch, dtype=int)
     floor = np.zeros(batch, dtype=int)
-    rows = np.ones(batch, dtype=int)  # each member's rows in the log
+    length = np.ones(batch, dtype=int)  # each member's entries in the log
     # the log: one entry per round in which some member moved
     clock, steps, states, norms = [t], [0.0], [y], [norm]
     while running.any() and t < t_max:
@@ -735,7 +748,7 @@ def integrate_path(
         t = t_max if last else t + h
         slope = fn(y)
         norm = np.abs(slope).max(axis=1)
-        rows += running
+        length += running
         if worst > _RK45_TOL:
             floor += running
         halt(running & ~np.isfinite(norm), "field_error")
@@ -747,32 +760,35 @@ def integrate_path(
             h = min(h * 2.0, dt)
     clock, steps = np.array(clock), np.array(steps)
     states, norms = np.stack(states), np.stack(norms)
-    members = [
-        Trajectory(
-            times=clock[: rows[k]],
-            states=states[: rows[k], k],
-            step_sizes=steps[: rows[k]],
-            field_norms=norms[: rows[k], k],
-            conserved={
-                name: np.asarray(obs(states[: rows[k], k]), dtype=float)
-                for name, obs in observers.items()
-            },
-            stop_reason=stop[k],
-            rejected_steps=int(rejected[k]),
-            floor_steps=int(floor[k]),
+    members = []
+    for k, m in enumerate(length):
+        path = states[:m, k]
+        members.append(
+            Trajectory(
+                times=clock[:m],
+                states=path,
+                step_sizes=steps[:m],
+                field_norms=norms[:m, k],
+                conserved={
+                    name: np.asarray(obs(path), dtype=float)
+                    for name, obs in observers.items()
+                },
+                stop_reason=stop[k],
+                rejected_steps=int(rejected[k]),
+                floor_steps=int(floor[k]),
+            )
         )
-        for k in range(batch)
-    ]
     return members[0] if np.ndim(y0) == 1 else Ensemble(clock, members)
 
 
 def field_function(spec: FieldSpec):
-    """(batch, size) -> (batch, size) analytic field for the integrators."""
+    """(batch, size) -> (batch, size) analytic field for the integrators,
+    solved with the column of :func:`_unit_column`."""
     if spec.gradient_method != "analytic_determinant":
         raise ValueError("integration uses the analytic field")
-    column = variant_column(spec)
+    column, exponent = _unit_column(variant_column(spec))
     reparam = spec.variant == "antisymmetric_reparam"
-    return lambda v: field_batch(v, column, reparam)
+    return lambda v: np.ldexp(field_batch(v, column, reparam), exponent)
 
 
 def _starts(spec: FieldSpec, x0) -> np.ndarray:

@@ -445,6 +445,40 @@ def test_field_that_overflows_exits_two(tmp_path):
     assert done.stdout == ""
 
 
+def test_central_differences_near_the_float_limit_exit_two(tmp_path):
+    """At R = T = 1e308 the determinants of the central-difference quotient
+    overflow although the analytic field is finite: the method refuses the
+    field by the same rule, exit 2 naming the payoffs, not a NaN field."""
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"n": 2, "probs": np.linspace(0.3, 0.7, 16).tolist()}))
+    argv = ["field", "--n", "2", "--at", str(x), "--payoffs", "1e308", "0", "1e308", "0"]
+    done = run_memn(argv + ["--method", "central_difference"])
+    assert done.returncode == 2
+    assert done.stderr == "memn: the field overflows at payoffs of magnitude 1e+308\n"
+    assert done.stdout == ""
+
+
+def test_integration_near_the_float_limit_uses_the_scaled_field(tmp_path):
+    """At R = T = 1e308 the integrator sees the finite field of ``memn
+    field``: its first stage leaves the cube, so the run stops at the
+    boundary at t = 0 with that field's norm, not with field_error."""
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"n": 1, "probs": [0.5, 0.65, 0.4, 0.65]}))
+    payoffs = ["--payoffs", "1e308", "0", "1e308", "0"]
+    out = tmp_path / "path.csv"
+    done = run_memn(["integrate", "--n", "1", "--x0", str(x), "--out", str(out)] + payoffs)
+    assert done.returncode == 0, done.stderr
+    header, names, *rows = out.read_text().splitlines()
+    assert "stop=boundary" in header
+    assert len(rows) == 1
+    row = dict(zip(names.split(","), map(float, rows[0].split(","))))
+    assert row["t"] == 0.0
+    done = run_memn(["field", "--n", "1", "--at", str(x)] + payoffs)
+    assert done.returncode == 0, done.stderr
+    field = np.array(json.loads(done.stdout)["field"])
+    assert row["field_norm"] == np.abs(field).max()
+
+
 def test_imports_need_numpy_alone():
     """numpy is the only declared runtime dependency: importing the package,
     its CLI and its battery loads none of scipy, mpmath or sympy."""
