@@ -25,9 +25,9 @@ the chain layout and how, and at what sizes, its systems are solved.
 the API edge.  The RK4/RK45 steppers of :func:`integrate_path` advance a
 whole ensemble of starts in lockstep on one clock, each member stopping on
 its own, so the checks that sample several starts (the mirror check, the
-conserved drift, the perturbation envelope) integrate them together.  The printed
-memory-1 and counting closed forms are oracles only: the checks compare the
-kernel against them, and no integration runs on them.
+conserved drift, the perturbation envelope) integrate them together.  The
+printed memory-1 and counting closed forms are oracles only: the checks
+compare the kernel against them, and no integration runs on them.
 """
 
 from __future__ import annotations
@@ -166,10 +166,8 @@ def _field_central(x: StrategyVector, column: np.ndarray, h: float, reparam: boo
 
 def _unit_column(column: np.ndarray):
     """``column`` scaled by a power of two to a max-norm below 1, and the
-    exponent that scales a field of it back.  The field is linear in the
-    column and a power of two scales every rounding step exactly, so the
-    scaled solve gives the same field, and payoffs near the float limit do
-    not overflow it."""
+    exponent that scales its field back: exact, as the field is linear in
+    the column, and payoffs near the float limit do not overflow the solve."""
     exponent = int(np.frexp(np.abs(column).max())[1])
     return np.ldexp(column, -exponent), exponent
 
@@ -187,15 +185,14 @@ def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
         raise ValueError("point and spec memory orders differ")
     column = variant_column(spec)
     reparam = spec.variant == "antisymmetric_reparam"
-    if spec.gradient_method == "central_difference":
-        _check_margin(x, 2.0 * spec.h)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.gradient_method == "central_difference":
+            _check_margin(x, 2.0 * spec.h)
             field = _field_central(x, column, spec.h, reparam)
-    else:
-        _check_margin(x, ANALYTIC_MARGIN)
-        scaled, exponent = _unit_column(column)
-        field = solved(field_batch(x.probs[None], scaled, reparam)[0])
-        with np.errstate(over="ignore"):
+        else:
+            _check_margin(x, ANALYTIC_MARGIN)
+            scaled, exponent = _unit_column(column)
+            field = solved(field_batch(x.probs[None], scaled, reparam)[0])
             field = np.ldexp(field, exponent)
     if not np.all(np.isfinite(field)):
         magnitude = float(np.abs(spec.payoff).max())
@@ -549,11 +546,10 @@ def default_conserved(n: int):
 class Trajectory:
     """Accepted states of one integration, with per-step diagnostics.
 
-    An ensemble shares one step, so these count the ensemble's rounds while
-    this member was running: ``rejected_steps`` the steps retried at half
-    the step size and ``floor_steps`` those accepted at the 1e-8 step floor
-    although some running member's error estimate exceeded the 1e-10
-    tolerance.
+    The counts are of an ensemble's shared steps while this member ran:
+    ``rejected_steps`` those retried at half the step size, ``floor_steps``
+    those accepted at the 1e-8 floor although some running member's error
+    estimate exceeded the 1e-10 tolerance.
     """
 
     times: np.ndarray
@@ -571,11 +567,8 @@ class Trajectory:
 
 @dataclass
 class Ensemble:
-    """Trajectories of one lockstep integration, one per row of the starts.
-
-    ``times`` is the shared clock: every time at which some member moved.
-    Each member's times are a prefix of it.
-    """
+    """One lockstep integration: its clock ``times`` and one trajectory per
+    row of the starts, whose times are a prefix of the clock."""
 
     times: np.ndarray
     members: list
@@ -663,15 +656,11 @@ def integrate_path(
     finite).  A stopped member stays frozen at its last accepted state and
     keeps its row, so rows line up with per-member columns inside ``fn``.
 
-    The whole ensemble runs on one clock and one step.  RK4 steps by
-    ``dt``.  RK45 halves the step, down to 1e-8, while any running member's
-    error estimate exceeds 1e-10, and doubles it, up to ``dt``, after a
-    step on which every running member's estimate is below 1e-11.  So each
-    member's trajectory is the first rows of one log of the rounds in
-    which some member moved, and the ensemble's ``times`` is that log's
-    clock.  The last step takes the whole remainder when it is within a
-    factor 1 + 1e-6 of the step, so a run that reaches t_max ends on it
-    exactly.
+    The ensemble runs on one clock and one step, ``dt`` under RK4.  RK45
+    halves it, down to 1e-8, while any running member's error estimate
+    exceeds 1e-10, and doubles it, up to ``dt``, when all are below 1e-11.
+    So each member's trajectory is the first entries of one log, and a run
+    that reaches t_max ends on it exactly.
 
     The field at each accepted state is evaluated once: it gives the
     recorded field norm and the next step's first stage.  ``observers``
@@ -722,13 +711,12 @@ def integrate_path(
     rejected = np.zeros(batch, dtype=int)
     floor = np.zeros(batch, dtype=int)
     length = np.ones(batch, dtype=int)  # each member's entries in the log
-    # the log: one entry per round in which some member moved
-    clock, steps, states, norms = [t], [0.0], [y], [norm]
+    # (time, step, states, field norms) of each round in which a member moved
+    log = [(t, 0.0, y, norm)]
     while running.any() and t < t_max:
-        # each sum t + h rounds by at most half an ulp of t_max, so after k
-        # steps of h = t_max / k the clock is off by at most k^2 * 1.1e-16 of
-        # a step, below 1e-6 up to k = 95,000: a remainder within 1 + 1e-6
-        # of the step is that rounding, and the step takes it whole
+        # each t + h rounds by at most half an ulp of t_max, so k steps of
+        # t_max / k leave an error of at most k^2 * 1.1e-16 steps, below 1e-6
+        # up to k = 95,000: the last step takes that rounding with it
         last = t_max - t <= h * (1.0 + 1e-6)
         if last:
             h = t_max - t
@@ -752,14 +740,10 @@ def integrate_path(
         if worst > _RK45_TOL:
             floor += running
         halt(running & ~np.isfinite(norm), "field_error")
-        clock.append(t)
-        steps.append(h)
-        states.append(y)
-        norms.append(norm)
+        log.append((t, h, y, norm))
         if worst < 0.1 * _RK45_TOL:
             h = min(h * 2.0, dt)
-    clock, steps = np.array(clock), np.array(steps)
-    states, norms = np.stack(states), np.stack(norms)
+    clock, steps, states, norms = (np.array(column) for column in zip(*log))
     members = []
     for k, m in enumerate(length):
         path = states[:m, k]
