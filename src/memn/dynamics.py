@@ -33,7 +33,7 @@ compare the kernel against them, and no integration runs on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,12 +164,13 @@ def _field_central(x: StrategyVector, column: np.ndarray, h: float, reparam: boo
     return out
 
 
-def _unit_column(column: np.ndarray):
-    """``column`` scaled by a power of two to a max-norm below 1, and the
-    exponent that scales its field back: exact, as the field is linear in
-    the column, and payoffs near the float limit do not overflow the solve."""
-    exponent = int(np.frexp(np.abs(column).max())[1])
-    return np.ldexp(column, -exponent), exponent
+def _unit_column(spec: FieldSpec):
+    """The variant column of ``spec`` for payoffs scaled by a power of two to
+    a max-norm below 1, and the exponent that scales its field back: exact,
+    and near the float limit neither the column nor the solve overflows."""
+    exponent = int(np.frexp(np.abs(spec.payoff).max())[1])
+    scaled = replace(spec, payoff=np.ldexp(spec.payoff, -exponent))
+    return variant_column(scaled), exponent
 
 
 def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
@@ -183,16 +184,15 @@ def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
     """
     if x.n != spec.n:
         raise ValueError("point and spec memory orders differ")
-    column = variant_column(spec)
     reparam = spec.variant == "antisymmetric_reparam"
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.gradient_method == "central_difference":
             _check_margin(x, 2.0 * spec.h)
-            field = _field_central(x, column, spec.h, reparam)
+            field = _field_central(x, variant_column(spec), spec.h, reparam)
         else:
             _check_margin(x, ANALYTIC_MARGIN)
-            scaled, exponent = _unit_column(column)
-            field = solved(field_batch(x.probs[None], scaled, reparam)[0])
+            column, exponent = _unit_column(spec)
+            field = solved(field_batch(x.probs[None], column, reparam)[0])
             field = np.ldexp(field, exponent)
     if not np.all(np.isfinite(field)):
         magnitude = float(np.abs(spec.payoff).max())
@@ -770,7 +770,7 @@ def field_function(spec: FieldSpec):
     solved with the column of :func:`_unit_column`."""
     if spec.gradient_method != "analytic_determinant":
         raise ValueError("integration uses the analytic field")
-    column, exponent = _unit_column(variant_column(spec))
+    column, exponent = _unit_column(spec)
     reparam = spec.variant == "antisymmetric_reparam"
     return lambda v: np.ldexp(field_batch(v, column, reparam), exponent)
 

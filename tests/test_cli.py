@@ -479,6 +479,28 @@ def test_integration_near_the_float_limit_uses_the_scaled_field(tmp_path):
     assert row["field_norm"] == np.abs(field).max()
 
 
+def test_reparametrised_field_near_the_float_limit_is_the_scaled_field(tmp_path):
+    """At b = 1.7e308, c = 1.6e308 the column f - f∘bar of the reparametrised
+    field overflows, but the field does not: it equals 1e308 times the field
+    at b = 1.7, c = 1.6, and the integrator stops on it at the boundary."""
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"n": 1, "probs": [0.5, 0.65, 0.4, 0.65]}))
+    variant = ["--variant", "antisym-reparam"]
+    fields = {}
+    for scale in ("e308", ""):
+        game = ["--b", f"1.7{scale}", "--c", f"1.6{scale}"]
+        done = run_memn(["field", "--n", "1", "--at", str(x)] + game + variant)
+        assert done.returncode == 0, done.stderr
+        fields[scale] = np.array(json.loads(done.stdout)["field"])
+    expected = 1e308 * fields[""]
+    assert np.abs(fields["e308"] - expected).max() <= 1e-12 * np.abs(expected).max()
+    out = tmp_path / "path.csv"
+    game = ["--b", "1.7e308", "--c", "1.6e308"]
+    done = run_memn(["integrate", "--n", "1", "--x0", str(x), "--out", str(out)] + game + variant)
+    assert done.returncode == 0, done.stderr
+    assert "stop=boundary" in out.read_text().splitlines()[0]
+
+
 def test_imports_need_numpy_alone():
     """numpy is the only declared runtime dependency: importing the package,
     its CLI and its battery loads none of scipy, mpmath or sympy."""
