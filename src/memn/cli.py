@@ -25,9 +25,10 @@ from .core import (
 )
 from .errors import MemnError
 from .dynamics import (
+    GRADIENT_METHODS,
+    STEPPERS,
     FieldSpec,
     adaptive_field,
-    default_conserved,
     integrate,
 )
 from .markov import build_transition_matrix, payoff_solve, quad_columns
@@ -160,13 +161,7 @@ def cmd_payoff(args) -> int:
 def cmd_field(args) -> int:
     x = _load_strategy(args.at, args.n)
     f = _payoff_vector(args, x.n)
-    spec = FieldSpec(
-        n=x.n,
-        payoff=f,
-        variant=VARIANT_ALIASES[args.variant],
-        gradient_method=args.method,
-        h=args.h,
-    )
+    spec = FieldSpec(x.n, f, VARIANT_ALIASES[args.variant], args.method)
     field = adaptive_field(x, spec)
     payload = {
         "version": __version__,
@@ -182,28 +177,21 @@ def cmd_integrate(args) -> int:
     f = _payoff_vector(args, x0.n)
     variant = VARIANT_ALIASES[args.variant]
     spec = FieldSpec(n=x0.n, payoff=f, variant=variant)
-    trajectory = integrate(
-        spec,
-        x0,
-        dt=args.dt,
-        t_max=args.tmax,
-        method=args.method,
-        boundary_margin=args.boundary_margin,
+    trajectory = integrate(spec, x0, dt=args.dt, t_max=args.tmax, method=args.method)
+    names = ",".join(trajectory.conserved)
+    conserved = list(trajectory.conserved.values())
+    table = np.column_stack(
+        [trajectory.times, trajectory.states, *conserved, trajectory.field_norms]
     )
-    names = list(default_conserved(x0.n))
     with open(args.out, "w", encoding="utf8") as handle:
         handle.write(
             f"# memn {__version__} variant={variant} stop={trajectory.stop_reason} "
             f"rejected={trajectory.rejected_steps} floor={trajectory.floor_steps}\n"
         )
         state_cols = ",".join(f"p{i}" for i in range(trajectory.states.shape[1]))
-        handle.write(f"t,{state_cols},{','.join(names)},field_norm\n")
-        for k in range(len(trajectory.times)):
-            row = [f"{trajectory.times[k]:.17g}"]
-            row += [f"{v:.17g}" for v in trajectory.states[k]]
-            row += [f"{trajectory.conserved[name][k]:.17g}" for name in names]
-            row.append(f"{trajectory.field_norms[k]:.17g}")
-            handle.write(",".join(row) + "\n")
+        handle.write(f"t,{state_cols},{names},field_norm\n")
+        # "%.17g" is f"{v:.17g}": enough digits to read each value back exactly
+        np.savetxt(handle, table, fmt="%.17g", delimiter=",")
     print(
         f"wrote {args.out}: {len(trajectory.times)} steps, "
         f"stop reason {trajectory.stop_reason}"
@@ -279,12 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     fld.add_argument("--at", required=True, help="strategy JSON file")
     fld.add_argument("--n", type=int)
     fld.add_argument("--variant", choices=sorted(VARIANT_ALIASES), default="full")
-    fld.add_argument(
-        "--method",
-        choices=("analytic_determinant", "central_difference"),
-        default="analytic_determinant",
-    )
-    fld.add_argument("--h", type=float, default=1e-5)
+    fld.add_argument("--method", choices=GRADIENT_METHODS, default="analytic_determinant")
     fld.add_argument("--out")
     _add_game_flags(fld)
     fld.set_defaults(fn=cmd_field)
@@ -295,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     integ.add_argument("--variant", choices=sorted(VARIANT_ALIASES), default="full")
     integ.add_argument("--dt", type=float, default=1e-3)
     integ.add_argument("--tmax", type=float, default=5.0)
-    integ.add_argument("--method", choices=("rk4", "rk45-adaptive"), default="rk4")
-    integ.add_argument("--boundary-margin", type=float, default=1e-6)
+    integ.add_argument("--method", choices=tuple(STEPPERS), default="rk4")
     integ.add_argument("--out", required=True)
     _add_game_flags(integ)
     integ.set_defaults(fn=cmd_integrate)

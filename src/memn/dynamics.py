@@ -21,8 +21,9 @@ One kernel, :func:`field_batch`, evaluates this field at every row of a
 builds the quadruples and takes nu and h from :func:`markov.solve_chain`
 and |det B| from :func:`markov.det_magnitude`: :mod:`markov` alone knows
 the chain layout and how, and at what sizes, its systems are solved.
-:func:`adaptive_field` is its batch-of-one call behind the validation of
-the API edge.  The RK4/RK45 steppers of :func:`integrate_path` advance a
+:func:`field_function` is the one route from a :class:`FieldSpec` to it;
+:func:`adaptive_field` calls that on a batch of one behind the validation
+of the API edge.  The ``STEPPERS`` of :func:`integrate_path` advance a
 whole ensemble of starts in lockstep on one clock, each member stopping on
 its own, so the checks that sample several starts (the mirror check, the
 conserved drift, the perturbation envelope) integrate them together.  The
@@ -62,6 +63,9 @@ VARIANTS = ("full", "symmetric", "antisymmetric", "antisymmetric_reparam")
 GRADIENT_METHODS = ("central_difference", "analytic_determinant")
 
 ANALYTIC_MARGIN = 1e-10
+# central differences err by step^2 (truncation) plus rounding / step, and at
+# 1e-5 both stay far inside gradient_relative (1e-6), their bound in the checks
+CENTRAL_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -72,15 +76,12 @@ class FieldSpec:
     payoff: np.ndarray
     variant: str = "full"
     gradient_method: str = "analytic_determinant"
-    h: float = 1e-5
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.gradient_method not in GRADIENT_METHODS:
             raise ValueError(f"unknown gradient method {self.gradient_method!r}")
-        if not 1e-8 <= self.h <= 1e-4:
-            raise ValueError("central-difference step must lie in [1e-8, 1e-4]")
         if len(self.payoff) != n_states(self.n):
             raise ValueError("payoff vector memory order disagrees with spec")
 
@@ -95,14 +96,6 @@ def variant_column(spec: FieldSpec) -> np.ndarray:
     if spec.variant == "antisymmetric":
         return anti
     return 2 * anti  # antisymmetric_reparam: exactly f - f∘bar
-
-
-def _check_margin(x: StrategyVector, margin: float):
-    dist = x.boundary_distance()
-    if dist < margin:
-        raise BoundaryMarginError(
-            f"point is {dist:.2e} from the cube boundary; need >= {margin:.2e}"
-        )
 
 
 def field_batch(points, column, reparam: bool = False) -> np.ndarray:
@@ -134,7 +127,7 @@ def field_batch(points, column, reparam: bool = False) -> np.ndarray:
     return grad
 
 
-def _field_central(x: StrategyVector, column: np.ndarray, h: float, reparam: bool):
+def _field_central(x: StrategyVector, column: np.ndarray, reparam: bool):
     """Central differences of the determinant quotient in the mutant entries.
 
     The reparametrised variant differentiates the quotient's numerator alone,
@@ -157,43 +150,53 @@ def _field_central(x: StrategyVector, column: np.ndarray, h: float, reparam: boo
     out = np.zeros(len(x))
     for i in range(len(x)):
         up, down = x.probs.copy(), x.probs.copy()
-        up[i] += h
-        down[i] -= h
+        up[i] += CENTRAL_STEP
+        down[i] -= CENTRAL_STEP
         hi, lo = value(StrategyVector(x.n, up)), value(StrategyVector(x.n, down))
-        out[i] = (hi - lo) / (2.0 * h)
+        out[i] = (hi - lo) / (2.0 * CENTRAL_STEP)
     return out
 
 
-def _unit_column(spec: FieldSpec):
-    """The variant column of ``spec`` for payoffs scaled by a power of two to
-    a max-norm below 1, and the exponent that scales its field back: exact,
-    and near the float limit neither the column nor the solve overflows."""
+def field_function(spec: FieldSpec):
+    """(batch, size) -> (batch, size) analytic field of ``spec``, the one
+    route from a :class:`FieldSpec` to :func:`field_batch`: it solves with
+    the payoffs scaled by a power of two to a max-norm below 1 and scales the
+    field back, exact and safe from overflow up to the float limit.  A row
+    whose solve failed is NaN, and one whose scale-back overflowed infinite."""
+    if spec.gradient_method != "analytic_determinant":
+        raise ValueError("integration uses the analytic field")
     exponent = int(np.frexp(np.abs(spec.payoff).max())[1])
-    scaled = replace(spec, payoff=np.ldexp(spec.payoff, -exponent))
-    return variant_column(scaled), exponent
+    column = variant_column(replace(spec, payoff=np.ldexp(spec.payoff, -exponent)))
+    reparam = spec.variant == "antisymmetric_reparam"
+    return lambda v: np.ldexp(field_batch(v, column, reparam), exponent)
 
 
 def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
     """Mutant-payoff gradient at resident ``x`` for the chosen variant.
 
     Central differences perturb only the mutant entries, keeping the
-    resident fixed at ``x``; the analytic method is :func:`field_batch` on
-    a batch of one, solved with the column of :func:`_unit_column`.  Either
-    way, a field that is not finite, as near the float limit of the
-    payoffs, raises ValueError naming the payoff magnitude.
+    resident fixed at ``x``, and need ``x`` 2 * ``CENTRAL_STEP`` inside the
+    cube; the analytic method is :func:`field_function` on a batch of one and
+    needs ``ANALYTIC_MARGIN``.  Either way, a field that is not finite, as
+    near the float limit of the payoffs, raises ValueError naming the payoff
+    magnitude, after :func:`markov.solved` has named a failed solve.
     """
     if x.n != spec.n:
         raise ValueError("point and spec memory orders differ")
-    reparam = spec.variant == "antisymmetric_reparam"
+    central = spec.gradient_method == "central_difference"
+    margin = 2.0 * CENTRAL_STEP if central else ANALYTIC_MARGIN
+    if (distance := x.boundary_distance()) < margin:
+        raise BoundaryMarginError(
+            f"point is {distance:.2e} from the cube boundary; need >= {margin:.2e}"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.gradient_method == "central_difference":
-            _check_margin(x, 2.0 * spec.h)
-            field = _field_central(x, variant_column(spec), spec.h, reparam)
+        if central:
+            reparam = spec.variant == "antisymmetric_reparam"
+            field = _field_central(x, variant_column(spec), reparam)
         else:
-            _check_margin(x, ANALYTIC_MARGIN)
-            column, exponent = _unit_column(spec)
-            field = solved(field_batch(x.probs[None], column, reparam)[0])
-            field = np.ldexp(field, exponent)
+            field = field_function(spec)(x.probs[None])[0]
+            if np.isnan(field).any():  # a failed solve; an infinity overflowed
+                solved(field)
     if not np.all(np.isfinite(field)):
         magnitude = float(np.abs(spec.payoff).max())
         raise ValueError(f"the field overflows at payoffs of magnitude {magnitude:.3g}")
@@ -631,8 +634,12 @@ def _rk45_step(fn, y, dt, k1):
         ks.append(fn(point))
     fourth = y + dt * sum(c * k for c, k in zip(_RK45_FOURTH, ks))
     fifth = y + dt * sum(c * k for c, k in zip(_RK45_FIFTH, ks))
-    with np.errstate(over="ignore"):  # an estimate that overflows is rejected
-        return fifth, np.linalg.norm(fifth - fourth, axis=1)
+    return fifth, np.linalg.norm(fifth - fourth, axis=1)
+
+
+# each stepper maps (field, states, step, field at the states) to the new
+# states and each member's error estimate, None where there is none
+STEPPERS = {"rk4": _rk4_step, "rk45-adaptive": _rk45_step}
 
 
 def integrate_path(
@@ -649,18 +656,20 @@ def integrate_path(
     ``y0`` is one start, giving a :class:`Trajectory`, or a (batch, size)
     array of starts, giving an :class:`Ensemble` whose members advance in
     lockstep: ``fn`` maps the (batch, size) array of stage points to one
-    field row per member.  Each member stops on its own, with stop reason
-    ``t_max``, ``boundary`` (an accepted state within ``boundary_margin``
-    of 0 or 1, or a stage point within ``ANALYTIC_MARGIN`` of the boundary
-    or outside the cube) or ``field_error`` (a field row that is not
-    finite).  A stopped member stays frozen at its last accepted state and
-    keeps its row, so rows line up with per-member columns inside ``fn``.
+    field row per member.  A start within ``boundary_margin`` of 0 or 1
+    raises BoundaryMarginError, and one whose field is not finite
+    ValueError.  Each member stops on its own, with stop reason ``t_max``,
+    ``boundary`` (an accepted state within ``boundary_margin`` of 0 or 1,
+    or a stage point within ``ANALYTIC_MARGIN`` of the boundary or outside
+    the cube) or ``field_error`` (a field row that is not finite).  A
+    stopped member stays frozen at its last accepted state and keeps its
+    row, so rows line up with per-member columns inside ``fn``.
 
-    The ensemble runs on one clock and one step, ``dt`` under RK4.  RK45
-    halves it, down to 1e-8, while any running member's error estimate
-    exceeds 1e-10, and doubles it, up to ``dt``, when all are below 1e-11.
-    So each member's trajectory is the first entries of one log, and a run
-    that reaches t_max ends on it exactly.
+    ``method`` names one of ``STEPPERS``.  The ensemble runs on one clock
+    and one step, ``dt`` under RK4.  RK45 halves it, down to 1e-8, while any
+    running member's error estimate exceeds 1e-10, and doubles it, up to
+    ``dt``, when all are below 1e-11.  So each member's trajectory is the
+    first entries of one log, and a run that reaches t_max ends on it exactly.
 
     The field at each accepted state is evaluated once: it gives the
     recorded field norm and the next step's first stage.  ``observers``
@@ -673,12 +682,9 @@ def integrate_path(
         raise ValueError(
             f"need finite dt > 0 and finite t_max >= 0; got {dt} and {t_max}"
         )
-    if method == "rk4":
-        step = _rk4_step
-    elif method == "rk45-adaptive":
-        step = _rk45_step
-    else:
+    if method not in STEPPERS:
         raise ValueError(f"unknown method {method!r}")
+    step = STEPPERS[method]
     observers = observers or {}
     y = np.array(y0, dtype=float, ndmin=2)
     if np.any(_cube_distance(y) < boundary_margin):
@@ -704,45 +710,49 @@ def integrate_path(
             halt(running & ~np.all(np.isfinite(k), axis=1), "field_error")
         return k
 
-    slope = fn(y)
-    norm = np.abs(slope).max(axis=1)
-    halt(~np.isfinite(norm), "field_error")
-    t, h = 0.0, float(dt)
-    rejected = np.zeros(batch, dtype=int)
-    floor = np.zeros(batch, dtype=int)
-    length = np.ones(batch, dtype=int)  # each member's entries in the log
-    # (time, step, states, field norms) of each round in which a member moved
-    log = [(t, 0.0, y, norm)]
-    while running.any() and t < t_max:
-        # each t + h rounds by at most half an ulp of t_max, so k steps of
-        # t_max / k leave an error of at most k^2 * 1.1e-16 steps, below 1e-6
-        # up to k = 95,000: the last step takes that rounding with it
-        last = t_max - t <= h * (1.0 + 1e-6)
-        if last:
-            h = t_max - t
-        candidate, err = step(evaluate, y, h, slope)
-        # RK4 has no error estimate, so its step stays dt
-        worst = 0.0 if err is None else np.max(err, where=running, initial=0.0)
-        if worst > _RK45_TOL and h > _RK45_FLOOR:
-            rejected += running
-            h = max(h * 0.5, _RK45_FLOOR)
-            continue
-        if not min(candidate.min(), 1.0 - candidate.max()) >= boundary_margin:
-            halt(running & (_cube_distance(candidate) < boundary_margin), "boundary")
-        if not running.any():
-            break
-        # running members move; the others keep their rows
-        y = np.where(running[:, None], candidate, y)
-        t = t_max if last else t + h
+    # quiet: a field that is not finite stops its member, and an error
+    # estimate that overflows rejects the step
+    with np.errstate(over="ignore", invalid="ignore"):
         slope = fn(y)
         norm = np.abs(slope).max(axis=1)
-        length += running
-        if worst > _RK45_TOL:
-            floor += running
-        halt(running & ~np.isfinite(norm), "field_error")
-        log.append((t, h, y, norm))
-        if worst < 0.1 * _RK45_TOL:
-            h = min(h * 2.0, dt)
+        if not np.isfinite(norm).all():
+            raise ValueError("the field is not finite at an initial point")
+        t, h = 0.0, float(dt)
+        rejected = np.zeros(batch, dtype=int)
+        floor = np.zeros(batch, dtype=int)
+        length = np.ones(batch, dtype=int)  # each member's entries in the log
+        # (time, step, states, field norms) of each round in which a member moved
+        log = [(t, 0.0, y, norm)]
+        while running.any() and t < t_max:
+            # each t + h rounds by at most half an ulp of t_max, so k steps of
+            # t_max / k leave an error of at most k^2 * 1.1e-16 steps, below 1e-6
+            # up to k = 95,000: the last step takes that rounding with it
+            last = t_max - t <= h * (1.0 + 1e-6)
+            if last:
+                h = t_max - t
+            candidate, err = step(evaluate, y, h, slope)
+            # RK4 has no error estimate, so its step stays dt
+            worst = 0.0 if err is None else np.max(err, where=running, initial=0.0)
+            if worst > _RK45_TOL and h > _RK45_FLOOR:
+                rejected += running
+                h = max(h * 0.5, _RK45_FLOOR)
+                continue
+            if not min(candidate.min(), 1.0 - candidate.max()) >= boundary_margin:
+                halt(running & (_cube_distance(candidate) < boundary_margin), "boundary")
+            if not running.any():
+                break
+            # running members move; the others keep their rows
+            y = np.where(running[:, None], candidate, y)
+            t = t_max if last else t + h
+            slope = fn(y)
+            norm = np.abs(slope).max(axis=1)
+            length += running
+            if worst > _RK45_TOL:
+                floor += running
+            halt(running & ~np.isfinite(norm), "field_error")
+            log.append((t, h, y, norm))
+            if worst < 0.1 * _RK45_TOL:
+                h = min(h * 2.0, dt)
     clock, steps, states, norms = (np.array(column) for column in zip(*log))
     members = []
     for k, m in enumerate(length):
@@ -765,16 +775,6 @@ def integrate_path(
     return members[0] if np.ndim(y0) == 1 else Ensemble(clock, members)
 
 
-def field_function(spec: FieldSpec):
-    """(batch, size) -> (batch, size) analytic field for the integrators,
-    solved with the column of :func:`_unit_column`."""
-    if spec.gradient_method != "analytic_determinant":
-        raise ValueError("integration uses the analytic field")
-    column, exponent = _unit_column(spec)
-    reparam = spec.variant == "antisymmetric_reparam"
-    return lambda v: np.ldexp(field_batch(v, column, reparam), exponent)
-
-
 def _starts(spec: FieldSpec, x0) -> np.ndarray:
     """One start's probabilities, or a (batch, size) array of several."""
     points = [x0] if isinstance(x0, StrategyVector) else list(x0)
@@ -790,13 +790,13 @@ def integrate(
     dt: float,
     t_max: float,
     method: str = "rk4",
-    boundary_margin: float = 1e-6,
 ):
     """Integrate the adaptive dynamics from ``x0``; see :func:`integrate_path`.
 
     ``x0`` is one strategy (giving a :class:`Trajectory`) or a sequence of
-    them, integrated in lockstep (giving an :class:`Ensemble`).  The
-    quantities of :func:`default_conserved` are recorded along the way.
+    them, integrated in lockstep (giving an :class:`Ensemble`), on the field
+    of :func:`field_function`.  The quantities of :func:`default_conserved`
+    are recorded along the way.
     """
     return integrate_path(
         field_function(spec),
@@ -804,7 +804,6 @@ def integrate(
         dt,
         t_max,
         method=method,
-        boundary_margin=boundary_margin,
         observers=default_conserved(spec.n),
     )
 

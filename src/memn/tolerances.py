@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 DEFAULTS = {
@@ -36,16 +37,31 @@ DEFAULTS = {
 
 
 def load_tolerances() -> dict:
-    """Defaults merged with the optional MEMN_TOLERANCES override file."""
+    """Defaults merged with the optional MEMN_TOLERANCES override file.
+
+    A file that cannot be read or is not a JSON object, an unknown name, and
+    a value that is not a finite JSON number raise ValueError naming them.
+    """
     values = dict(DEFAULTS)
     path = os.environ.get("MEMN_TOLERANCES")
     if path:
-        with open(path, encoding="utf8") as handle:
-            overrides = json.load(handle)
-        unknown = set(overrides) - set(values)
-        if unknown:
-            raise KeyError(f"unknown tolerance names: {sorted(unknown)}")
-        values.update({k: float(v) for k, v in overrides.items()})
+        try:
+            with open(path, encoding="utf8") as handle:
+                overrides = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read tolerance file {path}: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ValueError(f"tolerance file {path} is not a JSON object")
+        for name, value in overrides.items():
+            if name not in values:
+                raise ValueError(f"unknown tolerance name {name!r} in {path}")
+            # true would read as 1.0, and an infinite bound switches a check off
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(
+                    f"tolerance {name!r} in {path} must be a finite JSON number, "
+                    f"not {json.dumps(value)}"
+                )
+            values[name] = float(value)
     return values
 
 

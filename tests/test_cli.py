@@ -479,6 +479,22 @@ def test_integration_near_the_float_limit_uses_the_scaled_field(tmp_path):
     assert row["field_norm"] == np.abs(field).max()
 
 
+def test_integration_where_the_field_overflows_exits_two(tmp_path):
+    """Near tit-for-tat (eps = 0.01) at R = T = 1e308 the field at the start
+    overflows: ``memn integrate`` refuses the start as ``memn field`` refuses
+    the point, exit 2 with a message, no numpy warning and no CSV."""
+    x = tmp_path / "tft.json"
+    x.write_text(json.dumps({"n": 1, "probs": [0.99, 0.01, 0.99, 0.01]}))
+    payoffs = ["--payoffs", "1e308", "0", "1e308", "0"]
+    out = tmp_path / "path.csv"
+    done = run_memn(["integrate", "--n", "1", "--x0", str(x), "--out", str(out)] + payoffs)
+    assert done.returncode == 2
+    assert done.stderr == "memn: the field is not finite at an initial point\n"
+    assert done.stdout == ""
+    assert not out.exists()
+    assert run_memn(["field", "--n", "1", "--at", str(x)] + payoffs).returncode == 2
+
+
 def test_reparametrised_field_near_the_float_limit_is_the_scaled_field(tmp_path):
     """At b = 1.7e308, c = 1.6e308 the column f - f∘bar of the reparametrised
     field overflows, but the field does not: it equals 1e308 times the field
@@ -526,7 +542,6 @@ def test_imports_need_numpy_alone():
         ["integrate", "--x0", "{x}", "--dt", "0", "--out", "{out}"],
         ["integrate", "--x0", "{x}", "--dt", "0", "--method", "rk45-adaptive",
          "--out", "{out}"],
-        ["field", "--at", "{x}", "--h", "1"],
         ["verify", "--trials", "0"],
         ["verify", "--n-max", "0"],
         ["integrate", "--x0", "{x}", "--tmax", "-1", "--out", "{out}"],
@@ -686,9 +701,42 @@ def test_reactive_fields_override_governs_reactive_fields(tmp_path, monkeypatch)
     assert reactive["tolerance"] == 1e-30
 
 
-def test_tolerance_override_rejects_unknown_names(tmp_path, monkeypatch):
+def test_tolerance_override_rejects_unknown_names(tmp_path, monkeypatch, capsys):
     overrides = tmp_path / "tol.json"
     overrides.write_text(json.dumps({"no_such_tolerance": 1.0}))
     monkeypatch.setenv("MEMN_TOLERANCES", str(overrides))
-    with pytest.raises(KeyError):
+    with pytest.raises(SystemExit) as err:
         main(["verify", "--trials", "2"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == (
+        f"memn: unknown tolerance name 'no_such_tolerance' in {overrides}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (None, "cannot read tolerance file"),
+        ('{"row_sum": true}', "'row_sum'"),
+        ('{"row_sum": "1e-12"}', "'row_sum'"),
+        ('{"row_sum": Infinity}', "'row_sum'"),
+        ('{"row_sum": NaN}', "'row_sum'"),
+        ('["row_sum"]', "is not a JSON object"),
+        ('{"row_sum": ', "cannot read tolerance file"),
+    ],
+    ids=["missing-file", "boolean", "string", "infinity", "nan", "list", "bad-json"],
+)
+def test_tolerance_override_input_errors_exit_two(text, named, tmp_path, monkeypatch):
+    """An override file that cannot be read, or a value that is not a finite
+    JSON number, is a usage error: exit 2 with a message naming the file or
+    the key and no traceback.  Read as 1.0, true would loosen row_sum, and
+    Infinity would switch it off."""
+    overrides = tmp_path / "tol.json"
+    if text is not None:
+        overrides.write_text(text)
+    monkeypatch.setenv("MEMN_TOLERANCES", str(overrides))
+    done = run_memn(["verify", "--trials", "2"])
+    assert done.returncode == 2
+    assert done.stderr.startswith("memn: ") and named in done.stderr
+    assert str(overrides) in done.stderr
+    assert "Traceback" not in done.stderr

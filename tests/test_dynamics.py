@@ -65,8 +65,8 @@ def test_gradient_methods_agree(n, variant):
     rng = np.random.default_rng(hash((n, variant)) % 2**32)
     f = build_payoff_vector(DONATION, n)
     analytic = FieldSpec(n, f, variant, "analytic_determinant")
-    central = FieldSpec(n, f, variant, "central_difference", h=1e-5)
-    tolerance = max(1e-6, 1e3 * central.h**2)
+    central = FieldSpec(n, f, variant, "central_difference")
+    tolerance = max(1e-6, 1e3 * dynamics.CENTRAL_STEP**2)
     for _ in range(10):
         x = random_point(rng, n)
         a = adaptive_field(x, analytic)
@@ -108,8 +108,6 @@ def test_field_spec_validation():
         FieldSpec(1, F1, "sideways")
     with pytest.raises(ValueError):
         FieldSpec(1, F1, "full", "symbolic")
-    with pytest.raises(ValueError):
-        FieldSpec(1, F1, "full", h=1e-2)
     with pytest.raises(ValueError):
         FieldSpec(2, F1)
 
@@ -782,6 +780,25 @@ def test_perturbation_samples_the_antisymmetric_flow():
 def test_integrate_path_rejects_boundary_start():
     with pytest.raises(BoundaryMarginError):
         integrate_path(lambda v: v, np.array([0.0, 0.5]), 1e-2, 1.0)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45-adaptive"])
+def test_integrate_path_rejects_start_whose_field_is_not_finite(method):
+    """A start whose field row is NaN (a failed solve) or infinite (an
+    overflow) is refused, for one start and for an ensemble that holds it,
+    rather than ending as a one-row run stopped by field_error."""
+
+    def fn(v):
+        out = 0.5 - v
+        out[v[:, 0] < 0.3] = np.nan
+        out[v[:, 0] > 0.7] = np.inf
+        return out
+
+    for start in ([0.2, 0.5], [0.8, 0.5], [[0.5, 0.5], [0.2, 0.5]]):
+        with pytest.raises(ValueError, match="not finite"):
+            integrate_path(fn, np.array(start), 1e-2, 1.0, method=method)
+    inside = integrate_path(fn, np.array([0.5, 0.4]), 1e-2, 1.0, method=method)
+    assert inside.stop_reason == "t_max"
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45-adaptive"])
