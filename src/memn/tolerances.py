@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
+import sys
 
 DEFAULTS = {
     "row_sum": 1e-12,
@@ -55,8 +55,9 @@ def load_tolerances() -> dict:
         for name, value in overrides.items():
             if name not in values:
                 raise ValueError(f"unknown tolerance name {name!r} in {path}")
-            # true would read as 1.0, and an infinite bound switches a check off
-            if type(value) not in (int, float) or not math.isfinite(value):
+            # true would read as 1.0, and an infinite bound switches a check off;
+            # the comparison is exact, so it refuses NaN and 1e400 as an integer
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                 raise ValueError(
                     f"tolerance {name!r} in {path} must be a finite JSON number, "
                     f"not {json.dumps(value)}"

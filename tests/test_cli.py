@@ -721,10 +721,11 @@ def test_tolerance_override_rejects_unknown_names(tmp_path, monkeypatch, capsys)
         ('{"row_sum": "1e-12"}', "'row_sum'"),
         ('{"row_sum": Infinity}', "'row_sum'"),
         ('{"row_sum": NaN}', "'row_sum'"),
+        ('{"row_sum": 1' + "0" * 400 + "}", "'row_sum'"),
         ('["row_sum"]', "is not a JSON object"),
         ('{"row_sum": ', "cannot read tolerance file"),
     ],
-    ids=["missing-file", "boolean", "string", "infinity", "nan", "list", "bad-json"],
+    ids=["missing-file", "boolean", "string", "infinity", "nan", "huge-integer", "list", "bad-json"],
 )
 def test_tolerance_override_input_errors_exit_two(text, named, tmp_path, monkeypatch):
     """An override file that cannot be read, or a value that is not a finite
