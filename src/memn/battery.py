@@ -69,6 +69,22 @@ from .tolerances import load_tolerances, tolerance_hash
 DONATION_B = 2.0
 DONATION_C = 1.0
 FAULT_DELTA = 1e-3
+# RK4 keeps the linear invariants (G1, the memory-2 pair differences) to
+# rounding at any step, and drifts the cubic G3 as dt^4 (Hairer, Lubich &
+# Wanner, Geometric Numerical Integration, 2006, ch. IV).  At seed 7 the
+# worst memory-1 rate read 5.1e-13 at dt = 1e-3, 2.7e-10 at 5e-3 and 4.2e-9
+# at 1e-2 against conserved_drift_per_time (1e-7): a margin of about 370x.
+# Over seeds 0-99 the median rate at this step is 9.9e-10 and the worst
+# 4.6e-9 (seed 86), a margin of 21x.  A test holds the seed-7 rate at this
+# step to a 100x margin and to the dt^4 law.
+DRIFT_STEP = 5e-3
+# RK4 commutes with the affine mirror x -> 1 - x∘J, so the mirror deviation
+# is rounding at any step: at seed 7 it read 2.9e-15 (n = 1) and 1.2e-15
+# (n = 2) at dt = 1e-3 and 2e-3, and 1.2e-15 and 4.4e-16 at these steps,
+# against z2_deviation_n1 (1e-6) and z2_deviation_n2 (1e-5).  The
+# step sets only the cost; a prisoner's dilemma in place of the donation
+# game breaks the mirror by 0.21 at memory 1 at this step.
+MIRROR_STEPS = {1: 1e-2, 2: 2e-2}
 # the paper's G2 as exponents of (p_CC, p_CD, p_DC, p_DD) -> coefficient
 G2_COEFFS = {
     (3, 0, 0, 0): -1 / 3,
@@ -411,7 +427,7 @@ def check_conserved_drift(rng, n_max, trials, tol):
     worst = 0.0
     detail = {}
     starts = [StrategyVector(1, rng.uniform(0.35, 0.65, 4)) for _ in range(3)]
-    for traj in integrate(spec1, starts, dt=1e-3, t_max=5.0).members:
+    for traj in integrate(spec1, starts, dt=DRIFT_STEP, t_max=5.0).members:
         duration = max(float(traj.times[-1]), 1e-9)
         for name in ("G1", "G2", "G3"):
             rate = conserved_report(traj, name).relative_drift / duration
@@ -425,7 +441,7 @@ def check_conserved_drift(rng, n_max, trials, tol):
         f2 = _donation(2)
         spec2 = FieldSpec(2, f2, "antisymmetric")
         x0 = StrategyVector(2, rng.uniform(0.35, 0.65, 16))
-        traj = integrate(spec2, x0, dt=1e-3, t_max=2.0)
+        traj = integrate(spec2, x0, dt=DRIFT_STEP, t_max=2.0)
         duration = max(float(traj.times[-1]), 1e-9)
         for name in traj.conserved:
             rate = conserved_report(traj, name).relative_drift / duration
@@ -475,13 +491,13 @@ def check_z2_mirror(rng, n_max, trials, tol_pair):
     detail = {}
     spec1 = FieldSpec(1, _donation(1), "full")
     starts1 = [StrategyVector(1, rng.uniform(0.3, 0.7, 4)) for _ in range(10)]
-    dev1 = z2_mirror_check(spec1, starts1, t_max=1.0, dt=1e-3)
+    dev1 = z2_mirror_check(spec1, starts1, t_max=1.0, dt=MIRROR_STEPS[1])
     detail["n1_deviation"] = dev1
     worst_margin = max(worst_margin, dev1 - tol_n1)
     if n_max >= 2:
         spec2 = FieldSpec(2, _donation(2), "full")
         starts2 = [StrategyVector(2, rng.uniform(0.35, 0.65, 16)) for _ in range(3)]
-        dev2 = z2_mirror_check(spec2, starts2, t_max=0.25, dt=2e-3)
+        dev2 = z2_mirror_check(spec2, starts2, t_max=0.25, dt=MIRROR_STEPS[2])
         detail["n2_deviation"] = dev2
         worst_margin = max(worst_margin, dev2 - tol_n2)
     return max(worst_margin, 0.0), 0.0, detail

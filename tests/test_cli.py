@@ -620,6 +620,52 @@ def test_conserved_drift_fails_when_g2_drifts(monkeypatch):
     assert check.detail["G2_fit_residual"] <= 1e-4
 
 
+def test_conserved_drift_follows_the_rk4_error_law():
+    """At the battery's memory-1 starts, RK4 drifts the cubic G3 as dt^4:
+    halving DRIFT_STEP divides the rate by 8 to 32 (about 16), and at the
+    step itself the rate keeps a 100x margin to its ledger bound."""
+    step = memn.battery.DRIFT_STEP
+    rates = {}
+    for dt in (step, step / 2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(memn.battery, "DRIFT_STEP", dt)
+            (check,) = run_battery(n_max=1, only={"conserved-drift"}).checks
+        rates[dt] = check.detail["G3"]
+    assert 8 <= rates[step] / rates[step / 2] <= 32
+    assert rates[step] <= DEFAULTS["conserved_drift_per_time"] / 100
+
+
+def test_z2_mirror_fails_for_a_prisoners_dilemma(monkeypatch):
+    """The mirror is a symmetry of games with equal gains from switching:
+    a prisoner's dilemma (R, S, T, P) = (3, 0, 5, 1) in place of the
+    donation game breaks it far past both bounds at the battery's steps."""
+    dilemma = GameParams(R=3.0, S=0.0, T=5.0, P=1.0)
+    monkeypatch.setattr(
+        memn.battery, "_donation", lambda n: build_payoff_vector(dilemma, n)
+    )
+    (check,) = run_battery(only={"z2-mirror"}).checks
+    assert not check.passed
+    assert check.detail["n1_deviation"] > 1e3 * DEFAULTS["z2_deviation_n1"]
+    assert check.detail["n2_deviation"] > DEFAULTS["z2_deviation_n2"]
+
+
+def test_perturbation_envelope_fails_when_the_split_reverses_the_vector(monkeypatch):
+    """Split by f[::-1] instead of the player swap, a memory-1 donation
+    game's symmetric column is the constant (b - c)/2, whose field is zero,
+    so the anti-symmetric flow equals the full one: their divergence is
+    rounding, no longer linear in eps, and the ratio leaves its bounds."""
+
+    def reversed_parts(f):
+        half = 0.5 * f
+        return half + half[::-1], half - half[::-1]
+
+    monkeypatch.setattr(memn.dynamics, "payoff_parts", reversed_parts)
+    (check,) = run_battery(only={"perturbation-envelope"}).checks
+    assert not check.passed
+    low, high = DEFAULTS["perturbation_ratio_low"], DEFAULTS["perturbation_ratio_high"]
+    assert not low <= check.detail["ratio"] <= high
+
+
 def test_tolerance_override_env(tmp_path, monkeypatch):
     overrides = tmp_path / "tol.json"
     overrides.write_text(json.dumps({"payoff_methods": 1e-30}))
