@@ -146,11 +146,6 @@ class GameParams:
             raise ValueError(f"donation game needs b > c > 0, got b={b}, c={c}")
         return cls(R=b - c, S=-c, T=b, P=0.0)
 
-    def is_prisoners_dilemma(self) -> bool:
-        return (
-            self.T > self.R > self.P > self.S and 2 * self.R > self.T + self.S
-        )
-
     def has_equal_gains(self) -> bool:
         return abs((self.R + self.P) - (self.T + self.S)) <= 1e-12
 

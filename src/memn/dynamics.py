@@ -460,14 +460,11 @@ def counting_edge_equilibria():
         free = ({0, 1, 2} - set(fixed)).pop()
         for v1 in (0.0, 1.0):
             for v2 in (0.0, 1.0):
-                coords = np.empty(3)
+                coords = np.empty((3, free_values.size))
                 coords[fixed[0]] = v1
                 coords[fixed[1]] = v2
-                worst = 0.0
-                for s in free_values:
-                    coords[free] = s
-                    field = counting_antisym_closed(*coords)
-                    worst = max(worst, float(np.abs(field).max()))
+                coords[free] = free_values
+                worst = float(np.abs(counting_antisym_closed(*coords)).max())
                 edges.append(
                     {
                         "edge": f"{names[fixed[0]]}={v1:g}, {names[fixed[1]]}={v2:g}",
@@ -832,7 +829,6 @@ def z2_mirror_check(
         np.concatenate([1.0 - starts[:, ::-1], starts]),
         dt,
         t_max,
-        observers={},
     )
     worst = 0.0
     for forward, backward in zip(ensemble.members[:count], ensemble.members[count:]):
@@ -909,29 +905,26 @@ def perturbation_experiment(q0_point, b, c, t_max: float):
     """Compare full counting dynamics against their anti-symmetric part.
 
     The symmetric part scales with eps = b - c, so the full flow is a small
-    perturbation of the anti-symmetric one.  ``b`` and ``c`` are numbers,
-    giving one :class:`DivergenceCurve`, or sequences of them, giving one
-    curve per (b, c) pair; the full and anti-symmetric flows of every pair
-    are integrated as one ensemble, by RK4 with dt = ``PERTURBATION_STEP``
+    perturbation of the anti-symmetric one.  ``b`` and ``c`` are sequences
+    of equal length, and one :class:`DivergenceCurve` is returned per
+    (b, c) pair; the full and anti-symmetric flows of every pair are
+    integrated as one ensemble, by RK4 with dt = ``PERTURBATION_STEP``
     (5e-3) until ``t_max`` or 1e-3 from the boundary.  The Lipschitz
-    constant of the anti-symmetric field (central-difference Jacobians) and
-    the bound on the perturbation are estimated at about 25 states sampled
-    along the reference trajectory, giving the exponential envelope
+    constant K of the anti-symmetric field (central-difference Jacobians)
+    and the bound M on the perturbation are maxima over every state of the
+    reference (anti-symmetric) path, giving the exponential envelope
     eps*M/K*(exp(Kt) - 1) that must dominate the observed divergence.
     """
     from .core import GameParams, build_payoff_vector
 
-    bs, cs = np.broadcast_arrays(np.atleast_1d(b), np.atleast_1d(c))
-    pairs = list(zip(bs.tolist(), cs.tolist()))
+    pairs = list(zip(b, c, strict=True))
     if any(b_k < c_k for b_k, c_k in pairs):
         raise ValueError("perturbation experiment needs b >= c")
     columns = []
     for b_k, c_k in pairs:
         # direct construction so eps = 0 (b = c) stays admissible
         f = build_payoff_vector(GameParams(R=b_k - c_k, S=-c_k, T=b_k, P=0.0), 1)
-        columns += [
-            variant_column(FieldSpec(1, f, v)) for v in ("full", "antisymmetric")
-        ]
+        columns += [f, payoff_parts(f)[1]]
     columns = np.stack(columns)
 
     start = np.asarray(q0_point, dtype=float)
@@ -941,42 +934,39 @@ def perturbation_experiment(q0_point, b, c, t_max: float):
         PERTURBATION_STEP,
         t_max,
         boundary_margin=1e-3,
-        observers={},
     ).members
-    curves = [
+    return [
         _divergence_curve(
             b_k - c_k, *members[2 * k : 2 * k + 2], columns[2 * k : 2 * k + 2]
         )
         for k, (b_k, c_k) in enumerate(pairs)
     ]
-    return curves[0] if np.ndim(b) == np.ndim(c) == 0 else curves
 
 
 def _divergence_curve(eps, full_traj, anti_traj, columns) -> DivergenceCurve:
     """Divergence of the full flow from the anti-symmetric one, with its envelope."""
-    anti_col = columns[1]
     common = min(len(full_traj.times), len(anti_traj.times))
     times = full_traj.times[:common]
     gap = np.linalg.norm(
         full_traj.states[:common] - anti_traj.states[:common], axis=1
     )
-    samples = anti_traj.states[:: max(1, common // 25)]
-    # shifted[i, s, j]: sample i moved along axis j by +step (s = 0) or -step (s = 1)
+    states = anti_traj.states
+    rows = len(states)
+    # shifted[i, s, j]: state i moved along axis j by +step (s = 0) or -step (s = 1)
     shift = _JACOBIAN_STEP * np.eye(3)
-    shifted = samples[:, None, None, :] + np.stack([shift, -shift])
-    values = _counting_batch(shifted.reshape(-1, 3), anti_col).reshape(-1, 2, 3, 3)
-    slopes = (values[:, 0] - values[:, 1]) / (2.0 * _JACOBIAN_STEP)
+    shifted = (states[:, None, None, :] + np.stack([shift, -shift])).reshape(-1, 3)
+    # one batch: the shifted states on the anti-symmetric column, then every
+    # state on the full column and on the anti-symmetric one
+    values = _counting_batch(
+        np.concatenate([shifted, states, states]),
+        np.repeat(columns[[1, 0, 1]], [6 * rows, rows, rows], axis=0),
+    )
+    shifted_values, full, anti = np.split(values, [6 * rows, 7 * rows])
+    stencil = shifted_values.reshape(-1, 2, 3, 3)
+    slopes = (stencil[:, 0] - stencil[:, 1]) / (2.0 * _JACOBIAN_STEP)
     jacobians = slopes.transpose(0, 2, 1)  # column j: derivative along axis j
     lipschitz = float(np.linalg.norm(jacobians, 2, axis=(1, 2)).max())
-    if eps > 0:
-        rows = len(samples)
-        split = _counting_batch(
-            np.concatenate([samples, samples]), np.repeat(columns, rows, axis=0)
-        )
-        sym_bound = float(
-            (np.linalg.norm(split[:rows] - split[rows:], axis=1) / eps).max()
-        )
-    else:
-        sym_bound = 0.0
+    largest_split = float(np.linalg.norm(full - anti, axis=1).max())
+    sym_bound = largest_split / eps if eps > 0 else 0.0
     envelope = eps * sym_bound / lipschitz * (np.exp(lipschitz * times) - 1.0)
     return DivergenceCurve(times, gap, eps, lipschitz, sym_bound, envelope)

@@ -15,7 +15,6 @@ import sys
 
 DEFAULTS = {
     "row_sum": 1e-12,
-    "conjugation_equality": 0.0,
     "payoff_methods": 1e-8,
     "reactive_closed_form": 1e-10,
     "constant_shift": 1e-10,

@@ -18,7 +18,7 @@ from memn.core import (
     reactive_strategy,
     tft_strategy,
 )
-from memn.battery import run_battery
+from memn.battery import DRIFT_STEP, MIRROR_STEPS, run_battery
 from memn.dynamics import (
     FieldSpec,
     adaptive_field,
@@ -258,7 +258,7 @@ def test_criterion_07_conserved_quantities():
     diag = None
     for _ in range(3):
         x0 = StrategyVector(1, rng.uniform(0.35, 0.65, 4))
-        trajectory = integrate(spec1, x0, dt=1e-3, t_max=5.0)
+        trajectory = integrate(spec1, x0, dt=DRIFT_STEP, t_max=5.0)
         duration = max(float(trajectory.times[-1]), 1e-9)
         for name in rates:
             rate = conserved_report(trajectory, name).relative_drift / duration
@@ -266,7 +266,7 @@ def test_criterion_07_conserved_quantities():
     g2_ok = rates["G2"] <= 1e-7
     if not g2_ok:
         x0 = StrategyVector(1, rng.uniform(0.35, 0.65, 4))
-        trajectory = integrate(spec1, x0, dt=1e-3, t_max=5.0)
+        trajectory = integrate(spec1, x0, dt=DRIFT_STEP, t_max=5.0)
         g2_coeffs = {
             (3, 0, 0, 0): -1 / 3,
             (1, 0, 0, 0): 1.0,
@@ -283,7 +283,7 @@ def test_criterion_07_conserved_quantities():
     f2 = build_payoff_vector(DONATION, 2)
     spec2 = FieldSpec(2, f2, "antisymmetric")
     x0 = StrategyVector(2, rng.uniform(0.35, 0.65, 16))
-    trajectory = integrate(spec2, x0, dt=1e-3, t_max=2.0)
+    trajectory = integrate(spec2, x0, dt=DRIFT_STEP, t_max=2.0)
     duration = max(float(trajectory.times[-1]), 1e-9)
     pair_rates = {
         name: conserved_report(trajectory, name).relative_drift / duration
@@ -329,10 +329,10 @@ def test_criterion_09_z2_mirror():
     rng = np.random.default_rng(109)
     spec1 = FieldSpec(1, build_payoff_vector(DONATION, 1), "full")
     starts1 = [StrategyVector(1, rng.uniform(0.3, 0.7, 4)) for _ in range(10)]
-    worst1 = z2_mirror_check(spec1, starts1, t_max=1.0, dt=1e-3)
+    worst1 = z2_mirror_check(spec1, starts1, t_max=1.0, dt=MIRROR_STEPS[1])
     spec2 = FieldSpec(2, build_payoff_vector(DONATION, 2), "full")
     starts2 = [StrategyVector(2, rng.uniform(0.35, 0.65, 16)) for _ in range(10)]
-    worst2 = z2_mirror_check(spec2, starts2, t_max=0.25, dt=2e-3)
+    worst2 = z2_mirror_check(spec2, starts2, t_max=0.25, dt=MIRROR_STEPS[2])
     ok = worst1 <= 1e-6 and worst2 <= 1e-5
     assert report(
         9, "z2-mirror", ok, f"(n=1 {worst1:.1e}, n=2 {worst2:.1e})"
@@ -351,8 +351,9 @@ def test_criterion_10_j2_spectrum():
 
 def test_criterion_11_perturbation_experiment():
     start = (0.55, 0.5, 0.45)
-    small = perturbation_experiment(start, b=1.0005, c=0.9995, t_max=2.0)
-    large = perturbation_experiment(start, b=1.005, c=0.995, t_max=2.0)
+    small, large = perturbation_experiment(
+        start, b=[1.0005, 1.005], c=[0.9995, 0.995], t_max=2.0
+    )
     k = min(len(small.divergence), len(large.divergence)) - 1
     ratio = float(large.divergence[k] / small.divergence[k])
     dominated = small.dominated() and large.dominated()

@@ -15,6 +15,7 @@ from memn.battery import _BATTERY, FAULT_DELTA, run_battery
 from memn.cli import build_parser, main
 from memn.core import GameParams, StrategyVector, bar_permutation, build_payoff_vector
 from memn.markov import decompose_payoff, payoff, payoff_from_column, quad_columns
+from memn.symmetry import full_group
 from memn.tolerances import DEFAULTS
 
 
@@ -600,6 +601,30 @@ def test_ledger_key_past_its_value_fails_its_checks(key, tmp_path, monkeypatch):
     checks = run_battery(trials=3, only=governed).checks
     assert {c.check_id for c in checks} == governed
     assert not any(c.passed for c in checks)
+
+
+def _j5_as_j6(n):
+    group = full_group(n)
+    return {**group, "J5": group["J6"]}
+
+
+@pytest.mark.parametrize(
+    "check_id, name, mutant, failures",
+    [
+        ("permutation-group", "full_group", _j5_as_j6, 20),
+        ("conjugation-identities", "label_swap", lambda p: p, 6),
+        ("admissibility", "check_admissible", lambda perm, n: True, 1000),
+        ("j2-multiplicities", "j2_eigenvalue_multiplicities", lambda n: (0, 4**n), 5),
+    ],
+)
+def test_exact_check_fails_under_a_model_mutation(
+    check_id, name, mutant, failures, monkeypatch
+):
+    """The exact checks are held to a bound of 0 that no ledger key sets:
+    a mutated model makes each count its failures and fail."""
+    monkeypatch.setattr(memn.battery, name, mutant)
+    (check,) = run_battery(trials=3, only={check_id}).checks
+    assert (check.max_residual, check.tolerance, check.passed) == (failures, 0.0, False)
 
 
 def test_conserved_drift_fails_when_g2_drifts(monkeypatch):

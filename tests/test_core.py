@@ -279,7 +279,6 @@ def test_strategy_interior_predicate():
 
 def test_game_params_flags():
     donation = GameParams.donation(2, 1)
-    assert donation.is_prisoners_dilemma()
     assert donation.has_equal_gains()
     with pytest.raises(ValueError):
         GameParams.donation(1, 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from memn import dynamics
+from memn.battery import DRIFT_STEP, MIRROR_STEPS
 from memn.core import (
     GameParams,
     StrategyVector,
@@ -297,6 +298,21 @@ def test_counting_equilibrium_edges():
     assert len(zero_edges) == 1
     assert zero_edges[0]["edge"] == "q2=1, q0=0"
     assert zero_edges[0]["free"] == "q1"
+
+
+def test_counting_edge_equilibria_equal_pointwise_evaluation():
+    """Each edge's 51 points, evaluated at once, give the largest field of
+    the closed form evaluated one point at a time."""
+    from memn.dynamics import counting_edge_equilibria
+
+    names = ("q2", "q1", "q0")
+    for edge in counting_edge_equilibria():
+        pinned = dict(part.split("=") for part in edge["edge"].split(", "))
+        worst = 0.0
+        for s in np.linspace(0.0, 1.0, 51):
+            coords = [s if k == edge["free"] else float(pinned[k]) for k in names]
+            worst = max(worst, float(np.abs(counting_antisym_closed(*coords)).max()))
+        assert edge["max_field"] == worst
 
 
 def test_reactive_fields_conserve_circle():
@@ -663,7 +679,7 @@ def test_pair_difference_drift_memory2():
     rng = np.random.default_rng(20)
     spec = FieldSpec(2, F2, "antisymmetric")
     x0 = random_point(rng, 2, 0.35, 0.65)
-    trajectory = integrate(spec, x0, dt=1e-3, t_max=2.0)
+    trajectory = integrate(spec, x0, dt=DRIFT_STEP, t_max=2.0)
     duration = trajectory.times[-1]
     for name in ("pair_CC", "pair_DD"):
         report = conserved_report(trajectory, name)
@@ -675,7 +691,7 @@ def test_z2_mirror_memory1():
     spec = FieldSpec(1, F1, "full")
     for _ in range(5):
         x0 = random_point(rng, 1, 0.3, 0.7)
-        assert z2_mirror_check(spec, x0, t_max=1.0, dt=1e-3) <= 1e-6
+        assert z2_mirror_check(spec, x0, t_max=1.0, dt=MIRROR_STEPS[1]) <= 1e-6
 
 
 def test_z2_mirror_symmetric_point():
@@ -731,15 +747,16 @@ def test_reparam_positively_collinear():
 
 
 def test_perturbation_zero_eps_identical():
-    curve = perturbation_experiment((0.55, 0.5, 0.45), b=1.0, c=1.0, t_max=1.0)
+    (curve,) = perturbation_experiment((0.55, 0.5, 0.45), b=[1.0], c=[1.0], t_max=1.0)
     assert curve.eps == 0.0
     np.testing.assert_array_equal(curve.divergence, 0.0)
 
 
 def test_perturbation_linear_scaling_and_envelope():
     start = (0.55, 0.5, 0.45)
-    small = perturbation_experiment(start, b=1.0005, c=0.9995, t_max=2.0)
-    large = perturbation_experiment(start, b=1.005, c=0.995, t_max=2.0)
+    small, large = perturbation_experiment(
+        start, b=[1.0005, 1.005], c=[0.9995, 0.995], t_max=2.0
+    )
     assert small.dominated()
     assert large.dominated()
     k = min(len(small.divergence), len(large.divergence)) - 1
@@ -757,7 +774,7 @@ def test_perturbation_pairs_equal_single_pairs():
     )
     assert len(curves) == len(pairs)
     for curve, (b, c) in zip(curves, pairs):
-        single = perturbation_experiment(start, b=b, c=c, t_max=0.5)
+        (single,) = perturbation_experiment(start, b=[b], c=[c], t_max=0.5)
         for name in ("times", "divergence", "envelope"):
             np.testing.assert_array_equal(getattr(curve, name), getattr(single, name))
         assert (curve.eps, curve.lipschitz, curve.sym_bound) == (
@@ -765,16 +782,30 @@ def test_perturbation_pairs_equal_single_pairs():
         )
 
 
-def test_perturbation_samples_the_antisymmetric_flow():
-    """The Lipschitz constant is sampled along the anti-symmetric flow,
-    which depends on b + c alone: a pair with a large eps = b - c, whose
-    full flow separates from that flow, gets the constant of the pair with
-    eps = 0 and the same b + c."""
+def test_perturbation_reads_every_state_of_the_antisymmetric_flow():
+    """The Lipschitz constant is the maximum over every state of the
+    anti-symmetric flow, which depends on b + c alone: a pair with a large
+    eps = b - c, whose full flow separates from that flow, gets the
+    constant of the pair with eps = 0 and the same b + c."""
     zero, wide = perturbation_experiment(
         (0.55, 0.5, 0.45), b=(1.0, 1.5), c=(1.0, 0.5), t_max=0.5
     )
     assert wide.divergence[-1] > 0.1
     assert wide.lipschitz == pytest.approx(zero.lipschitz, rel=1e-12)
+
+
+def test_perturbation_lipschitz_constant_does_not_depend_on_the_step(monkeypatch):
+    """K is read at every state of the path, so the RK4 step moves it by
+    less than 1e-3 relative between 2.5e-3 and 1e-2; a stride sample of
+    the states read 3.84 to 4.64 over these steps."""
+    constants = []
+    for dt in (2.5e-3, 5e-3, 1e-2):
+        monkeypatch.setattr(dynamics, "PERTURBATION_STEP", dt)
+        (curve,) = perturbation_experiment(
+            (0.55, 0.5, 0.45), b=[1.0005], c=[0.9995], t_max=2.0
+        )
+        constants.append(curve.lipschitz)
+    np.testing.assert_allclose(constants, constants[1], rtol=1e-3)
 
 
 def test_integrate_path_rejects_boundary_start():
