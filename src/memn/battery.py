@@ -44,7 +44,7 @@ from .dynamics import (
     reactive_fields,
     z2_mirror_check,
 )
-from .errors import InvarianceViolationError
+from .errors import InvarianceViolationError, MemnError
 from .markov import (
     build_transition_matrix,
     build_transition_matrix_recursive,
@@ -424,30 +424,23 @@ def check_conserved_drift(rng, n_max, trials, tol):
     G2 lies from the cubics that the last memory-1 path conserves, rather
     than amending G2.
     """
-    spec1 = FieldSpec(1, _donation(1), "antisymmetric")
     worst = 0.0
     detail = {}
-    starts = [StrategyVector(1, rng.uniform(0.35, 0.65, 4)) for _ in range(3)]
-    for traj in integrate(spec1, starts, dt=DRIFT_STEP, t_max=5.0).members:
-        duration = max(float(traj.times[-1]), 1e-9)
-        for name in ("G1", "G2", "G3"):
-            rate = conserved_report(traj, name).relative_drift / duration
-            detail[name] = max(detail.get(name, 0.0), rate)
-            worst = max(worst, rate)
-    detail["G2_passed"] = detail["G2"] <= tol
-    if not detail["G2_passed"]:
-        fit = fit_polynomial_invariant(traj.states, G2_COEFFS)
-        detail["G2_fit_residual"] = fit["reference_residual"]
-    if n_max >= 2:
-        f2 = _donation(2)
-        spec2 = FieldSpec(2, f2, "antisymmetric")
-        x0 = StrategyVector(2, rng.uniform(0.35, 0.65, 16))
-        traj = integrate(spec2, x0, dt=DRIFT_STEP, t_max=2.0)
-        duration = max(float(traj.times[-1]), 1e-9)
-        for name in traj.conserved:
-            rate = conserved_report(traj, name).relative_drift / duration
-            detail[name] = rate
-            worst = max(worst, rate)
+    for n, count, t_max in ((1, 3, 5.0), (2, 1, 2.0))[:n_max]:
+        spec = FieldSpec(n, _donation(n), "antisymmetric")
+        size = n_states(n)
+        starts = [StrategyVector(n, rng.uniform(0.35, 0.65, size)) for _ in range(count)]
+        for traj in integrate(spec, starts, dt=DRIFT_STEP, t_max=t_max).members:
+            duration = max(float(traj.times[-1]), 1e-9)
+            for name in traj.conserved:
+                rate = conserved_report(traj, name).relative_drift / duration
+                detail[name] = max(detail.get(name, 0.0), rate)
+                worst = max(worst, rate)
+        if n == 1:
+            detail["G2_passed"] = detail["G2"] <= tol
+            if not detail["G2_passed"]:
+                fit = fit_polynomial_invariant(traj.states, G2_COEFFS)
+                detail["G2_fit_residual"] = fit["reference_residual"]
     return worst, tol, detail
 
 
@@ -487,21 +480,17 @@ def check_tft_stationarity(rng, n_max, trials, tol):
 def check_z2_mirror(rng, n_max, trials, tol_pair):
     """Forward flow equals the label-swapped backward flow; the residual is
     the largest excess of a deviation over its own bound."""
-    tol_n1, tol_n2 = tol_pair
-    worst_margin = -np.inf
+    worst_margin = 0.0
     detail = {}
-    spec1 = FieldSpec(1, _donation(1), "full")
-    starts1 = [StrategyVector(1, rng.uniform(0.3, 0.7, 4)) for _ in range(10)]
-    dev1 = z2_mirror_check(spec1, starts1, t_max=1.0, dt=MIRROR_STEPS[1])
-    detail["n1_deviation"] = dev1
-    worst_margin = max(worst_margin, dev1 - tol_n1)
-    if n_max >= 2:
-        spec2 = FieldSpec(2, _donation(2), "full")
-        starts2 = [StrategyVector(2, rng.uniform(0.35, 0.65, 16)) for _ in range(3)]
-        dev2 = z2_mirror_check(spec2, starts2, t_max=0.25, dt=MIRROR_STEPS[2])
-        detail["n2_deviation"] = dev2
-        worst_margin = max(worst_margin, dev2 - tol_n2)
-    return max(worst_margin, 0.0), 0.0, detail
+    runs = ((1, 10, (0.3, 0.7), 1.0), (2, 3, (0.35, 0.65), 0.25))
+    for (n, count, (low, high), t_max), tol in zip(runs[:n_max], tol_pair):
+        spec = FieldSpec(n, _donation(n), "full")
+        size = n_states(n)
+        starts = [StrategyVector(n, rng.uniform(low, high, size)) for _ in range(count)]
+        deviation = z2_mirror_check(spec, starts, t_max=t_max, dt=MIRROR_STEPS[n])
+        detail[f"n{n}_deviation"] = deviation
+        worst_margin = max(worst_margin, deviation - tol)
+    return worst_margin, 0.0, detail
 
 
 def check_j2_multiplicities(rng, n_max, trials, tol):
@@ -683,7 +672,10 @@ def run_battery(
     ``only``: a check run alone reports what it reports in the full run.
     ``fault_injection`` adds ``FAULT_DELTA`` to one entry of the first
     memory-1 transition matrix that the structure check builds, as a
-    negative control that must fail.
+    negative control that must fail.  A check that raises a
+    :class:`MemnError` fails with residual inf, bound 0 and the error named
+    in its detail, and the checks after it still run; any other exception
+    propagates.
     """
     if n_max < 1 or trials < 1:
         raise ValueError(f"n_max and trials must be >= 1, got {n_max} and {trials}")
@@ -702,7 +694,11 @@ def run_battery(
         extra = {"inject_fault": True} if faulted else {}
         t0 = time.perf_counter()
         rng = np.random.default_rng([seed, *check_id.encode()])
-        residual, bound, detail = fn(rng, n_max, trials, tol, **extra)
+        try:
+            residual, bound, detail = fn(rng, n_max, trials, tol, **extra)
+        except MemnError as error:
+            residual, bound = float("inf"), 0.0
+            detail = {"error": f"{type(error).__name__}: {error}"}
         checks.append(
             CheckResult(
                 check_id=check_id,

@@ -177,7 +177,8 @@ def cmd_integrate(args) -> int:
     f = _payoff_vector(args, x0.n)
     variant = VARIANT_ALIASES[args.variant]
     spec = FieldSpec(n=x0.n, payoff=f, variant=variant)
-    trajectory = integrate(spec, x0, dt=args.dt, t_max=args.tmax, method=args.method)
+    ensemble = integrate(spec, [x0], dt=args.dt, t_max=args.tmax, method=args.method)
+    trajectory = ensemble.members[0]
     names = ",".join(trajectory.conserved)
     conserved = list(trajectory.conserved.values())
     table = np.column_stack(

@@ -496,11 +496,10 @@ def reactive_fields(p1: float, p2: float, b: float, c: float):
 def conserved_quantities_memory1(p) -> tuple[float, float, float]:
     """The three invariants of the memory-1 anti-symmetric flow.
 
-    ``p`` is a strategy, a state, or an array of states (one per row), for
-    which each invariant comes back as one value per row.
+    ``p`` is one state's probabilities or an array of states (one per row),
+    for which each invariant comes back as one value per row.
     """
-    probs = p.probs if isinstance(p, StrategyVector) else np.asarray(p)
-    a, x, y, d = np.moveaxis(probs, -1, 0)
+    a, x, y, d = np.moveaxis(np.asarray(p), -1, 0)
     g1 = x - y
     g2 = (-(a**3) + 3 * a - 3 * x * y**2 + y**3 - d**3) / 3.0
     g3 = (1 - a) ** 2 + x**2 + (1 - y) ** 2 + d**2
@@ -560,9 +559,6 @@ class Trajectory:
     stop_reason: str
     rejected_steps: int = 0
     floor_steps: int = 0
-
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
 
 @dataclass
@@ -650,11 +646,11 @@ def integrate_path(
 ):
     """Integrate a field over the unit cube until t_max or the boundary.
 
-    ``y0`` is one start, giving a :class:`Trajectory`, or a (batch, size)
-    array of starts, giving an :class:`Ensemble` whose members advance in
-    lockstep: ``fn`` maps the (batch, size) array of stage points to one
-    field row per member.  A start within ``boundary_margin`` of 0 or 1
-    raises BoundaryMarginError, and one whose field is not finite
+    ``y0`` is a (batch, size) array of starts, one per row (ValueError for
+    any other shape), and the result an :class:`Ensemble` whose members
+    advance in lockstep: ``fn`` maps the (batch, size) array of stage points
+    to one field row per member.  A start within ``boundary_margin`` of 0 or
+    1 raises BoundaryMarginError, and one whose field is not finite
     ValueError.  Each member stops on its own, with stop reason ``t_max``,
     ``boundary`` (an accepted state within ``boundary_margin`` of 0 or 1,
     or a stage point within ``ANALYTIC_MARGIN`` of the boundary or outside
@@ -683,7 +679,9 @@ def integrate_path(
         raise ValueError(f"unknown method {method!r}")
     step = STEPPERS[method]
     observers = observers or {}
-    y = np.array(y0, dtype=float, ndmin=2)
+    y = np.array(y0, dtype=float)
+    if y.ndim != 2:
+        raise ValueError(f"need a (batch, size) array of starts; got shape {y.shape}")
     if np.any(_cube_distance(y) < boundary_margin):
         raise BoundaryMarginError("initial point violates the boundary margin")
     batch = len(y)
@@ -769,16 +767,14 @@ def integrate_path(
                 floor_steps=int(floor[k]),
             )
         )
-    return members[0] if np.ndim(y0) == 1 else Ensemble(clock, members)
+    return Ensemble(clock, members)
 
 
 def _starts(spec: FieldSpec, x0) -> np.ndarray:
-    """One start's probabilities, or a (batch, size) array of several."""
-    points = [x0] if isinstance(x0, StrategyVector) else list(x0)
-    if any(x.n != spec.n for x in points):
+    """The (batch, size) array of a sequence of starts' probabilities."""
+    if any(x.n != spec.n for x in x0):
         raise ValueError("start and spec memory orders differ")
-    probs = np.array([x.probs for x in points])
-    return probs[0] if isinstance(x0, StrategyVector) else probs
+    return np.array([x.probs for x in x0])
 
 
 def integrate(
@@ -790,10 +786,10 @@ def integrate(
 ):
     """Integrate the adaptive dynamics from ``x0``; see :func:`integrate_path`.
 
-    ``x0`` is one strategy (giving a :class:`Trajectory`) or a sequence of
-    them, integrated in lockstep (giving an :class:`Ensemble`), on the field
-    of :func:`field_function`.  The quantities of :func:`default_conserved`
-    are recorded along the way.
+    ``x0`` is a sequence of strategies, integrated in lockstep on the field
+    of :func:`field_function` into an :class:`Ensemble` with one member per
+    start.  The quantities of :func:`default_conserved` are recorded along
+    the way.
     """
     return integrate_path(
         field_function(spec),
@@ -816,11 +812,11 @@ def z2_mirror_check(
     For each start one trajectory starts at the label-swapped point and runs
     forward; the other starts at the start and runs backward (negated
     field).  If the dynamics are equivariant the label swap of the backward
-    path reproduces the forward one.  ``x0`` is one strategy or a sequence
-    of them, all integrated as one ensemble; the largest gap over each
-    pair's common interval is returned.
+    path reproduces the forward one.  ``x0`` is a sequence of strategies,
+    all integrated as one ensemble; the largest gap over each pair's common
+    interval is returned.
     """
-    starts = np.array(_starts(spec, x0), ndmin=2)
+    starts = _starts(spec, x0)
     count = len(starts)
     fn = field_function(spec)
     orientation = np.repeat([1.0, -1.0], count)[:, None]

@@ -258,7 +258,7 @@ def test_criterion_07_conserved_quantities():
     diag = None
     for _ in range(3):
         x0 = StrategyVector(1, rng.uniform(0.35, 0.65, 4))
-        trajectory = integrate(spec1, x0, dt=DRIFT_STEP, t_max=5.0)
+        trajectory = integrate(spec1, [x0], dt=DRIFT_STEP, t_max=5.0).members[0]
         duration = max(float(trajectory.times[-1]), 1e-9)
         for name in rates:
             rate = conserved_report(trajectory, name).relative_drift / duration
@@ -266,7 +266,7 @@ def test_criterion_07_conserved_quantities():
     g2_ok = rates["G2"] <= 1e-7
     if not g2_ok:
         x0 = StrategyVector(1, rng.uniform(0.35, 0.65, 4))
-        trajectory = integrate(spec1, x0, dt=DRIFT_STEP, t_max=5.0)
+        trajectory = integrate(spec1, [x0], dt=DRIFT_STEP, t_max=5.0).members[0]
         g2_coeffs = {
             (3, 0, 0, 0): -1 / 3,
             (1, 0, 0, 0): 1.0,
@@ -283,7 +283,7 @@ def test_criterion_07_conserved_quantities():
     f2 = build_payoff_vector(DONATION, 2)
     spec2 = FieldSpec(2, f2, "antisymmetric")
     x0 = StrategyVector(2, rng.uniform(0.35, 0.65, 16))
-    trajectory = integrate(spec2, x0, dt=DRIFT_STEP, t_max=2.0)
+    trajectory = integrate(spec2, [x0], dt=DRIFT_STEP, t_max=2.0).members[0]
     duration = max(float(trajectory.times[-1]), 1e-9)
     pair_rates = {
         name: conserved_report(trajectory, name).relative_drift / duration

@@ -627,6 +627,69 @@ def test_exact_check_fails_under_a_model_mutation(
     assert (check.max_residual, check.tolerance, check.passed) == (failures, 0.0, False)
 
 
+_quadruples = memn.dynamics.quadruples
+_variant_column = memn.dynamics.variant_column
+
+
+def _swapped_quadruples(p, qb):
+    return _quadruples(p, qb)[..., [1, 0, 2, 3]]
+
+
+def _negated_antisymmetric_column(spec):
+    column = _variant_column(spec)
+    return -column if spec.variant == "antisymmetric" else column
+
+
+@pytest.mark.parametrize(
+    "name, mutant, failing, errors",
+    [
+        (
+            "quadruples",
+            _swapped_quadruples,
+            {
+                "gradient-consistency", "closed-form-fields", "counting-consistency",
+                "conserved-drift", "tft-stationarity", "z2-mirror",
+                "perturbation-envelope",
+            },
+            {"perturbation-envelope": "InvarianceViolationError"},
+        ),
+        (
+            "bar_permutation",
+            lambda n: np.arange(4**n),
+            {
+                "gradient-consistency", "closed-form-fields", "conserved-drift",
+                "tft-stationarity",
+            },
+            {},
+        ),
+        (
+            "variant_column",
+            _negated_antisymmetric_column,
+            {"closed-form-fields", "field-decomposition"},
+            {},
+        ),
+    ],
+    ids=["quadruple-swap", "identity-bar", "negated-antisymmetric"],
+)
+def test_model_mutation_fails_exactly_its_checks(
+    name, mutant, failing, errors, monkeypatch
+):
+    """A kill matrix: under each mutation of the field's model the default
+    battery at seed 7 reports all 19 checks and fails exactly those the
+    mutation reaches.  A check that the mutation makes raise fails with
+    residual inf, bound 0 and the error in its detail."""
+    monkeypatch.setattr(memn.dynamics, name, mutant)
+    report = run_battery(seed=7)
+    assert [c.check_id for c in report.checks] == [entry[0] for entry in _BATTERY]
+    assert len(report.checks) == 19
+    assert not report.passed
+    assert {c.check_id for c in report.checks if not c.passed} == failing
+    raised = {c.check_id: c for c in report.checks if "error" in (c.detail or {})}
+    assert {k: c.detail["error"].split(":")[0] for k, c in raised.items()} == errors
+    for check in raised.values():
+        assert (check.max_residual, check.tolerance) == (float("inf"), 0.0)
+
+
 def test_conserved_drift_fails_when_g2_drifts(monkeypatch):
     """A G2 that the anti-symmetric flow does not conserve (the paper's G2
     plus 0.1 p_CC^2) fails conserved-drift, and the detail fits the cubic

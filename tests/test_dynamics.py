@@ -346,7 +346,7 @@ def test_reactive_fields_degenerate_cases():
 def test_integrate_zero_field_is_constant():
     f = np.zeros(4)
     x0 = StrategyVector(1, np.array([0.6, 0.45, 0.5, 0.4]))
-    trajectory = integrate(FieldSpec(1, f, "full"), x0, dt=1e-2, t_max=0.3)
+    trajectory = integrate(FieldSpec(1, f, "full"), [x0], dt=1e-2, t_max=0.3).members[0]
     assert trajectory.stop_reason == "t_max"
     np.testing.assert_array_equal(
         trajectory.states, np.tile(x0.probs, (len(trajectory.times), 1))
@@ -358,7 +358,7 @@ def test_antisym_trajectory_leaves_cube():
     spec = FieldSpec(1, F1, "antisymmetric")
     for _ in range(3):
         x0 = random_point(rng, 1, 0.3, 0.7)
-        trajectory = integrate(spec, x0, dt=1e-3, t_max=500.0)
+        trajectory = integrate(spec, [x0], dt=1e-3, t_max=500.0).members[0]
         assert trajectory.stop_reason == "boundary"
         assert trajectory.times[-1] < 500.0
 
@@ -367,7 +367,7 @@ def test_richardson_step_halving():
     spec = FieldSpec(1, F1, "full")
     x0 = StrategyVector(1, np.array([0.55, 0.5, 0.45, 0.5]))
     finals = [
-        integrate(spec, x0, dt=dt, t_max=0.5).final_state()
+        integrate(spec, [x0], dt=dt, t_max=0.5).members[0].states[-1]
         for dt in (2e-3, 1e-3, 5e-4)
     ]
     coarse = np.abs(finals[0] - finals[1]).max()
@@ -378,10 +378,10 @@ def test_richardson_step_halving():
 def test_rk45_matches_rk4():
     spec = FieldSpec(1, F1, "full")
     x0 = StrategyVector(1, np.array([0.55, 0.5, 0.45, 0.5]))
-    fine = integrate(spec, x0, dt=2e-4, t_max=0.5).final_state()
+    fine = integrate(spec, [x0], dt=2e-4, t_max=0.5).members[0].states[-1]
     adaptive = integrate(
-        spec, x0, dt=1e-2, t_max=0.5, method="rk45-adaptive"
-    ).final_state()
+        spec, [x0], dt=1e-2, t_max=0.5, method="rk45-adaptive"
+    ).members[0].states[-1]
     assert np.abs(fine - adaptive).max() <= 1e-8
 
 
@@ -395,12 +395,14 @@ def test_integrate_path_field_evaluations(method):
         calls[0] += 1
         return np.full_like(v, 0.01)
 
-    trajectory = integrate_path(fn, np.full(4, 0.5), 1e-2, 0.1, method=method)
+    (trajectory,) = integrate_path(
+        fn, np.full((1, 4), 0.5), 1e-2, 0.1, method=method
+    ).members
     steps = len(trajectory.times) - 1
     assert steps == 10
     stages = 4 if method == "rk4" else 6
     assert calls[0] == 1 + stages * steps
-    np.testing.assert_allclose(trajectory.final_state(), 0.501, rtol=1e-12)
+    np.testing.assert_allclose(trajectory.states[-1], 0.501, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -410,9 +412,9 @@ def test_integrate_path_field_evaluations(method):
 def test_last_step_lands_on_t_max(method, dt, t_max, steps):
     """Rounding in the summed steps adds no sliver of a step at the end: the
     run takes t_max / dt steps and its last time is t_max exactly."""
-    trajectory = integrate_path(
-        lambda v: np.full_like(v, 0.01), np.full(4, 0.5), dt, t_max, method=method
-    )
+    (trajectory,) = integrate_path(
+        lambda v: np.full_like(v, 0.01), np.full((1, 4), 0.5), dt, t_max, method=method
+    ).members
     assert trajectory.stop_reason == "t_max"
     assert len(trajectory.times) - 1 == steps
     assert trajectory.times[-1] == t_max
@@ -567,7 +569,7 @@ def test_lockstep_matches_batch_of_one(method):
     assert len(boundary[0].times) != len(boundary[1].times)
     for k, member in enumerate(ensemble.members):
         fn = _lockstep_field(rows[k : k + 1])
-        alone = integrate_path(fn, starts[k], 0.05, 3.0, **kwargs)
+        (alone,) = integrate_path(fn, starts[k : k + 1], 0.05, 3.0, **kwargs).members
         assert member.stop_reason == alone.stop_reason
         if method == "rk45-adaptive":
             np.testing.assert_array_equal(
@@ -575,7 +577,7 @@ def test_lockstep_matches_batch_of_one(method):
             )
             if member.stop_reason == "t_max":
                 np.testing.assert_allclose(
-                    member.final_state(), alone.final_state(), rtol=0, atol=1e-10
+                    member.states[-1], alone.states[-1], rtol=0, atol=1e-10
                 )
             continue
         assert len(member.times) == len(alone.times)
@@ -599,15 +601,15 @@ def test_rk45_counts_rejected_and_floor_steps():
     def fn(v):
         return 1e3 * np.sin(1e6 * v)
 
-    start = np.full(4, 0.5)
-    trajectory = integrate_path(fn, start, 1e-2, 5e-8, method="rk45-adaptive")
+    start = np.full((1, 4), 0.5)
+    (trajectory,) = integrate_path(fn, start, 1e-2, 5e-8, method="rk45-adaptive").members
     assert trajectory.stop_reason == "t_max"
     assert trajectory.rejected_steps == 3
     assert trajectory.floor_steps == 5
     np.testing.assert_allclose(trajectory.step_sizes[1:], 1e-8, rtol=1e-12)
-    smooth = integrate_path(
+    (smooth,) = integrate_path(
         lambda v: np.full_like(v, 0.01), start, 1e-2, 0.1, method="rk45-adaptive"
-    )
+    ).members
     assert (smooth.rejected_steps, smooth.floor_steps) == (0, 0)
 
 
@@ -615,14 +617,14 @@ def test_z2_mirror_ensemble_equals_single_starts():
     rng = np.random.default_rng(24)
     spec = FieldSpec(1, F1, "full")
     starts = [random_point(rng, 1, 0.3, 0.7) for _ in range(3)]
-    singles = [z2_mirror_check(spec, x0, t_max=0.2, dt=1e-3) for x0 in starts]
+    singles = [z2_mirror_check(spec, [x0], t_max=0.2, dt=1e-3) for x0 in starts]
     assert z2_mirror_check(spec, starts, t_max=0.2, dt=1e-3) == max(singles)
 
 
 def test_trajectory_diagnostics_shape():
     spec = FieldSpec(1, F1, "antisymmetric")
     x0 = StrategyVector(1, np.array([0.6, 0.45, 0.5, 0.4]))
-    trajectory = integrate(spec, x0, dt=1e-2, t_max=0.1)
+    trajectory = integrate(spec, [x0], dt=1e-2, t_max=0.1).members[0]
     steps = len(trajectory.times)
     assert trajectory.states.shape == (steps, 4)
     assert trajectory.field_norms.shape == (steps,)
@@ -631,17 +633,17 @@ def test_trajectory_diagnostics_shape():
 
 
 def test_conserved_quantities_memory1_values():
-    g1, g2, g3 = conserved_quantities_memory1(tft_strategy(1))
+    g1, g2, g3 = conserved_quantities_memory1(tft_strategy(1).probs)
     assert g3 == 0.0  # trajectories at G3 = const sit at fixed distance to TFT
     assert g1 == -1.0
     p = counting_to_full(0.7, 0.4, 0.2)
-    assert conserved_quantities_memory1(p)[0] == 0.0
+    assert conserved_quantities_memory1(p.probs)[0] == 0.0
 
 
 def test_conserved_drift_memory1():
     spec = FieldSpec(1, F1, "antisymmetric")
     x0 = StrategyVector(1, np.array([0.6, 0.45, 0.5, 0.4]))
-    trajectory = integrate(spec, x0, dt=1e-3, t_max=5.0)
+    trajectory = integrate(spec, [x0], dt=1e-3, t_max=5.0).members[0]
     duration = trajectory.times[-1]
     for name in ("G1", "G2", "G3"):
         report = conserved_report(trajectory, name)
@@ -679,7 +681,7 @@ def test_pair_difference_drift_memory2():
     rng = np.random.default_rng(20)
     spec = FieldSpec(2, F2, "antisymmetric")
     x0 = random_point(rng, 2, 0.35, 0.65)
-    trajectory = integrate(spec, x0, dt=DRIFT_STEP, t_max=2.0)
+    trajectory = integrate(spec, [x0], dt=DRIFT_STEP, t_max=2.0).members[0]
     duration = trajectory.times[-1]
     for name in ("pair_CC", "pair_DD"):
         report = conserved_report(trajectory, name)
@@ -691,7 +693,7 @@ def test_z2_mirror_memory1():
     spec = FieldSpec(1, F1, "full")
     for _ in range(5):
         x0 = random_point(rng, 1, 0.3, 0.7)
-        assert z2_mirror_check(spec, x0, t_max=1.0, dt=MIRROR_STEPS[1]) <= 1e-6
+        assert z2_mirror_check(spec, [x0], t_max=1.0, dt=MIRROR_STEPS[1]) <= 1e-6
 
 
 def test_z2_mirror_symmetric_point():
@@ -699,14 +701,14 @@ def test_z2_mirror_symmetric_point():
     probs = np.array([0.7, 0.45, 0.55, 0.3])  # fixed point of the label swap
     np.testing.assert_allclose(1 - probs[::-1], probs)
     x0 = StrategyVector(1, probs)
-    assert z2_mirror_check(spec, x0, t_max=0.5, dt=1e-3) <= 1e-8
+    assert z2_mirror_check(spec, [x0], t_max=0.5, dt=1e-3) <= 1e-8
 
 
 def test_z2_mirror_memory2():
     rng = np.random.default_rng(22)
     spec = FieldSpec(2, F2, "full")
     x0 = random_point(rng, 2, 0.35, 0.65)
-    assert z2_mirror_check(spec, x0, t_max=0.25, dt=2e-3) <= 1e-5
+    assert z2_mirror_check(spec, [x0], t_max=0.25, dt=2e-3) <= 1e-5
 
 
 def test_tft_reparam_field_vanishes():
@@ -808,9 +810,16 @@ def test_perturbation_lipschitz_constant_does_not_depend_on_the_step(monkeypatch
     np.testing.assert_allclose(constants, constants[1], rtol=1e-3)
 
 
+def test_integrate_path_refuses_a_start_that_is_not_a_batch():
+    """Starts are always a (batch, size) array; one start is a batch of one."""
+    for start in (np.array([0.5, 0.5]), np.full((1, 2, 2), 0.5)):
+        with pytest.raises(ValueError, match=r"need a \(batch, size\) array"):
+            integrate_path(lambda v: 0.5 - v, start, 1e-2, 1.0)
+
+
 def test_integrate_path_rejects_boundary_start():
     with pytest.raises(BoundaryMarginError):
-        integrate_path(lambda v: v, np.array([0.0, 0.5]), 1e-2, 1.0)
+        integrate_path(lambda v: v, np.array([[0.0, 0.5]]), 1e-2, 1.0)
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45-adaptive"])
@@ -825,10 +834,12 @@ def test_integrate_path_rejects_start_whose_field_is_not_finite(method):
         out[v[:, 0] > 0.7] = np.inf
         return out
 
-    for start in ([0.2, 0.5], [0.8, 0.5], [[0.5, 0.5], [0.2, 0.5]]):
+    for start in ([[0.2, 0.5]], [[0.8, 0.5]], [[0.5, 0.5], [0.2, 0.5]]):
         with pytest.raises(ValueError, match="not finite"):
             integrate_path(fn, np.array(start), 1e-2, 1.0, method=method)
-    inside = integrate_path(fn, np.array([0.5, 0.4]), 1e-2, 1.0, method=method)
+    (inside,) = integrate_path(
+        fn, np.array([[0.5, 0.4]]), 1e-2, 1.0, method=method
+    ).members
     assert inside.stop_reason == "t_max"
 
 
@@ -841,14 +852,14 @@ def test_integrate_path_rejects_bad_step(dt, t_max, method):
     """A zero step never advances time; a negative or NaN one must not run,
     and neither may a run that ends before it starts."""
     with pytest.raises(ValueError):
-        integrate_path(lambda v: v, np.array([0.5, 0.5]), dt, t_max, method=method)
+        integrate_path(lambda v: v, np.array([[0.5, 0.5]]), dt, t_max, method=method)
 
 
 def test_fit_polynomial_invariant_diagnostic():
     """The SVD diagnostic recognises the cubic invariant subspace."""
     spec = FieldSpec(1, F1, "antisymmetric")
     x0 = StrategyVector(1, np.array([0.6, 0.45, 0.5, 0.4]))
-    trajectory = integrate(spec, x0, dt=1e-3, t_max=0.5)
+    trajectory = integrate(spec, [x0], dt=1e-3, t_max=0.5).members[0]
     g2_coeffs = {
         (3, 0, 0, 0): -1 / 3,
         (1, 0, 0, 0): 1.0,
