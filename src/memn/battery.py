@@ -12,6 +12,7 @@ per-check wall time.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -22,7 +23,6 @@ from .core import (
     GameParams,
     StrategyVector,
     build_payoff_vector,
-    counting_to_full,
     label_swap,
     n_states,
     reactive_strategy,
@@ -34,14 +34,15 @@ from .dynamics import (
     conserved_report,
     counting_antisym_closed,
     counting_edge_equilibria,
-    counting_field,
     counting_sign_study,
+    field_rows,
     fit_polynomial_invariant,
     integrate,
     memory1_antisym_field_closed,
     memory1_field_closed,
     perturbation_experiment,
     reactive_fields,
+    restrict_to_counting,
     z2_mirror_check,
 )
 from .errors import InvarianceViolationError, MemnError
@@ -51,6 +52,7 @@ from .markov import (
     decompose_payoff,
     dense_matrix,
     payoff,
+    payoff_solve,
     reactive_payoff,
 )
 from .symmetry import (
@@ -120,10 +122,12 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         """The report, with every wall time in one ``timing`` block: all
-        outside it is the same on every rerun with the same arguments."""
+        outside it is the same on every rerun with the same arguments.
+        Every number that is not finite, such as the residual inf of a check
+        that raised, is None, so that the report is strict JSON."""
         checks = [asdict(c) for c in self.checks]
         times = {c["check_id"]: c.pop("wall_time") for c in checks}
-        return {
+        return _finite_or_none({
             "version": self.version,
             "seed": self.seed,
             "n_max": self.n_max,
@@ -132,7 +136,19 @@ class VerificationReport:
             "passed": self.passed,
             "checks": checks,
             "timing": {"total": self.wall_time, "checks": times},
-        }
+        })
+
+
+def _finite_or_none(value):
+    """``value`` with every float that is not finite, at any depth of its
+    dicts and lists, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _random_pair(rng, n, low=0.05, high=0.95):
@@ -288,8 +304,7 @@ def check_decomposition(rng, n_max, trials, tol):
         f = _donation(n)
         for _ in range(trials):
             p, q = _random_pair(rng, n)
-            a = payoff(p, q, f)
-            a_s, a_a = decompose_payoff(p, q, f)
+            (a, a_s, a_a), _ = payoff_solve(p, q, f)
             b_s, b_a = decompose_payoff(q, p, f)
             worst = max(
                 worst, abs(a_s + a_a - a), abs(a_s - b_s), abs(a_a + b_a)
@@ -314,10 +329,9 @@ def check_gradient_consistency(rng, n_max, trials, tol):
         for variant in ("full", "symmetric", "antisymmetric", "antisymmetric_reparam"):
             analytic = FieldSpec(n, f, variant, "analytic_determinant")
             central = FieldSpec(n, f, variant, "central_difference")
-            for _ in range(points):
-                x = StrategyVector(n, rng.uniform(0.1, 0.9, n_states(n)))
-                a = adaptive_field(x, analytic)
-                c = adaptive_field(x, central)
+            xs = rng.uniform(0.1, 0.9, (points, n_states(n)))
+            for x, a in zip(xs, field_rows(analytic, xs)):
+                c = adaptive_field(StrategyVector(n, x), central)
                 scale = max(float(np.abs(a).max()), 1e-12)
                 worst = max(worst, float(np.abs(a - c).max()) / scale)
     return worst, tol, {}
@@ -327,15 +341,14 @@ def check_closed_forms(rng, n_max, trials, tol):
     """Printed memory-1 fields against the analytic gradient."""
     worst = 0.0
     f = _donation(1)
-    spec_full = FieldSpec(1, f, "full")
-    spec_anti = FieldSpec(1, f, "antisymmetric")
-    for _ in range(trials):
-        x = StrategyVector(1, rng.uniform(0.1, 0.9, 4))
-        a = adaptive_field(x, spec_full)
+    xs = rng.uniform(0.1, 0.9, (trials, 4))
+    full = field_rows(FieldSpec(1, f, "full"), xs)
+    anti = field_rows(FieldSpec(1, f, "antisymmetric"), xs)
+    for probs, a, a2 in zip(xs, full, anti):
+        x = StrategyVector(1, probs)
         closed = memory1_field_closed(x, tuple(f))
         scale = max(float(np.abs(a).max()), 1e-12)
         worst = max(worst, float(np.abs(a - closed).max()) / scale)
-        a2 = adaptive_field(x, spec_anti)
         closed2 = memory1_antisym_field_closed(x, f[1], f[2])
         scale2 = max(float(np.abs(a2).max()), 1e-12)
         worst = max(worst, float(np.abs(a2 - closed2).max()) / scale2)
@@ -347,11 +360,11 @@ def check_field_decomposition(rng, n_max, trials, tol):
     worst = 0.0
     for n in range(1, min(n_max, 3) + 1):
         f = _donation(n)
-        specs = [FieldSpec(n, f, v) for v in ("full", "symmetric", "antisymmetric")]
-        for _ in range(max(trials // 5, 5)):
-            x = StrategyVector(n, rng.uniform(0.1, 0.9, n_states(n)))
-            full, sym, anti = (adaptive_field(x, s) for s in specs)
-            worst = max(worst, float(np.abs(full - sym - anti).max()))
+        xs = rng.uniform(0.1, 0.9, (max(trials // 5, 5), n_states(n)))
+        full, sym, anti = (
+            field_rows(FieldSpec(n, f, v), xs) for v in ("full", "symmetric", "antisymmetric")
+        )
+        worst = max(worst, float(np.abs(full - sym - anti).max()))
     return worst, tol, {}
 
 
@@ -364,21 +377,20 @@ def check_counting_consistency(rng, n_max, trials, tol):
     """
     gap_tol = tol[1]
     f = _donation(1)
-    worst_gap = 0.0
     worst_angle = 0.0
     orientations = set()
     invariant = True
-    for _ in range(trials):
-        q2, q1, q0 = rng.uniform(0.1, 0.9, 3)
-        spec = FieldSpec(1, f, "full")
-        field = adaptive_field(counting_to_full(q2, q1, q0), spec)
-        worst_gap = max(worst_gap, abs(field[1] - field[2]))
+    qs = rng.uniform(0.1, 0.9, (trials, 3))
+    embedded = qs[:, [0, 1, 1, 2]]  # counting_to_full of each row
+    full, antis = (field_rows(FieldSpec(1, f, v), embedded) for v in ("full", "antisymmetric"))
+    worst_gap = float(np.abs(full[:, 1] - full[:, 2]).max())
+    for q, row in zip(qs, antis):
         try:
-            anti = counting_field(q2, q1, q0, f, "antisymmetric", gap_tol)
+            anti = restrict_to_counting(row[None], gap_tol)[0]
         except InvarianceViolationError:
             invariant = False
             continue
-        closed = counting_antisym_closed(q2, q1, q0)
+        closed = counting_antisym_closed(*q)
         cosine = float(
             np.dot(anti, closed) / np.linalg.norm(anti) / np.linalg.norm(closed)
         )
@@ -457,19 +469,14 @@ def check_tft_stationarity(rng, n_max, trials, tol):
     for n in (1, 2) if n_max >= 2 else (1,):
         f = _donation(n)
         spec = FieldSpec(n, f, "antisymmetric_reparam")
-        norms = [
-            float(np.abs(adaptive_field(tft_strategy(n, eps=e), spec)).max())
-            for e in eps_values
-        ]
+        corners = np.stack([tft_strategy(n, eps=e).probs for e in eps_values])
+        norms = np.abs(field_rows(spec, corners)).max(axis=1).tolist()
         order = float(np.polyfit(np.log(eps_values), np.log(norms), 1)[0])
         detail[f"n{n}_norms"] = norms
         detail[f"n{n}_order"] = order
         min_order = min(min_order, order)
         unscaled = FieldSpec(n, f, "antisymmetric")
-        plateau = [
-            float(np.abs(adaptive_field(tft_strategy(n, eps=e), unscaled)).max())
-            for e in eps_values
-        ]
+        plateau = np.abs(field_rows(unscaled, corners)).max(axis=1).tolist()
         detail[f"n{n}_unscaled_plateau"] = plateau
     detail["unscaled_limit"] = (DONATION_B + DONATION_C) / 16.0
     detail["min_order"] = min_order

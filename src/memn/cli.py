@@ -225,11 +225,13 @@ def cmd_verify(args) -> int:
 
 
 def _write_json(path, payload) -> None:
-    """``payload`` as one line of JSON, to ``path`` or stdout.  Without
+    """``payload`` as one line of strict JSON, to ``path`` or stdout: a
+    number that is not finite raises ValueError rather than being written as
+    the bare ``Infinity`` or ``NaN`` that RFC 8259 does not allow.  Without
     ``indent`` json.dumps runs its C encoder: a memory-4 field's 256 floats
     took 0.16 ms against 0.29 ms with ``indent``, where it falls back to
     pure Python."""
-    text = json.dumps(payload, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w", encoding="utf8") as handle:
             handle.write(text + "\n")

@@ -104,9 +104,9 @@ class StrategyVector:
                 f"strategy for n={self.n} needs {n_states(self.n)} entries, "
                 f"got shape {probs.shape}"
             )
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("strategy entries must be finite")
-        if probs.min() < 0.0 or probs.max() > 1.0:
+        if not (probs.min() >= 0.0 and probs.max() <= 1.0):  # NaN fails both
+            if not np.isfinite(probs).all():
+                raise ValueError("strategy entries must be finite")
             raise ValueError("strategy entries must lie in [0, 1]")
         probs = probs.copy()
         probs.flags.writeable = False

@@ -22,13 +22,16 @@ builds the quadruples and takes nu and h from :func:`markov.solve_chain`
 and |det B| from :func:`markov.det_magnitude`: :mod:`markov` alone knows
 the chain layout and how, and at what sizes, its systems are solved.
 :func:`field_function` is the one route from a :class:`FieldSpec` to it;
-:func:`adaptive_field` calls that on a batch of one behind the validation
-of the API edge.  The ``STEPPERS`` of :func:`integrate_path` advance a
-whole ensemble of starts in lockstep on one clock, each member stopping on
-its own, so the checks that sample several starts (the mirror check, the
-conserved drift, the perturbation envelope) integrate them together.  The
-printed memory-1 and counting closed forms are oracles only: the checks
-compare the kernel against them, and no integration runs on them.
+:func:`field_rows` calls it on an array of points and raises for a row
+that is not finite, and :func:`adaptive_field` calls :func:`field_rows` on
+a batch of one behind the validation of the API edge.  The ``STEPPERS`` of
+:func:`integrate_path` advance a whole ensemble of starts in lockstep on
+one clock, each member stopping on its own, so the checks that sample
+several starts (the mirror check, the conserved drift, the perturbation
+envelope) integrate them together, and the checks that sample points
+evaluate each check's points in one call.  The printed memory-1 and
+counting closed forms are oracles only: the checks compare the kernel
+against them, and no integration runs on them.
 """
 
 from __future__ import annotations
@@ -51,11 +54,11 @@ from .markov import (
     build_transition_matrix,
     chain_system,
     det_magnitude,
-    payoff_from_column,
-    quad_columns,
+    mutant_systems,
     quadruples,
     solve_chain,
     solved,
+    stack_blocks,
 )
 from .tolerances import DEFAULTS
 
@@ -112,16 +115,19 @@ def field_batch(points, column, reparam: bool = False) -> np.ndarray:
     docstring.
     """
     x = np.asarray(points, dtype=float)
-    size = x.shape[1]
+    batch, size = x.shape
     # mutant = resident: row i's quadruple is (p, 1 - p) x (qb, 1 - qb)
-    qb = x[:, bar_permutation((size.bit_length() - 1) // 2)]
+    qb = x.take(bar_permutation((size.bit_length() - 1) // 2), axis=1)
     quads = quadruples(x, qb)
     scale = det_magnitude(quads)[:, None] if reparam else None
     solve = solve_chain(quads, column)
-    hq = solve.h[:, quad_columns(size)]
-    grad = solve.nu * (
-        qb * (hq[..., 0] - hq[..., 2]) + (1 - qb) * (hq[..., 1] - hq[..., 3])
-    )
+    # row i reads h at 4 (i mod size/4) + (0, 1, 2, 3), so the four row
+    # blocks of qb share (h0 - h2, h1 - h3) from the (size/4, 2, 2) view of h
+    h = solve.h.reshape(batch, 1, size // 4, 2, 2)
+    spread = h[..., 0, :] - h[..., 1, :]
+    qb = qb.reshape(batch, 4, size // 4)
+    slope = qb * spread[..., 0] + (1 - qb) * spread[..., 1]
+    grad = solve.nu * slope.reshape(batch, size)
     if reparam:
         grad *= scale
     return grad
@@ -131,29 +137,39 @@ def _field_central(x: StrategyVector, column: np.ndarray, reparam: bool):
     """Central differences of the determinant quotient in the mutant entries.
 
     The reparametrised variant differentiates the quotient's numerator alone,
-    oriented by the sign of det B at the resident.
+    oriented by the sign of det B at the resident.  The mutants moved up and
+    down along each coordinate are stacked, and each stack of numerators and
+    of denominators goes through one ``np.linalg.slogdet``: every coordinate
+    at once below ``MATRIX_FREE_SIZE`` states and one coordinate at a time
+    from there up (:func:`markov.stack_blocks`), where the whole stack would
+    take 512 MB at memory 4.
     """
+    size = len(x)
     if reparam:
         sign, _ = np.linalg.slogdet(chain_system(build_transition_matrix(x, x)))
         if sign == 0.0:
             raise DegeneracyError("denominator determinant vanished")
-
-        def value(p):
-            numerator = chain_system(build_transition_matrix(p, x))
-            numerator[:, -1] = column
-            sign_n, log_n = np.linalg.slogdet(numerator)
-            return sign * sign_n * math.exp(log_n)
-    else:
-        def value(p):
-            return payoff_from_column(p, x, column)
-
-    out = np.zeros(len(x))
-    for i in range(len(x)):
-        up, down = x.probs.copy(), x.probs.copy()
-        up[i] += CENTRAL_STEP
-        down[i] -= CENTRAL_STEP
-        hi, lo = value(StrategyVector(x.n, up)), value(StrategyVector(x.n, down))
-        out[i] = (hi - lo) / (2.0 * CENTRAL_STEP)
+    out = np.empty(size)
+    for block in stack_blocks(size, size):
+        coords = np.arange(size)[block]
+        mutants = np.tile(x.probs, (2, len(coords), 1))
+        mutants[0, np.arange(len(coords)), coords] += CENTRAL_STEP
+        mutants[1, np.arange(len(coords)), coords] -= CENTRAL_STEP
+        denominator = mutant_systems(mutants, x)
+        numerator = denominator if reparam else denominator.copy()
+        numerator[..., -1] = column
+        sign_n, log_n = np.linalg.slogdet(numerator)
+        if reparam:
+            # math.exp, as one mutant at a time took it: np.exp differs
+            # from it in the last bit for about one argument in twenty
+            magnitude = np.array([math.exp(v) for v in log_n.ravel()])
+            value = sign * sign_n * magnitude.reshape(log_n.shape)
+        else:
+            sign_d, log_d = np.linalg.slogdet(denominator)
+            if np.any(sign_d == 0.0):
+                raise DegeneracyError("denominator determinant vanished")
+            value = np.where(sign_n == 0.0, 0.0, sign_n * sign_d * np.exp(log_n - log_d))
+        out[block] = (value[0] - value[1]) / (2.0 * CENTRAL_STEP)
     return out
 
 
@@ -176,7 +192,7 @@ def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
 
     Central differences perturb only the mutant entries, keeping the
     resident fixed at ``x``, and need ``x`` 2 * ``CENTRAL_STEP`` inside the
-    cube; the analytic method is :func:`field_function` on a batch of one and
+    cube; the analytic method is :func:`field_rows` on a batch of one and
     needs ``ANALYTIC_MARGIN``.  Either way, a field that is not finite, as
     near the float limit of the payoffs, raises ValueError naming the payoff
     magnitude, after :func:`markov.solved` has named a failed solve.
@@ -189,18 +205,39 @@ def adaptive_field(x: StrategyVector, spec: FieldSpec) -> np.ndarray:
         raise BoundaryMarginError(
             f"point is {distance:.2e} from the cube boundary; need >= {margin:.2e}"
         )
+    if not central:
+        return field_rows(spec, x.probs[None])[0]
+    reparam = spec.variant == "antisymmetric_reparam"
     with np.errstate(over="ignore", invalid="ignore"):
-        if central:
-            reparam = spec.variant == "antisymmetric_reparam"
-            field = _field_central(x, variant_column(spec), reparam)
-        else:
-            field = field_function(spec)(x.probs[None])[0]
-            if np.isnan(field).any():  # a failed solve; an infinity overflowed
-                solved(field)
+        field = _field_central(x, variant_column(spec), reparam)
     if not np.all(np.isfinite(field)):
-        magnitude = float(np.abs(spec.payoff).max())
-        raise ValueError(f"the field overflows at payoffs of magnitude {magnitude:.3g}")
+        raise _overflow(spec)
     return field
+
+
+def field_rows(spec: FieldSpec, points) -> np.ndarray:
+    """The analytic field of ``spec`` at each row of a (k, size) array of
+    interior points, by one :func:`field_function` call.
+
+    The rows are neither validated nor margin-checked.  A row that is not
+    finite raises as :func:`adaptive_field` says, the first such row first:
+    :func:`markov.solved` names a failed solve, and an overflow raises
+    ValueError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = field_function(spec)(points)
+    if not np.isfinite(field).all():
+        for row in field:
+            if np.isnan(row).any():  # a failed solve; an infinity overflowed
+                solved(row)
+            if not np.isfinite(row).all():
+                raise _overflow(spec)
+    return field
+
+
+def _overflow(spec: FieldSpec) -> ValueError:
+    magnitude = float(np.abs(spec.payoff).max())
+    return ValueError(f"the field overflows at payoffs of magnitude {magnitude:.3g}")
 
 
 def memory1_field_closed(p: StrategyVector, f) -> np.ndarray:
@@ -367,7 +404,7 @@ def counting_antisym_closed(q2: float, q1: float, q0: float) -> np.ndarray:
     return np.array([dq2, dq1, dq0])
 
 
-def _restrict_to_counting(
+def restrict_to_counting(
     full: np.ndarray, invariance_tol: float = DEFAULTS["counting_invariance"]
 ) -> np.ndarray:
     """(dq2, dq1, dq0) rows of memory-1 fields at counting points.
@@ -380,13 +417,16 @@ def _restrict_to_counting(
         raise InvarianceViolationError(
             f"field components across the counting hyperplane differ by {gap:.2e}"
         )
-    return np.stack([full[:, 0], 0.5 * (full[:, 1] + full[:, 2]), full[:, 3]], axis=1)
+    restricted = full.take([0, 1, 3], axis=1)
+    restricted[:, 1] += full[:, 2]
+    restricted[:, 1] *= 0.5
+    return restricted
 
 
 def _counting_batch(points, column) -> np.ndarray:
     """Counting field at each row (q2, q1, q0) of ``points``, by :func:`field_batch`."""
     q = np.asarray(points, dtype=float)
-    return _restrict_to_counting(field_batch(q[:, [0, 1, 1, 2]], column))
+    return restrict_to_counting(field_batch(q.take([0, 1, 1, 2], axis=1), column))
 
 
 def counting_field(
@@ -406,7 +446,7 @@ def counting_field(
     """
     spec = FieldSpec(n=1, payoff=f, variant=variant)
     full = adaptive_field(counting_to_full(q2, q1, q0), spec)
-    return _restrict_to_counting(full[None], invariance_tol)[0]
+    return restrict_to_counting(full[None], invariance_tol)[0]
 
 
 def counting_sign_study(b: float, c: float) -> dict:
@@ -592,6 +632,12 @@ def _cube_distance(v: np.ndarray) -> np.ndarray:
     return np.minimum(v.min(axis=-1), 1.0 - v.max(axis=-1))
 
 
+def _cube_margin(v: np.ndarray) -> float:
+    """The least :func:`_cube_distance` of the rows, by plain ufunc
+    reductions: the array methods add a Python call to each."""
+    return min(np.minimum.reduce(v, None), 1.0 - np.maximum.reduce(v, None))
+
+
 _RK45_COEFFS = (
     (),
     (0.25,),
@@ -687,21 +733,24 @@ def integrate_path(
     batch = len(y)
     stop = np.full(batch, "t_max", dtype=object)
     running = np.ones(batch, dtype=bool)
+    everyone = True  # whether every member still runs
 
     def halt(members, reason):
+        nonlocal everyone
         if members.any():
             stop[members] = reason
             running[members] = False
+            everyone = False
 
     def evaluate(points):
-        if not min(points.min(), 1.0 - points.max()) >= ANALYTIC_MARGIN:
+        if not _cube_margin(points) >= ANALYTIC_MARGIN:
             halt(running & ~(_cube_distance(points) >= ANALYTIC_MARGIN), "boundary")
-        if not running.all():
+        if not everyone:
             if not running.any():
                 return np.zeros_like(points)
             points = np.where(running[:, None], points, y)
         k = fn(points)
-        if not np.isfinite(k).all():
+        if not math.isfinite(np.add.reduce(k, None)):  # finite only if every entry is
             halt(running & ~np.all(np.isfinite(k), axis=1), "field_error")
         return k
 
@@ -718,7 +767,7 @@ def integrate_path(
         length = np.ones(batch, dtype=int)  # each member's entries in the log
         # (time, step, states, field norms) of each round in which a member moved
         log = [(t, 0.0, y, norm)]
-        while running.any() and t < t_max:
+        while t < t_max and (everyone or running.any()):
             # each t + h rounds by at most half an ulp of t_max, so k steps of
             # t_max / k leave an error of at most k^2 * 1.1e-16 steps, below 1e-6
             # up to k = 95,000: the last step takes that rounding with it
@@ -732,19 +781,22 @@ def integrate_path(
                 rejected += running
                 h = max(h * 0.5, _RK45_FLOOR)
                 continue
-            if not min(candidate.min(), 1.0 - candidate.max()) >= boundary_margin:
+            if not _cube_margin(candidate) >= boundary_margin:
                 halt(running & (_cube_distance(candidate) < boundary_margin), "boundary")
-            if not running.any():
+            if everyone:
+                y = candidate
+            elif running.any():  # running members move; the others keep their rows
+                y = np.where(running[:, None], candidate, y)
+            else:
                 break
-            # running members move; the others keep their rows
-            y = np.where(running[:, None], candidate, y)
             t = t_max if last else t + h
             slope = fn(y)
-            norm = np.abs(slope).max(axis=1)
+            norm = np.maximum.reduce(np.abs(slope), 1)
             length += running
             if worst > _RK45_TOL:
                 floor += running
-            halt(running & ~np.isfinite(norm), "field_error")
+            if not math.isfinite(np.add.reduce(norm)):
+                halt(running & ~np.isfinite(norm), "field_error")
             log.append((t, h, y, norm))
             if worst < 0.1 * _RK45_TOL:
                 h = min(h * 2.0, dt)

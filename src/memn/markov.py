@@ -88,15 +88,54 @@ def quad_columns(size: int) -> np.ndarray:
     return cols
 
 
+@lru_cache(maxsize=32)
+def _pair_layout(size: int, members: int, systems: int):
+    """Flat indices into a (members, systems, size, size + 1) stack of each
+    member's augmented systems (B^T | e_last) and, with two systems, (B |
+    -column), for :func:`_dense_solve`: the diagonals; the quadruple
+    entries; the entries that are 1, which are the last row of B^T, e_last's
+    last entry and the last column of B; and the offset each quadruple entry
+    takes, -1 on the diagonal and 0 off it."""
+    width = size + 1
+    rows = np.arange(size).repeat(4)
+    cols = quad_columns(size).ravel()
+    starts = size * width * np.arange(members * systems).reshape(members, systems, 1)
+    entries = np.stack([width * cols + rows, width * rows + cols])[:systems]
+    ones = [width * (size - 1) + np.arange(width), width * np.arange(size) + size - 1]
+    offset = np.where(rows == cols, -1.0, 0.0)
+    return (
+        (starts + (width + 1) * np.arange(size)).ravel(),
+        (starts + entries).ravel(),
+        np.concatenate([starts[:, k] + ones[k] for k in range(systems)], axis=1).ravel(),
+        np.tile(offset, (systems, 1)),
+    )
+
+
+def _refuse_dense(size: int) -> None:
+    if size > DENSE_FALLBACK_SIZE:
+        raise ValueError(
+            f"B = M - I is dense; refused above {DENSE_FALLBACK_SIZE} states"
+        )
+
+
+def stack_blocks(count: int, size: int):
+    """Slices that cut ``count`` dense (size, size) systems into the blocks
+    that are built at once: all of them below ``MATRIX_FREE_SIZE`` states,
+    where a system takes at most 32 KB, and one at a time from there up,
+    where it takes 512 KB or more."""
+    step = max(count, 1) if size < MATRIX_FREE_SIZE else 1
+    return [slice(k, k + step) for k in range(0, count, step)]
+
+
 def quadruples(p: np.ndarray, qb: np.ndarray) -> np.ndarray:
     """(..., size, 4) row quadruples of focal probabilities ``p`` against the
     co-player's probabilities ``qb`` read at the mirrored histories."""
     out = np.empty(np.shape(p) + (4,))
     not_p, not_qb = 1 - p, 1 - qb
-    np.multiply(p, qb, out=out[..., 0])
-    np.multiply(p, not_qb, out=out[..., 1])
-    np.multiply(not_p, qb, out=out[..., 2])
-    np.multiply(not_p, not_qb, out=out[..., 3])
+    np.multiply(p, qb, out[..., 0])
+    np.multiply(p, not_qb, out[..., 1])
+    np.multiply(not_p, qb, out[..., 2])
+    np.multiply(not_p, not_qb, out[..., 3])
     return out
 
 
@@ -159,7 +198,7 @@ def build_transition_matrix(p: StrategyVector, q: StrategyVector) -> np.ndarray:
     """The chain of ``p`` against ``q``: its (size, 4) row quadruples."""
     if p.n != q.n:
         raise ValueError(f"memory orders differ: {p.n} vs {q.n}")
-    return quadruples(p.probs, q.probs[bar_permutation(p.n)])
+    return quadruples(p.probs, q.probs.take(bar_permutation(p.n)))
 
 
 def build_transition_matrix_recursive(
@@ -206,10 +245,7 @@ def dense_matrix(quads: np.ndarray) -> np.ndarray:
     """
     quads = np.asarray(quads)
     *lead, size, _ = quads.shape
-    if size > DENSE_FALLBACK_SIZE:
-        raise ValueError(
-            f"B = M - I is dense; refused above {DENSE_FALLBACK_SIZE} states"
-        )
+    _refuse_dense(size)
     out = np.zeros((*lead, size, size))
     out[..., np.arange(size)[:, None], quad_columns(size)] = quads
     return out
@@ -236,12 +272,16 @@ def det_magnitude(quads: np.ndarray) -> np.ndarray:
     """|det B| of each chain of a (batch, size, 4) stack, NaN where B is
     singular.
 
-    There is no matrix-free determinant: B is built dense, one member at a
-    time, so :func:`chain_system` refuses it above ``DENSE_FALLBACK_SIZE``
-    states.
+    There is no matrix-free determinant: B is built dense, the whole stack
+    for one ``np.linalg.slogdet`` below ``MATRIX_FREE_SIZE`` states and one
+    member at a time from there up (:func:`stack_blocks`), and
+    :func:`chain_system` refuses it above ``DENSE_FALLBACK_SIZE`` states.
     """
     quads = np.asarray(quads, dtype=float)
-    signs, logs = np.array([np.linalg.slogdet(chain_system(q)) for q in quads]).T
+    batch, size, _ = quads.shape
+    signs, logs = np.empty(batch), np.empty(batch)
+    for block in stack_blocks(batch, size):
+        signs[block], logs[block] = np.linalg.slogdet(chain_system(quads[block]))
     return np.where(signs == 0.0, np.nan, np.exp(logs))
 
 
@@ -266,7 +306,7 @@ def solved(x: np.ndarray) -> np.ndarray:
     it not finite: above ``DENSE_FALLBACK_SIZE`` states a matrix-free solve
     that did not converge (``ConvergenceError``), up to it a singular chain
     system (``DegeneracyError``)."""
-    if np.all(np.isfinite(x)):
+    if np.isfinite(x).all():
         return x
     if len(x) > DENSE_FALLBACK_SIZE:
         raise ConvergenceError(
@@ -280,30 +320,37 @@ def _dense_solve(quads: np.ndarray, column=None):
     """nu and h (None without a column) of a (batch, size, 4) stack by one
     stacked dense LU.
 
-    B^T nu = e_last and B y = -column with B from :func:`chain_system`, as
-    one :func:`solve_systems` call on a (2 batch, size, size) array holding
-    B^T and B; h is y with its last entry zeroed, as in
+    B^T nu = e_last and B y = -column with B as :func:`chain_system` builds
+    it, as one :func:`solve_systems` call on a (batch, 2, size, size + 1)
+    array of each member's augmented (B^T | e_last) and (B | -column),
+    filled in place from the flat indices of the quadruples
+    (:func:`_pair_layout`); h is y with its last entry zeroed, as in
     :func:`poisson_vector`.  Without a column B^T nu = e_last is solved
-    alone.  A singular member's nu and h come back all NaN.  The pair is
-    allocated before B: with B allocated first, malloc could return the
-    large blocks to the system after each call and fault them in again on
-    the next.  That costs page faults only for the one-member fallbacks of
-    :func:`solve_chain` from ``MATRIX_FREE_SIZE`` states up; the stacked
-    solves below it hold B in at most 32 KB a member.
+    alone.  A singular member's nu and h come back all NaN.  Like
+    :func:`dense_matrix`, it refuses a chain above ``DENSE_FALLBACK_SIZE``
+    states before anything is allocated.
     """
     batch, size, _ = quads.shape
+    _refuse_dense(size)
+    systems = 1 if column is None else 2
+    augmented = np.zeros((batch, systems, size, size + 1))
+    # filled in runs of about 1,024 rows (one member from 1,024 states
+    # up), so that the cached layouts do not grow with the batch: about
+    # 100 KB a run below 4,096 states
+    run = max(1, 1024 // size)
+    for first in range(0, batch, run):
+        members = quads[first : first + run]
+        diagonal, entries, ones, offset = _pair_layout(size, len(members), systems)
+        flat = augmented[first : first + run].reshape(-1)
+        flat[diagonal] = -1.0
+        flat[entries] = (members.reshape(len(members), 1, 4 * size) + offset).reshape(-1)
+        flat[ones] = 1.0
+    if column is not None:
+        np.negative(column, out=augmented[:, 1, :, -1])
+    solution = solve_systems(augmented[..., :-1], augmented[..., -1:])[..., 0]
     if column is None:
-        rhs = np.zeros((batch, size, 1))
-        rhs[:, -1] = 1.0
-        return solve_systems(chain_system(quads).swapaxes(1, 2), rhs)[..., 0], None
-    pair = np.empty((2 * batch, size, size))
-    pair[batch:] = chain_system(quads)
-    pair[:batch] = pair[batch:].swapaxes(1, 2)
-    rhs = np.zeros((2 * batch, size, 1))
-    rhs[:batch, -1] = 1.0
-    rhs[batch:, :, 0] = -np.asarray(column, dtype=float)
-    solution = solve_systems(pair, rhs)[..., 0]
-    nu, h = solution[:batch], solution[batch:]
+        return solution[:, 0], None
+    nu, h = solution[:, 0], solution[:, 1]
     h[:, -1] -= h[:, -1]  # 0, except that a singular member's NaN stays
     return nu, h
 
@@ -530,6 +577,13 @@ def poisson_vector(quads: np.ndarray, column: np.ndarray) -> np.ndarray:
     h = solved(solve_systems(chain_system(quads), -column))
     h[-1] = 0.0
     return h
+
+
+def mutant_systems(mutants: np.ndarray, q: StrategyVector) -> np.ndarray:
+    """B of each row of an (..., size) array of mutant probabilities against
+    ``q``, stacked: the denominators of the determinant quotient, built as
+    :func:`build_transition_matrix` builds one chain (oracle)."""
+    return chain_system(quadruples(mutants, q.probs.take(bar_permutation(q.n))))
 
 
 def payoff_from_column(

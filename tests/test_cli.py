@@ -690,6 +690,23 @@ def test_model_mutation_fails_exactly_its_checks(
         assert (check.max_residual, check.tolerance) == (float("inf"), 0.0)
 
 
+def test_report_of_a_check_that_raised_is_strict_json(tmp_path, monkeypatch):
+    """Under the quadruple swap two checks report an infinite residual; the
+    report that ``memn verify --out`` writes holds them as null, and loads
+    with a parser that refuses Infinity and NaN."""
+    monkeypatch.setattr(memn.dynamics, "quadruples", _swapped_quadruples)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--seed", "7", "--out", str(out)]) == 1
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    infinite = {c["check_id"] for c in report["checks"] if c["max_residual"] is None}
+    assert infinite == {"counting-consistency", "perturbation-envelope"}
+    assert all(not c["passed"] for c in report["checks"] if c["check_id"] in infinite)
+
+
 def test_conserved_drift_fails_when_g2_drifts(monkeypatch):
     """A G2 that the anti-symmetric flow does not conserve (the paper's G2
     plus 0.1 p_CC^2) fails conserved-drift, and the detail fits the cubic

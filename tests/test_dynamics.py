@@ -1,5 +1,8 @@
 """Vector field, integration, and invariant-drift tests."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,7 @@ from memn.errors import BoundaryMarginError, DegeneracyError
 from memn.markov import (
     build_transition_matrix,
     chain_system,
+    det_magnitude,
     iteration_budget,
     payoff_from_column,
     quad_columns,
@@ -87,6 +91,83 @@ def test_gradient_methods_agree_memory4():
         c = adaptive_field(x, FieldSpec(4, f, variant, "central_difference"))
         scale = max(np.abs(a).max(), 1e-12)
         assert np.abs(a - c).max() / scale <= DEFAULTS["gradient_relative"]
+
+
+def central_by_coordinate(x, column, reparam):
+    """Central differences of the determinant quotient, one mutant and two
+    determinants at a time: the scalar loop the stacked oracle replaces."""
+    sign = np.linalg.slogdet(chain_system(build_transition_matrix(x, x)))[0]
+
+    def value(probs):
+        mutant = StrategyVector(x.n, probs)
+        if not reparam:
+            return payoff_from_column(mutant, x, column)
+        numerator = chain_system(build_transition_matrix(mutant, x))
+        numerator[:, -1] = column
+        sign_n, log_n = np.linalg.slogdet(numerator)
+        return sign * sign_n * math.exp(log_n)
+
+    out = np.zeros(len(x))
+    for i in range(len(x)):
+        up, down = x.probs.copy(), x.probs.copy()
+        up[i] += dynamics.CENTRAL_STEP
+        down[i] -= dynamics.CENTRAL_STEP
+        out[i] = (value(up) - value(down)) / (2.0 * dynamics.CENTRAL_STEP)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("variant", dynamics.VARIANTS)
+def test_stacked_central_differences_equal_the_scalar_loop(n, variant):
+    """The central-difference oracle, which stacks its mutants for one
+    slogdet of the numerators and one of the denominators, gives exactly
+    what one mutant at a time gives."""
+    rng = np.random.default_rng([60, n, dynamics.VARIANTS.index(variant)])
+    spec = FieldSpec(n, build_payoff_vector(DONATION, n), variant, "central_difference")
+    reparam = variant == "antisymmetric_reparam"
+    for _ in range(2):
+        x = random_point(rng, n)
+        reference = central_by_coordinate(x, variant_column(spec), reparam)
+        np.testing.assert_array_equal(adaptive_field(x, spec), reference)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_det_magnitude_equals_one_slogdet_per_member(n):
+    rng = np.random.default_rng(70 + n)
+    points = rng.uniform(0.1, 0.9, (5, n_states(n)))
+    quads = quadruples(points, points[:, bar_permutation(n)])
+    reference = [np.exp(np.linalg.slogdet(chain_system(q))[1]) for q in quads]
+    assert list(det_magnitude(quads)) == reference
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("variant", dynamics.VARIANTS)
+def test_field_rows_equal_one_row_calls(n, variant):
+    """k rows through one field_function call give exactly the k one-row
+    calls: each member's solve and determinant are its own."""
+    rng = np.random.default_rng([80, n, dynamics.VARIANTS.index(variant)])
+    spec = FieldSpec(n, build_payoff_vector(DONATION, n), variant)
+    points = rng.uniform(0.1, 0.9, (3, n_states(n)))
+    fn = dynamics.field_function(spec)
+    rows = fn(points)
+    for k, point in enumerate(points):
+        np.testing.assert_array_equal(rows[k], fn(point[None])[0])
+    np.testing.assert_array_equal(dynamics.field_rows(spec, points), rows)
+
+
+def test_central_differences_at_memory4_hold_one_coordinate_at_a_time():
+    """From 256 states the oracle stacks one coordinate's mutants at a
+    time: at memory 4 it peaks far below the 512 MB of the whole stack."""
+    rng = np.random.default_rng(90)
+    x = random_point(rng, 4)
+    column = build_payoff_vector(DONATION, 4)
+    tracemalloc.start()
+    try:
+        dynamics._field_central(x, column, reparam=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
