@@ -35,9 +35,12 @@ mixing chain near the boundary) is solved dense alone up to
 ``DENSE_FALLBACK_SIZE`` states and comes back NaN above, where B would take
 gigabytes; :func:`solved` names the error.  :func:`dense_matrix`, the one
 dense scatter and the base of :func:`chain_system`, refuses a chain above
-that size.  The determinant quotient, the dense references
-:func:`stationary_distribution` and :func:`poisson_vector`, and the block
-recursion are kept as oracles.
+that size.  |det B| of a self-play chain (:func:`det_magnitude`) is taken
+without B: there M commutes with the player swap ``bar``, so B splits into
+a bar-even and a bar-odd half (:func:`swap_halves`), each scattered dense
+from the quadruples, and det B is the product of their determinants.  The
+determinant quotient, the dense references :func:`stationary_distribution`
+and :func:`poisson_vector`, and the block recursion are kept as oracles.
 """
 
 from __future__ import annotations
@@ -268,21 +271,105 @@ def chain_system(quads: np.ndarray) -> np.ndarray:
     return out
 
 
-def det_magnitude(quads: np.ndarray) -> np.ndarray:
-    """|det B| of each chain of a (batch, size, 4) stack, NaN where B is
-    singular.
+def swap_layout(perm: np.ndarray):
+    """How B splits under an involution ``perm`` of the states, for
+    :func:`swap_halves`: for the even half and, unless ``perm`` fixes every
+    state, the odd half, its order d; for each quadruple entry it sums, the
+    flat source in a chain's (size, 4) quadruples, the flat destination in
+    the (d, d) half and the sign; and the flat places and sums there of B's
+    constant entries.
 
-    There is no matrix-free determinant: B is built dense, the whole stack
-    for one ``np.linalg.slogdet`` below ``MATRIX_FREE_SIZE`` states and one
-    member at a time from there up (:func:`stack_blocks`), and
-    :func:`chain_system` refuses it above ``DENSE_FALLBACK_SIZE`` states.
+    With the orbits {i, perm i} listed by i <= perm i, the even basis is
+    s_b = e_i + e_perm(i) (e_i at a fixed point) and the odd basis d_b =
+    e_i - e_perm(i) (i < perm i).  If B commutes with perm (which then
+    fixes the last state, as B's last column is all 1), B s_b and B d_b
+    stay in their halves, and row i_a of each reads B_even[a, b] = sum_(j
+    in orbit b) B[i_a, j] and B_odd[a, b] = B[i_a, i_b] - B[i_a, perm i_b].
+    So the entries of row i_a of B, its quadruple entries, -1 on the
+    diagonal and 1 in the last column (which replaces the others there),
+    land in their orbit's column, signed by their end of the orbit in the
+    odd half, where a fixed column drops out; det B = det B_even det B_odd.
+    """
+    perm = np.asarray(perm)
+    size = len(perm)
+    states = np.arange(size)
+    last = size - 1
+    layout = []
+    for reps, far_end in ((states[states <= perm], 1.0), (states[states < perm], -1.0)):
+        d = len(reps)
+        if d == 0:
+            continue
+        index = np.zeros(size, dtype=int)
+        index[reps] = index[perm[reps]] = np.arange(d)
+        sign = np.zeros(size)
+        sign[perm[reps]] = far_end
+        sign[reps] = 1.0
+        columns = quad_columns(size)[reps]
+        weight = np.where(columns == last, 0.0, sign[columns])
+        keep = weight != 0.0
+        source = 4 * reps[:, None] + np.arange(4)
+        destination = d * np.arange(d)[:, None] + index[columns]
+        diagonal = np.flatnonzero(reps != last)
+        spots = np.concatenate([(d + 1) * diagonal, d * np.arange(d) + index[last]])
+        values = np.concatenate([np.full(len(diagonal), -1.0), np.full(d, sign[last])])
+        held = values != 0.0
+        entries = source[keep], destination[keep], weight[keep]
+        layout.append((d, *entries, spots[held], values[held]))
+    return layout
+
+
+@lru_cache(maxsize=None)
+def _player_swap_layout(size: int):
+    """:func:`swap_layout` under the player swap ``bar``, which commutes
+    with every self-play M and fixes the last state, all-DD."""
+    return swap_layout(bar_permutation((size.bit_length() - 1) // 2))
+
+
+def swap_halves(quads: np.ndarray):
+    """The bar-even and then the bar-odd half of B for each self-play chain
+    of a (batch, size, 4) stack, as (batch, d, d) stacks of orders size/2 +
+    2^(n-1) and size/2 - 2^(n-1), without B (:func:`swap_layout`).
+
+    For each half one bincount sums the quadruple entries of the orbit
+    representatives' rows into their places, and B's constant entries are
+    added after them, as :func:`chain_system` sets them after the
+    quadruples.  The halves are yielded one at a time: at 256 states, in a
+    loop of reparametrised ``memn field`` calls, building both before the
+    first ``slogdet`` took 75-110 minor page faults a call, and yielding
+    them takes none.
+    """
+    batch, size, _ = quads.shape
+    values = quads.reshape(batch, 4 * size)
+    for d, source, destination, weight, spots, constants in _player_swap_layout(size):
+        flat = destination + d * d * np.arange(batch)[:, None]
+        half = np.bincount(flat.ravel(), (values[:, source] * weight).ravel(), batch * d * d)
+        half = half.reshape(batch, d * d)
+        half[:, spots] += constants
+        yield half.reshape(batch, d, d)
+
+
+def det_magnitude(quads: np.ndarray) -> np.ndarray:
+    """|det B| of each self-play chain of a (batch, size, 4) stack, NaN
+    where B is singular.
+
+    M commutes with the player swap at mutant = resident (and in general
+    only there), so det B is the product of the determinants of its two
+    halves (:func:`swap_halves`), built dense without B or M: the whole
+    stack goes through one ``np.linalg.slogdet`` per half below
+    ``MATRIX_FREE_SIZE`` states, and one member at a time from there up
+    (:func:`stack_blocks`).  Like :func:`chain_system`, it refuses a chain
+    above ``DENSE_FALLBACK_SIZE`` states before anything is built.
     """
     quads = np.asarray(quads, dtype=float)
     batch, size, _ = quads.shape
-    signs, logs = np.empty(batch), np.empty(batch)
+    _refuse_dense(size)
+    logs, singular = np.zeros(batch), np.zeros(batch, dtype=bool)
     for block in stack_blocks(batch, size):
-        signs[block], logs[block] = np.linalg.slogdet(chain_system(quads[block]))
-    return np.where(signs == 0.0, np.nan, np.exp(logs))
+        for half in swap_halves(quads[block]):
+            sign, log = np.linalg.slogdet(half)
+            logs[block] += log
+            singular[block] |= sign == 0.0
+    return np.where(singular, np.nan, np.exp(logs))
 
 
 def solve_systems(a: np.ndarray, b: np.ndarray) -> np.ndarray:

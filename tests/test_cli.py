@@ -640,11 +640,15 @@ def _negated_antisymmetric_column(spec):
     return -column if spec.variant == "antisymmetric" else column
 
 
+def _complement_swap_layout(size):
+    return memn.markov.swap_layout(size - 1 - np.arange(size))
+
+
 @pytest.mark.parametrize(
     "name, mutant, failing, errors",
     [
         (
-            "quadruples",
+            "dynamics.quadruples",
             _swapped_quadruples,
             {
                 "gradient-consistency", "closed-form-fields", "counting-consistency",
@@ -654,7 +658,7 @@ def _negated_antisymmetric_column(spec):
             {"perturbation-envelope": "InvarianceViolationError"},
         ),
         (
-            "bar_permutation",
+            "dynamics.bar_permutation",
             lambda n: np.arange(4**n),
             {
                 "gradient-consistency", "closed-form-fields", "conserved-drift",
@@ -663,13 +667,19 @@ def _negated_antisymmetric_column(spec):
             {},
         ),
         (
-            "variant_column",
+            "dynamics.variant_column",
             _negated_antisymmetric_column,
             {"closed-form-fields", "field-decomposition"},
             {},
         ),
+        (
+            "markov._player_swap_layout",
+            _complement_swap_layout,
+            {"gradient-consistency"},
+            {},
+        ),
     ],
-    ids=["quadruple-swap", "identity-bar", "negated-antisymmetric"],
+    ids=["quadruple-swap", "identity-bar", "negated-antisymmetric", "complement-swap-layout"],
 )
 def test_model_mutation_fails_exactly_its_checks(
     name, mutant, failing, errors, monkeypatch
@@ -677,8 +687,10 @@ def test_model_mutation_fails_exactly_its_checks(
     """A kill matrix: under each mutation of the field's model the default
     battery at seed 7 reports all 19 checks and fails exactly those the
     mutation reaches.  A check that the mutation makes raise fails with
-    residual inf, bound 0 and the error in its detail."""
-    monkeypatch.setattr(memn.dynamics, name, mutant)
+    residual inf, bound 0 and the error in its detail.  The layout that
+    splits |det B| by the player swap, built from the complement map i ->
+    size - 1 - i instead, reaches only the reparametrised field."""
+    monkeypatch.setattr(f"memn.{name}", mutant)
     report = run_battery(seed=7)
     assert [c.check_id for c in report.checks] == [entry[0] for entry in _BATTERY]
     assert len(report.checks) == 19

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from memn import dynamics
+from memn import dynamics, markov
 from memn.battery import DRIFT_STEP, MIRROR_STEPS
 from memn.core import (
     GameParams,
@@ -131,13 +131,78 @@ def test_stacked_central_differences_equal_the_scalar_loop(n, variant):
         np.testing.assert_array_equal(adaptive_field(x, spec), reference)
 
 
+def self_play_quadruples(rng, n, count):
+    points = rng.uniform(0.1, 0.9, (count, n_states(n)))
+    return quadruples(points, points[:, bar_permutation(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_det_magnitude_matches_one_slogdet_of_the_whole_system(n):
+    """|det B| from the two player-swap halves of B matches the slogdet of
+    the dense B that chain_system builds."""
+    quads = self_play_quadruples(np.random.default_rng(70 + n), n, 3)
+    reference = np.exp(np.linalg.slogdet(chain_system(quads))[1])
+    np.testing.assert_allclose(det_magnitude(quads), reference, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_stacked_det_magnitude_equals_one_slogdet_per_member(n):
-    rng = np.random.default_rng(70 + n)
-    points = rng.uniform(0.1, 0.9, (5, n_states(n)))
-    quads = quadruples(points, points[:, bar_permutation(n)])
-    reference = [np.exp(np.linalg.slogdet(chain_system(q))[1]) for q in quads]
+def test_stacked_det_magnitude_equals_one_member_at_a_time(n):
+    quads = self_play_quadruples(np.random.default_rng(70 + n), n, 5)
+    reference = [det_magnitude(q[None])[0] for q in quads]
     assert list(det_magnitude(quads)) == reference
+
+
+def assert_halves_are_the_swap_blocks(n):
+    """In the basis S of the player swap's sums e_i + e_bar(i) (e_i where
+    bar fixes i) and differences e_i - e_bar(i), each listed by i <= bar
+    i, S^-1 B S is block diagonal up to 1e-16, and its diagonal blocks are
+    the halves of swap_halves to 1e-15.  The columns of S are orthogonal,
+    so S^-1 = S^T scaled row by row."""
+    perm = bar_permutation(n)
+    states = np.arange(n_states(n))
+    cut = np.count_nonzero(states <= perm)
+    basis = np.zeros((len(states), len(states)))
+    for first, reps, far_end in ((0, states <= perm, 1.0), (cut, states < perm, -1.0)):
+        reps = states[reps]
+        basis[perm[reps], first + np.arange(len(reps))] = far_end
+        basis[reps, first + np.arange(len(reps))] = 1.0
+    quads = self_play_quadruples(np.random.default_rng(30 + n), n, 3)
+    blocks = basis.T @ chain_system(quads) @ basis / (basis**2).sum(0)[:, None]
+    even, odd = markov.swap_halves(quads)
+    np.testing.assert_allclose(even, blocks[:, :cut, :cut], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(odd, blocks[:, cut:, cut:], rtol=0.0, atol=1e-15)
+    assert np.abs(blocks[:, :cut, cut:]).max() <= 1e-16
+    assert np.abs(blocks[:, cut:, :cut]).max() <= 1e-16
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_swap_halves_are_the_diagonal_blocks_of_b_in_the_swap_basis(n):
+    assert_halves_are_the_swap_blocks(n)
+
+
+def test_halves_split_by_the_complement_map_fail_the_block_structure(monkeypatch):
+    """Split by i -> size - 1 - i in place of the player swap, the halves
+    are not the blocks of B, and |det B| from them is wrong by more than
+    10 %.  (The identity map is no such fault: its split is trivial, B
+    itself and no odd half.)"""
+    quads = self_play_quadruples(np.random.default_rng(31), 2, 3)
+    reference = np.exp(np.linalg.slogdet(chain_system(quads))[1])
+
+    def identity(size):
+        return markov.swap_layout(np.arange(size))
+
+    def complement(size):
+        return markov.swap_layout(size - 1 - np.arange(size))
+
+    monkeypatch.setattr(markov, "_player_swap_layout", identity)
+    (whole,) = markov.swap_halves(quads)
+    np.testing.assert_array_equal(whole, chain_system(quads))
+
+    monkeypatch.setattr(markov, "_player_swap_layout", complement)
+    for n in (1, 2, 3):
+        with pytest.raises(AssertionError):
+            assert_halves_are_the_swap_blocks(n)
+    assert (np.abs(det_magnitude(quads) / reference - 1) > 0.1).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -170,17 +235,17 @@ def test_central_differences_at_memory4_hold_one_coordinate_at_a_time():
     assert peak < 20e6
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_reparam_is_scaled_antisymmetric_field(n):
     """antisymmetric_reparam = 2 |det B| * antisymmetric, B = M - I with its
-    last column set to 1."""
+    last column set to 1, built dense."""
     rng = np.random.default_rng(50 + n)
     f = build_payoff_vector(DONATION, n)
     for _ in range(5):
         x = random_point(rng, n)
         anti = adaptive_field(x, FieldSpec(n, f, "antisymmetric"))
         reparam = adaptive_field(x, FieldSpec(n, f, "antisymmetric_reparam"))
-        det = abs(np.linalg.det(chain_system(build_transition_matrix(x, x))))
+        det = np.exp(np.linalg.slogdet(chain_system(build_transition_matrix(x, x)))[1])
         assert det > 0.0
         np.testing.assert_allclose(reparam, 2.0 * det * anti, rtol=1e-9, atol=0.0)
 
