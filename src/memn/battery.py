@@ -72,22 +72,28 @@ from .tolerances import load_tolerances, tolerance_hash
 DONATION_B = 2.0
 DONATION_C = 1.0
 FAULT_DELTA = 1e-3
-# RK4 keeps the linear invariants (G1, the memory-2 pair differences) to
-# rounding at any step, and drifts the cubic G3 as dt^4 (Hairer, Lubich &
-# Wanner, Geometric Numerical Integration, 2006, ch. IV).  At seed 7 the
-# worst memory-1 rate read 5.1e-13 at dt = 1e-3, 2.7e-10 at 5e-3 and 4.2e-9
-# at 1e-2 against conserved_drift_per_time (1e-7): a margin of about 370x.
+# The memory-1 leg of conserved-drift: RK4 keeps the linear G1 to rounding
+# at any step, and drifts the cubic G3 as dt^4 (Hairer, Lubich & Wanner,
+# Geometric Numerical Integration, 2006, ch. IV).  At seed 7 the worst
+# memory-1 rate read 5.1e-13 at dt = 1e-3, 2.7e-10 at 5e-3 and 4.2e-9 at
+# 1e-2 against conserved_drift_per_time (1e-7): a margin of about 370x.
 # Over seeds 0-99 the median rate at this step is 9.9e-10 and the worst
-# 4.6e-9 (seed 86), a margin of 21x.  A test holds the seed-7 rate at this
-# step to a 100x margin and to the dt^4 law.
+# 4.6e-9 (seed 86), a margin of 21.5x.  A test holds the seed-7 rate at
+# this step to a 100x margin and to the dt^4 law.
 DRIFT_STEP = 5e-3
-# RK4 commutes with the affine mirror x -> 1 - x∘J, so the mirror deviation
-# is rounding at any step: at seed 7 it read 2.9e-15 (n = 1) and 1.2e-15
-# (n = 2) at dt = 1e-3 and 2e-3, and 1.2e-15 and 4.4e-16 at these steps,
-# against z2_deviation_n1 (1e-6) and z2_deviation_n2 (1e-5).  The
-# step sets only the cost; a prisoner's dilemma in place of the donation
-# game breaks the mirror by 0.21 at memory 1 at this step.
-MIRROR_STEPS = {1: 1e-2, 2: 2e-2}
+# The exact legs: the memory-2 leg of conserved-drift and both legs of
+# z2-mirror.  RK4 keeps linear invariants (the memory-2 pair differences)
+# and commutes with the affine mirror x -> 1 - x∘J, so both errors are
+# rounding at any step (same reference); the step sets only the cost.  Over
+# seeds 0-99 at this step the pair-difference rates read at most 5.0e-16
+# (1.1e-15 at 5e-3) against conserved_drift_per_time (1e-7), and the mirror
+# deviations at most 1.6e-15 (n = 1; 1.8e-15 at 1e-2) and 5.6e-16 (n = 2)
+# against z2_deviation_n1 (1e-6) and z2_deviation_n2 (1e-5): margins past
+# 1e8.  A test holds these legs to rounding here and at a quarter of this
+# step.  An identity bar fails conserved-drift by 8.1e-3, and a prisoner's
+# dilemma in place of the donation game breaks the mirror by 0.20 at memory
+# 1, at this step.
+EXACT_STEP = 2e-2
 # the paper's G2 as exponents of (p_CC, p_CD, p_DC, p_DD) -> coefficient
 G2_COEFFS = {
     (3, 0, 0, 0): -1 / 3,
@@ -432,17 +438,22 @@ def check_reactive_fields(rng, n_max, trials, tol):
 def check_conserved_drift(rng, n_max, trials, tol):
     """Invariants stay constant along anti-symmetric trajectories.
 
-    When G2 drifts past ``tol``, the detail also reports how far the paper's
-    G2 lies from the cubics that the last memory-1 path conserves, rather
-    than amending G2.
+    The detail gives each invariant's worst drift rate and each memory
+    order's reach, nN_t_end: the end time of its shortest path.  When G2
+    drifts past ``tol``, the detail also reports how far the paper's G2 lies
+    from the cubics that the last memory-1 path conserves, rather than
+    amending G2.
     """
     worst = 0.0
     detail = {}
-    for n, count, t_max in ((1, 3, 5.0), (2, 1, 2.0))[:n_max]:
+    legs = ((1, 3, 5.0, DRIFT_STEP), (2, 1, 2.0, EXACT_STEP))
+    for n, count, t_max, dt in legs[:n_max]:
         spec = FieldSpec(n, _donation(n), "antisymmetric")
         size = n_states(n)
         starts = [StrategyVector(n, rng.uniform(0.35, 0.65, size)) for _ in range(count)]
-        for traj in integrate(spec, starts, dt=DRIFT_STEP, t_max=t_max).members:
+        members = integrate(spec, starts, dt=dt, t_max=t_max).members
+        detail[f"n{n}_t_end"] = min(float(traj.times[-1]) for traj in members)
+        for traj in members:
             duration = max(float(traj.times[-1]), 1e-9)
             for name in traj.conserved:
                 rate = conserved_report(traj, name).relative_drift / duration
@@ -486,7 +497,9 @@ def check_tft_stationarity(rng, n_max, trials, tol):
 
 def check_z2_mirror(rng, n_max, trials, tol_pair):
     """Forward flow equals the label-swapped backward flow; the residual is
-    the largest excess of a deviation over its own bound."""
+    the largest excess of a deviation over its own bound.  The detail gives
+    each memory order's deviation and reach, nN_t_end: the end time of its
+    shortest path."""
     worst_margin = 0.0
     detail = {}
     runs = ((1, 10, (0.3, 0.7), 1.0), (2, 3, (0.35, 0.65), 0.25))
@@ -494,8 +507,9 @@ def check_z2_mirror(rng, n_max, trials, tol_pair):
         spec = FieldSpec(n, _donation(n), "full")
         size = n_states(n)
         starts = [StrategyVector(n, rng.uniform(low, high, size)) for _ in range(count)]
-        deviation = z2_mirror_check(spec, starts, t_max=t_max, dt=MIRROR_STEPS[n])
+        deviation, t_end = z2_mirror_check(spec, starts, t_max=t_max, dt=EXACT_STEP)
         detail[f"n{n}_deviation"] = deviation
+        detail[f"n{n}_t_end"] = t_end
         worst_margin = max(worst_margin, deviation - tol)
     return worst_margin, 0.0, detail
 

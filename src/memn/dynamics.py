@@ -858,15 +858,16 @@ def z2_mirror_check(
     x0,
     t_max: float,
     dt: float,
-) -> float:
-    """Deviation of the flow from its mirror-and-time-reverse twin.
+) -> tuple[float, float]:
+    """Deviation of the flow from its mirror-and-time-reverse twin, and the
+    time the comparison reached.
 
     For each start one trajectory starts at the label-swapped point and runs
     forward; the other starts at the start and runs backward (negated
     field).  If the dynamics are equivariant the label swap of the backward
     path reproduces the forward one.  ``x0`` is a sequence of strategies,
-    all integrated as one ensemble; the largest gap over each pair's common
-    interval is returned.
+    all integrated as one ensemble.  Returns the largest gap over each
+    pair's common interval, and the end time of the shortest path.
     """
     starts = _starts(spec, x0)
     count = len(starts)
@@ -884,7 +885,8 @@ def z2_mirror_check(
         mirrored_backward = 1.0 - backward.states[:common, ::-1]
         gap = np.abs(forward.states[:common] - mirrored_backward).max()
         worst = max(worst, float(gap))
-    return worst
+    t_end = min(float(member.times[-1]) for member in ensemble.members)
+    return worst, t_end
 
 
 def _cubic_monomials(states: np.ndarray):

@@ -18,7 +18,7 @@ from memn.core import (
     reactive_strategy,
     tft_strategy,
 )
-from memn.battery import DRIFT_STEP, MIRROR_STEPS, run_battery
+from memn.battery import DRIFT_STEP, EXACT_STEP, run_battery
 from memn.dynamics import (
     FieldSpec,
     adaptive_field,
@@ -283,7 +283,7 @@ def test_criterion_07_conserved_quantities():
     f2 = build_payoff_vector(DONATION, 2)
     spec2 = FieldSpec(2, f2, "antisymmetric")
     x0 = StrategyVector(2, rng.uniform(0.35, 0.65, 16))
-    trajectory = integrate(spec2, [x0], dt=DRIFT_STEP, t_max=2.0).members[0]
+    trajectory = integrate(spec2, [x0], dt=EXACT_STEP, t_max=2.0).members[0]
     duration = max(float(trajectory.times[-1]), 1e-9)
     pair_rates = {
         name: conserved_report(trajectory, name).relative_drift / duration
@@ -329,10 +329,10 @@ def test_criterion_09_z2_mirror():
     rng = np.random.default_rng(109)
     spec1 = FieldSpec(1, build_payoff_vector(DONATION, 1), "full")
     starts1 = [StrategyVector(1, rng.uniform(0.3, 0.7, 4)) for _ in range(10)]
-    worst1 = z2_mirror_check(spec1, starts1, t_max=1.0, dt=MIRROR_STEPS[1])
+    worst1, _ = z2_mirror_check(spec1, starts1, t_max=1.0, dt=EXACT_STEP)
     spec2 = FieldSpec(2, build_payoff_vector(DONATION, 2), "full")
     starts2 = [StrategyVector(2, rng.uniform(0.35, 0.65, 16)) for _ in range(10)]
-    worst2 = z2_mirror_check(spec2, starts2, t_max=0.25, dt=MIRROR_STEPS[2])
+    worst2, _ = z2_mirror_check(spec2, starts2, t_max=0.25, dt=EXACT_STEP)
     ok = worst1 <= 1e-6 and worst2 <= 1e-5
     assert report(
         9, "z2-mirror", ok, f"(n=1 {worst1:.1e}, n=2 {worst2:.1e})"

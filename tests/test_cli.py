@@ -752,6 +752,25 @@ def test_conserved_drift_follows_the_rk4_error_law():
     assert rates[step] <= DEFAULTS["conserved_drift_per_time"] / 100
 
 
+def test_exact_legs_stay_at_rounding_at_any_step():
+    """RK4 keeps the memory-2 pair differences and commutes with the
+    mirror, so at EXACT_STEP and at a quarter of it the pair-difference
+    rates and both mirror deviations stay at rounding, while the memory-1
+    drift leg, stepped by DRIFT_STEP, reads the same in both runs."""
+    step = memn.battery.EXACT_STEP
+    memory1 = []
+    for dt in (step, step / 4):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(memn.battery, "EXACT_STEP", dt)
+            drift, mirror = run_battery(only={"conserved-drift", "z2-mirror"}).checks
+        exact = [v for k, v in drift.detail.items() if k.startswith("pair_")]
+        assert len(exact) == 2
+        exact += [mirror.detail["n1_deviation"], mirror.detail["n2_deviation"]]
+        assert max(exact) <= 1e-13
+        memory1.append([drift.detail[k] for k in ("G1", "G2", "G3")])
+    assert memory1[0] == memory1[1]
+
+
 def test_z2_mirror_fails_for_a_prisoners_dilemma(monkeypatch):
     """The mirror is a symmetry of games with equal gains from switching:
     a prisoner's dilemma (R, S, T, P) = (3, 0, 5, 1) in place of the

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from memn import dynamics, markov
-from memn.battery import DRIFT_STEP, MIRROR_STEPS
+from memn.battery import EXACT_STEP
 from memn.core import (
     GameParams,
     StrategyVector,
@@ -764,7 +764,9 @@ def test_z2_mirror_ensemble_equals_single_starts():
     spec = FieldSpec(1, F1, "full")
     starts = [random_point(rng, 1, 0.3, 0.7) for _ in range(3)]
     singles = [z2_mirror_check(spec, [x0], t_max=0.2, dt=1e-3) for x0 in starts]
-    assert z2_mirror_check(spec, starts, t_max=0.2, dt=1e-3) == max(singles)
+    deviation, t_end = z2_mirror_check(spec, starts, t_max=0.2, dt=1e-3)
+    assert deviation == max(d for d, _ in singles)
+    assert t_end == min(t for _, t in singles)
 
 
 def test_trajectory_diagnostics_shape():
@@ -827,7 +829,7 @@ def test_pair_difference_drift_memory2():
     rng = np.random.default_rng(20)
     spec = FieldSpec(2, F2, "antisymmetric")
     x0 = random_point(rng, 2, 0.35, 0.65)
-    trajectory = integrate(spec, [x0], dt=DRIFT_STEP, t_max=2.0).members[0]
+    trajectory = integrate(spec, [x0], dt=EXACT_STEP, t_max=2.0).members[0]
     duration = trajectory.times[-1]
     for name in ("pair_CC", "pair_DD"):
         report = conserved_report(trajectory, name)
@@ -839,7 +841,8 @@ def test_z2_mirror_memory1():
     spec = FieldSpec(1, F1, "full")
     for _ in range(5):
         x0 = random_point(rng, 1, 0.3, 0.7)
-        assert z2_mirror_check(spec, [x0], t_max=1.0, dt=MIRROR_STEPS[1]) <= 1e-6
+        deviation, _ = z2_mirror_check(spec, [x0], t_max=1.0, dt=EXACT_STEP)
+        assert deviation <= 1e-6
 
 
 def test_z2_mirror_symmetric_point():
@@ -847,14 +850,16 @@ def test_z2_mirror_symmetric_point():
     probs = np.array([0.7, 0.45, 0.55, 0.3])  # fixed point of the label swap
     np.testing.assert_allclose(1 - probs[::-1], probs)
     x0 = StrategyVector(1, probs)
-    assert z2_mirror_check(spec, [x0], t_max=0.5, dt=1e-3) <= 1e-8
+    deviation, _ = z2_mirror_check(spec, [x0], t_max=0.5, dt=1e-3)
+    assert deviation <= 1e-8
 
 
 def test_z2_mirror_memory2():
     rng = np.random.default_rng(22)
     spec = FieldSpec(2, F2, "full")
     x0 = random_point(rng, 2, 0.35, 0.65)
-    assert z2_mirror_check(spec, [x0], t_max=0.25, dt=2e-3) <= 1e-5
+    deviation, _ = z2_mirror_check(spec, [x0], t_max=0.25, dt=2e-3)
+    assert deviation <= 1e-5
 
 
 def test_tft_reparam_field_vanishes():
