@@ -33,12 +33,10 @@ from .errors import (
 )
 from .markov import (
     build_transition_matrix,
-    build_transition_matrix_recursive,
     decompose_payoff,
     dense_matrix,
     payoff,
     reactive_payoff,
-    stationary_distribution,
 )
 from .symmetry import (
     build_j,
@@ -56,8 +54,6 @@ from .dynamics import (
     counting_field,
     field_batch,
     integrate,
-    memory1_antisym_field_closed,
-    memory1_field_closed,
     perturbation_experiment,
     reactive_fields,
     z2_mirror_check,

@@ -51,6 +51,7 @@ from .core import (
 )
 from .errors import BoundaryMarginError, DegeneracyError, InvarianceViolationError
 from .markov import (
+    _det_ratio,
     build_transition_matrix,
     chain_system,
     det_magnitude,
@@ -138,11 +139,11 @@ def _field_central(x: StrategyVector, column: np.ndarray, reparam: bool):
 
     The reparametrised variant differentiates the quotient's numerator alone,
     oriented by the sign of det B at the resident.  The mutants moved up and
-    down along each coordinate are stacked, and each stack of numerators and
-    of denominators goes through one ``np.linalg.slogdet``: every coordinate
-    at once below ``MATRIX_FREE_SIZE`` states and one coordinate at a time
-    from there up (:func:`markov.stack_blocks`), where the whole stack would
-    take 512 MB at memory 4.
+    down along each coordinate are stacked, and each stack of quotients is
+    one :func:`markov._det_ratio` call, the payoff oracle's quotient: every
+    coordinate at once below ``MATRIX_FREE_SIZE`` states and one coordinate
+    at a time from there up (:func:`markov.stack_blocks`), where the whole
+    stack would take 512 MB at memory 4.
     """
     size = len(x)
     if reparam:
@@ -158,17 +159,14 @@ def _field_central(x: StrategyVector, column: np.ndarray, reparam: bool):
         denominator = mutant_systems(mutants, x)
         numerator = denominator if reparam else denominator.copy()
         numerator[..., -1] = column
-        sign_n, log_n = np.linalg.slogdet(numerator)
         if reparam:
+            sign_n, log_n = np.linalg.slogdet(numerator)
             # math.exp, as one mutant at a time took it: np.exp differs
             # from it in the last bit for about one argument in twenty
             magnitude = np.array([math.exp(v) for v in log_n.ravel()])
             value = sign * sign_n * magnitude.reshape(log_n.shape)
         else:
-            sign_d, log_d = np.linalg.slogdet(denominator)
-            if np.any(sign_d == 0.0):
-                raise DegeneracyError("denominator determinant vanished")
-            value = np.where(sign_n == 0.0, 0.0, sign_n * sign_d * np.exp(log_n - log_d))
+            value = _det_ratio(numerator, denominator)
         out[block] = (value[0] - value[1]) / (2.0 * CENTRAL_STEP)
     return out
 
@@ -435,18 +433,17 @@ def counting_field(
     q0: float,
     f: np.ndarray,
     variant: str = "full",
-    invariance_tol: float = DEFAULTS["counting_invariance"],
 ) -> np.ndarray:
     """Three-dimensional field on the counting hyperplane p_CD = p_DC.
 
     Embeds the point into memory 1, evaluates the field of the
     :class:`FieldSpec` ``variant`` there, checks that the two middle
-    components agree to ``invariance_tol`` (the hyperplane is invariant;
-    InvarianceViolationError otherwise), and returns (dq2, dq1, dq0).
+    components agree (:func:`restrict_to_counting`; the hyperplane is
+    invariant), and returns (dq2, dq1, dq0).
     """
     spec = FieldSpec(n=1, payoff=f, variant=variant)
     full = adaptive_field(counting_to_full(q2, q1, q0), spec)
-    return restrict_to_counting(full[None], invariance_tol)[0]
+    return restrict_to_counting(full[None])[0]
 
 
 def counting_sign_study(b: float, c: float) -> dict:
@@ -610,21 +607,12 @@ class Ensemble:
     members: list
 
 
-@dataclass
-class ConservedReport:
-    quantity: str
-    initial: float
-    max_drift: float
-    relative_drift: float
-
-
-def conserved_report(trajectory: Trajectory, quantity: str) -> ConservedReport:
-    """Drift summary of one recorded invariant over a trajectory."""
+def conserved_report(trajectory: Trajectory, quantity: str) -> float:
+    """Relative drift of one recorded invariant over a trajectory: its largest
+    distance from its first value, over max(|first value|, 1)."""
     values = trajectory.conserved[quantity]
     initial = float(values[0])
-    max_drift = float(np.abs(values - initial).max())
-    scale = max(abs(initial), 1.0)
-    return ConservedReport(quantity, initial, max_drift, max_drift / scale)
+    return float(np.abs(values - initial).max()) / max(abs(initial), 1.0)
 
 
 def _cube_distance(v: np.ndarray) -> np.ndarray:

@@ -219,7 +219,9 @@ def build_transition_matrix_recursive(
         raise ValueError(f"memory orders differ: {p.n} vs {q.n}")
     n = p.n
     if n == 1:
-        return dense_matrix(build_transition_matrix(p, q))
+        # row i: the joint actions against q at the mirrored history bar(i)
+        a, b = p.probs[:, None], q.probs[[0, 2, 1, 3], None]
+        return np.hstack([a * b, a * (1 - b), (1 - a) * b, (1 - a) * (1 - b)])
     sub = n_states(n - 1)
     strip = sub // 4
     size = n_states(n)
@@ -623,12 +625,13 @@ def solve_chain(quads, column=None) -> ChainSolve:
 
 def stationary_distribution(quads: np.ndarray) -> np.ndarray:
     """Left unit eigenvector of one chain's M, normalized to sum 1, by the
-    dense solve of B^T nu = e_last with B from :func:`chain_system`: the
-    reference that tests compare :func:`solve_chain` against.  A singular B
+    dense solve of B^T nu = e_last with B from :func:`chain_system`, apart
+    from :func:`solve_chain`, which tests compare against it.  A singular B
     raises as :func:`solved` says.
     """
-    nu, _ = _dense_solve(quads[None])
-    return solved(nu[0])
+    e_last = np.zeros(len(quads))
+    e_last[-1] = 1.0
+    return solved(solve_systems(chain_system(quads).T, e_last))
 
 
 def _require_game(p: StrategyVector, q: StrategyVector, f: np.ndarray):
@@ -642,15 +645,15 @@ def _require_game(p: StrategyVector, q: StrategyVector, f: np.ndarray):
         )
 
 
-def _det_ratio(numerator: np.ndarray, denominator: np.ndarray) -> float:
-    """det(numerator)/det(denominator) via sign and log-magnitude."""
+def _det_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """det(numerator)/det(denominator) of one system or a stack via sign and
+    log-magnitude: 0 for a singular numerator, DegeneracyError for any
+    singular denominator."""
     sign_n, log_n = np.linalg.slogdet(numerator)
     sign_d, log_d = np.linalg.slogdet(denominator)
-    if sign_d == 0.0:
+    if np.any(sign_d == 0.0):
         raise DegeneracyError("denominator determinant vanished")
-    if sign_n == 0.0:
-        return 0.0
-    return float(sign_n * sign_d * np.exp(log_n - log_d))
+    return np.where(sign_n == 0.0, 0.0, sign_n * sign_d * np.exp(log_n - log_d))
 
 
 def poisson_vector(quads: np.ndarray, column: np.ndarray) -> np.ndarray:
@@ -680,7 +683,7 @@ def payoff_from_column(
     denominator = chain_system(build_transition_matrix(p, q))
     numerator = denominator.copy()
     numerator[:, -1] = column
-    return _det_ratio(numerator, denominator)
+    return float(_det_ratio(numerator, denominator))
 
 
 def payoff(

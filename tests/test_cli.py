@@ -635,6 +635,14 @@ def _swapped_quadruples(p, qb):
     return _quadruples(p, qb)[..., [1, 0, 2, 3]]
 
 
+def _shifted_quad_columns(size):
+    return 4 * ((np.arange(size)[:, None] + 1) % (size // 4)) + np.arange(4)
+
+
+def _prisoners_dilemma(n):
+    return build_payoff_vector(GameParams(3.0, 0.0, 5.0, 1.0), n)
+
+
 def _negated_antisymmetric_column(spec):
     column = _variant_column(spec)
     return -column if spec.variant == "antisymmetric" else column
@@ -652,7 +660,7 @@ def _complement_swap_layout(size):
             _swapped_quadruples,
             {
                 "gradient-consistency", "closed-form-fields", "counting-consistency",
-                "conserved-drift", "tft-stationarity", "z2-mirror",
+                "reactive-fields", "conserved-drift", "tft-stationarity", "z2-mirror",
                 "perturbation-envelope",
             },
             {"perturbation-envelope": "InvarianceViolationError"},
@@ -661,15 +669,15 @@ def _complement_swap_layout(size):
             "dynamics.bar_permutation",
             lambda n: np.arange(4**n),
             {
-                "gradient-consistency", "closed-form-fields", "conserved-drift",
-                "tft-stationarity",
+                "gradient-consistency", "closed-form-fields", "reactive-fields",
+                "conserved-drift", "tft-stationarity",
             },
             {},
         ),
         (
             "dynamics.variant_column",
             _negated_antisymmetric_column,
-            {"closed-form-fields", "field-decomposition"},
+            {"closed-form-fields", "field-decomposition", "reactive-fields"},
             {},
         ),
         (
@@ -678,20 +686,57 @@ def _complement_swap_layout(size):
             {"gradient-consistency"},
             {},
         ),
+        (
+            "markov.quadruples",
+            _swapped_quadruples,
+            {
+                "matrix-structure", "conjugation-identities", "reactive-closed-form",
+                "payoff-decomposition", "gradient-consistency",
+            },
+            {},
+        ),
+        (
+            "battery._donation",
+            _prisoners_dilemma,
+            {"reactive-closed-form", "payoff-reflection", "reactive-fields", "z2-mirror"},
+            {},
+        ),
+        (
+            "markov.quad_columns",
+            _shifted_quad_columns,
+            {
+                "matrix-structure", "payoff-decomposition", "gradient-consistency",
+                "conserved-drift", "z2-mirror",
+            },
+            {},
+        ),
     ],
-    ids=["quadruple-swap", "identity-bar", "negated-antisymmetric", "complement-swap-layout"],
+    ids=[
+        "quadruple-swap", "identity-bar", "negated-antisymmetric",
+        "complement-swap-layout", "markov-quadruple-swap", "prisoners-dilemma",
+        "shifted-columns",
+    ],
 )
-def test_model_mutation_fails_exactly_its_checks(
-    name, mutant, failing, errors, monkeypatch
-):
-    """A kill matrix: under each mutation of the field's model the default
-    battery at seed 7 reports all 19 checks and fails exactly those the
-    mutation reaches.  A check that the mutation makes raise fails with
-    residual inf, bound 0 and the error in its detail.  The layout that
-    splits |det B| by the player swap, built from the complement map i ->
-    size - 1 - i instead, reaches only the reparametrised field."""
-    monkeypatch.setattr(f"memn.{name}", mutant)
-    report = run_battery(seed=7)
+def test_model_mutation_fails_exactly_its_checks(name, mutant, failing, errors):
+    """A kill matrix: under each mutation of the model the default battery
+    at seed 7 reports all 19 checks and fails exactly those the mutation
+    reaches.  A check that the mutation makes raise fails with residual
+    inf, bound 0 and the error in its detail.  The layout that splits |det
+    B| by the player swap, built from the complement map i -> size - 1 - i
+    instead, reaches only the reparametrised field.  The layouts cached
+    from the quadruple columns are cleared before and after each case, so
+    that the shifted column rule 4 ((i + 1) mod size/4) + k reaches them
+    and no later test reads a layout built under it."""
+    caches = (memn.markov._pair_layout, memn.markov._player_swap_layout)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(f"memn.{name}", mutant)
+            report = run_battery(seed=7)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
     assert [c.check_id for c in report.checks] == [entry[0] for entry in _BATTERY]
     assert len(report.checks) == 19
     assert not report.passed

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from memn import markov
+from memn.battery import _BATTERY
 from memn.cli import main
 from memn.core import (
     GameParams,
@@ -86,7 +87,7 @@ def test_structure_invariants(n):
         assert cols[0] == 4 * (3 % (size // 4))
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_recursive_construction_bit_exact(n):
     rng = np.random.default_rng(2 * n)
     for _ in range(20):
@@ -663,9 +664,9 @@ def _references(path: Path, names) -> set:
 
 
 def test_chains_are_solved_through_solve_chain_alone():
-    """Across the package, iterate_chain is used only inside
-    markov.solve_chain, and the dense solve only there and in the dense
-    reference markov.stationary_distribution: there is one solve path."""
+    """Across the package, iterate_chain and the dense solve are used only
+    inside markov.solve_chain: there is one solve path, and the dense
+    references do not take it."""
     names = {"iterate_chain", "_dense_solve"}
     found = set()
     for path in sorted(Path(markov.__file__).parent.glob("*.py")):
@@ -673,5 +674,46 @@ def test_chains_are_solved_through_solve_chain_alone():
     assert found == {
         ("iterate_chain", "markov", "solve_chain"),
         ("_dense_solve", "markov", "solve_chain"),
-        ("_dense_solve", "markov", "stationary_distribution"),
     }
+
+
+# the oracles by module: the determinant quotient, the dense references,
+# the block recursions, the printed closed forms and central differences
+ORACLES = {
+    "markov": {
+        "build_transition_matrix_recursive", "payoff_from_column", "_det_ratio",
+        "mutant_systems", "poisson_vector", "stationary_distribution",
+    },
+    "dynamics": {
+        "_field_central", "memory1_field_closed", "memory1_antisym_field_closed",
+        "counting_antisym_closed", "_antisym_terms",
+    },
+    "symmetry": {"build_j_recursive", "admissible_set_bruteforce_memory1"},
+}
+
+
+def test_oracles_are_named_only_by_oracles_and_checks():
+    """Every function of the package that names an oracle is an oracle, a
+    printed-form study, a battery check, or one of the two dispatches that
+    still select an oracle (markov.payoff's determinant method and
+    dynamics.adaptive_field's central differences).  A module imports an
+    oracle only where one of its functions uses it, so the package root
+    exports none."""
+    names = set().union(*ORACLES.values())
+    allowed = {(module, name) for module, group in ORACLES.items() for name in group}
+    allowed |= {("battery", entry[2].__name__) for entry in _BATTERY}
+    allowed |= {
+        ("dynamics", "counting_sign_study"), ("dynamics", "counting_edge_equilibria"),
+        ("markov", "payoff"), ("dynamics", "adaptive_field"),
+    }
+    found = set()
+    for path in sorted(Path(markov.__file__).parent.glob("*.py")):
+        found |= _references(path, names)
+    used = {(name, module) for name, module, scope in found if scope != "<module>"}
+    strays = {
+        (name, module, scope) for name, module, scope in found
+        if (module, scope) not in allowed
+        and (scope != "<module>" or (name, module) not in used)
+    }
+    assert strays == set()
+    assert ("memory1_field_closed", "battery", "check_closed_forms") in found
