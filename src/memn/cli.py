@@ -151,6 +151,7 @@ def cmd_payoff(args) -> int:
         "solve": {
             "method": solve.method(),
             "iterations": int(solve.iterations[0]),
+            "products": int(solve.products[0]),
             "residual": float(solve.residual[0]),
         },
     }

@@ -110,10 +110,10 @@ def field_batch(points, column, reparam: bool = False) -> np.ndarray:
     column f - f∘bar), which :func:`markov.det_magnitude` refuses above
     4,096 states before any solve runs.  Rows are neither validated nor
     margin-checked.  nu and h of every row come from one
-    :func:`markov.solve_chain`; a row whose solve failed (a singular chain
-    system, or a matrix-free solve that neither converged nor could fall
-    back to dense) comes back NaN.  The gradient is that of the module
-    docstring.
+    :func:`markov.solve_chain`; a row whose solve failed (a singular dense
+    chain system below 256 states, or from there up a chain that neither
+    the loops nor GMRES settled) comes back NaN.  The gradient is that of
+    the module docstring.
     """
     x = np.asarray(points, dtype=float)
     batch, size = x.shape

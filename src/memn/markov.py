@@ -30,17 +30,20 @@ eigenvalue -1, so each loop ends with one damped round, (I + M)/2 (Stewart
 h + M h)/2 the Poisson defect M^2 w/2 + const, w the series' last term, so
 each stop test bounds the returned vector's own residual, above a rounding
 floor of a few eps |h|_inf for h.  Budgets and iteration counts are in
-chain rounds.  A member that does not converge within its budget (a slowly
-mixing chain near the boundary) is solved dense alone up to
-``DENSE_FALLBACK_SIZE`` states and comes back NaN above, where B would take
-gigabytes; :func:`solved` names the error.  :func:`dense_matrix`, the one
-dense scatter and the base of :func:`chain_system`, refuses a chain above
-that size.  |det B| of a self-play chain (:func:`det_magnitude`) is taken
-without B: there M commutes with the player swap ``bar``, so B splits into
-a bar-even and a bar-odd half (:func:`swap_halves`), each scattered dense
-from the quadruples, and det B is the product of their determinants.  The
-determinant quotient, the dense references :func:`stationary_distribution`
-and :func:`poisson_vector`, and the block recursion are kept as oracles.
+chain rounds.  A member that has not settled within ``ITERATION_BUDGET``
+rounds (a slowly mixing chain near the boundary), at any size, is solved
+by restarted GMRES (:func:`_krylov`) on the same B^T nu = e_last and B y =
+-column, B applied from the quadruples, and comes back NaN where that does
+not converge, as at a chain system singular to working precision;
+:func:`solved` names the error.  :func:`dense_matrix`, the one dense
+scatter and the base of :func:`chain_system`, refuses a chain above
+``DENSE_LIMIT`` states.  |det B| of a self-play chain
+(:func:`det_magnitude`) is taken without B: there M commutes with the
+player swap ``bar``, so B splits into a bar-even and a bar-odd half
+(:func:`swap_halves`), each scattered dense from the quadruples, and det B
+is the product of their determinants.  The determinant quotient, the dense
+references :func:`stationary_distribution` and :func:`poisson_vector`, and
+the block recursion are kept as oracles.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ INTERIOR_THRESHOLD = 1e-12
 # ms against 1.2 ms at 64 states (memory 3).
 MATRIX_FREE_SIZE = 256
 # the largest chain whose dense M or B is ever built: 134 MB at 4,096 states
-DENSE_FALLBACK_SIZE = 4096
+DENSE_LIMIT = 4096
 ITERATION_TOL = 4 * np.finfo(float).eps
 # Two-round products per stop test.  nu + h of one chain, median over five
 # interior chains in two in-process runs on a 2-core host, took 0.90-1.02,
@@ -75,12 +78,22 @@ ITERATION_TOL = 4 * np.finfo(float).eps
 # and 4.9-5.4 ms at memory 6: a stop test costs about as much as a product,
 # and a longer stride overshoots by up to 2 STRIDE rounds.
 STRIDE = 8
-# At 256 states a round of nu and h costs about 5.7 us and the dense pair
-# 2.5 ms, so 350 rounds cost about one dense solve, and a member that
-# exhausts them costs about twice that (4.7 ms).  Random interior chains
-# settle in 82-98 rounds (quartiles of 200 drawn from uniform(0.05, 0.95),
-# donation column); the slowest took 242.
-SMALL_CHAIN_BUDGET = 350
+# Chain rounds of each loop before a member goes to GMRES, at every size.
+# Random interior chains settle in 82-98 rounds (quartiles of 200 drawn
+# from uniform(0.05, 0.95), donation column, memory 4); the slowest took
+# 242, and at memory 8 one of eight seeded chains took 213.  GMRES took
+# 140-180 products on such chains, 4-10 times the loops' time (memory 4-7).
+ITERATION_BUDGET = 350
+# GMRES(m): basis vectors a cycle, and cycles.  41 vectors of 262,144
+# states take 86 MB at memory 9.  Near tit-for-tat one cycle settles nu
+# and one h, 20-36 products in all at memory 4-9; eight seeded random
+# interior chains, forced past the loops, took at most 4 cycles.
+KRYLOV_BASIS = 40
+KRYLOV_CYCLES = 8
+# GMRES's stop test on the chain's own max-norm residual, relative to the
+# solution's max norm.  At 4 eps one of those eight chains used up its
+# cycles; at 16 eps all of them settled.
+KRYLOV_TOL = 16 * np.finfo(float).eps
 
 
 @lru_cache(maxsize=None)
@@ -115,10 +128,8 @@ def _pair_layout(size: int, members: int, systems: int):
 
 
 def _refuse_dense(size: int) -> None:
-    if size > DENSE_FALLBACK_SIZE:
-        raise ValueError(
-            f"B = M - I is dense; refused above {DENSE_FALLBACK_SIZE} states"
-        )
+    if size > DENSE_LIMIT:
+        raise ValueError(f"B = M - I is dense; refused above {DENSE_LIMIT} states")
 
 
 def stack_blocks(count: int, size: int):
@@ -245,7 +256,7 @@ def dense_matrix(quads: np.ndarray) -> np.ndarray:
     """The dense M of one chain's (size, 4) quadruples, or a (batch, size,
     size) stack of M from a (batch, size, 4) stack: the only dense scatter.
 
-    Above ``DENSE_FALLBACK_SIZE`` states, where one M takes gigabytes, it is
+    Above ``DENSE_LIMIT`` states, where one M takes gigabytes, it is
     refused (``ValueError``) before anything is allocated.
     """
     quads = np.asarray(quads)
@@ -264,7 +275,7 @@ def chain_system(quads: np.ndarray) -> np.ndarray:
     determinant-quotient denominator and the one matrix behind the
     stationary and Poisson solves: nu B = e_last says nu (M - I) = 0 and
     nu . 1 = 1.  :func:`dense_matrix` refuses it above
-    ``DENSE_FALLBACK_SIZE`` states.
+    ``DENSE_LIMIT`` states.
     """
     out = dense_matrix(quads)
     size = out.shape[-1]
@@ -360,7 +371,7 @@ def det_magnitude(quads: np.ndarray) -> np.ndarray:
     stack goes through one ``np.linalg.slogdet`` per half below
     ``MATRIX_FREE_SIZE`` states, and one member at a time from there up
     (:func:`stack_blocks`).  Like :func:`chain_system`, it refuses a chain
-    above ``DENSE_FALLBACK_SIZE`` states before anything is built.
+    above ``DENSE_LIMIT`` states before anything is built.
     """
     quads = np.asarray(quads, dtype=float)
     batch, size, _ = quads.shape
@@ -392,22 +403,25 @@ def solve_systems(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def solved(x: np.ndarray) -> np.ndarray:
     """``x``, one chain's nu, h or field, unless its solve failed and left
-    it not finite: above ``DENSE_FALLBACK_SIZE`` states a matrix-free solve
-    that did not converge (``ConvergenceError``), up to it a singular chain
-    system (``DegeneracyError``)."""
+    it not finite.  The error names the path that ran at its size: below
+    ``MATRIX_FREE_SIZE`` states a singular dense chain system
+    (``DegeneracyError``), from there up a chain that neither the loops nor
+    GMRES settled, singular to working precision or mixing too slowly
+    (``ConvergenceError``).  The dense references, which take no other
+    path, name a singular B by the same rule."""
     if np.isfinite(x).all():
         return x
-    if len(x) > DENSE_FALLBACK_SIZE:
-        raise ConvergenceError(
-            "the matrix-free solve did not converge; "
-            f"no dense fallback above {DENSE_FALLBACK_SIZE} states"
-        )
-    raise DegeneracyError("singular chain system; strategies are degenerate")
+    if len(x) < MATRIX_FREE_SIZE:
+        raise DegeneracyError("singular chain system; strategies are degenerate")
+    raise ConvergenceError(
+        "the chain solve did not converge: the chain system is singular to "
+        "working precision or mixes too slowly"
+    )
 
 
 def _dense_solve(quads: np.ndarray, column=None):
     """nu and h (None without a column) of a (batch, size, 4) stack by one
-    stacked dense LU.
+    stacked dense LU, below ``MATRIX_FREE_SIZE`` states.
 
     B^T nu = e_last and B y = -column with B as :func:`chain_system` builds
     it, as one :func:`solve_systems` call on a (batch, 2, size, size + 1)
@@ -415,17 +429,13 @@ def _dense_solve(quads: np.ndarray, column=None):
     filled in place from the flat indices of the quadruples
     (:func:`_pair_layout`); h is y with its last entry zeroed, as in
     :func:`poisson_vector`.  Without a column B^T nu = e_last is solved
-    alone.  A singular member's nu and h come back all NaN.  Like
-    :func:`dense_matrix`, it refuses a chain above ``DENSE_FALLBACK_SIZE``
-    states before anything is allocated.
+    alone.  A singular member's nu and h come back all NaN.
     """
     batch, size, _ = quads.shape
-    _refuse_dense(size)
     systems = 1 if column is None else 2
     augmented = np.zeros((batch, systems, size, size + 1))
-    # filled in runs of about 1,024 rows (one member from 1,024 states
-    # up), so that the cached layouts do not grow with the batch: about
-    # 100 KB a run below 4,096 states
+    # filled in runs of about 1,024 rows, so that the cached layouts do not
+    # grow with the batch: about 100 KB a run
     run = max(1, 1024 // size)
     for first in range(0, batch, run):
         members = quads[first : first + run]
@@ -448,19 +458,22 @@ class ChainSolve:
     """nu and h of a (batch, size, 4) stack of chains, one row per member.
 
     ``h`` is None when no column was given.  Per member: the chain rounds
-    of the matrix-free solve as ``iterations`` (the longer of the nu and h
-    runs; 0 below ``MATRIX_FREE_SIZE``), whether it ``converged``, whether
-    the member was solved ``dense`` instead, and the max-norm ``residual``
-    of nu M = nu and, with h, of (I - M) h = column - (nu . column) 1.  The
-    residual is computed when read: the field never reads it.  A converged
-    matrix-free member's defects are (nu M^2 - nu)/2 and M^2 w/2 + const,
-    which its stop tests bound (:func:`iterate_chain`), above rounding.
+    of :func:`iterate_chain`'s loops as ``iterations`` (the longer of the
+    nu and h runs; 0 below ``MATRIX_FREE_SIZE``), whether they
+    ``converged``, the matrix-vector ``products`` of the GMRES solve that
+    took over where they did not (0 where it did not run), and the
+    max-norm ``residual`` of nu M = nu and, with h, of (I - M) h = column -
+    (nu . column) 1.  The residual is computed when read: the field never
+    reads it.  A converged member's defects are (nu M^2 - nu)/2 and M^2 w/2
+    + const, which its stop tests bound (:func:`iterate_chain`), above
+    rounding; a GMRES member's are bounded by ``KRYLOV_TOL`` relative
+    (:func:`_gmres`).  :meth:`method` names what solved a member.
     """
 
-    def __init__(self, quads, column, nu, h, iterations, converged, dense):
+    def __init__(self, quads, column, nu, h, iterations, converged, products):
         self._chains = quads, column
         self.nu, self.h = nu, h
-        self.iterations, self.converged, self.dense = iterations, converged, dense
+        self.iterations, self.converged, self.products = iterations, converged, products
 
     @property
     def residual(self) -> np.ndarray:
@@ -468,17 +481,10 @@ class ChainSolve:
         return _residual(quads, self.nu, column, self.h)
 
     def method(self, member: int = 0) -> str:
-        return "dense" if self.dense[member] else "matrix-free"
-
-
-def iteration_budget(size: int) -> int:
-    """Chain rounds a chain of ``size`` states gets before it counts as not
-    converged: 1,000 per 1,024 states from memory 5 up, about what the
-    dense solve it replaces costs (and far less than it from 4,096 states
-    up), and ``SMALL_CHAIN_BUDGET`` below.  A two-round product spends 2 of
-    them, so a stride spends 2 ``STRIDE``, and the damped round that ends a
-    loop, with residual (nu M^2 - nu)/2 or M^2 w/2 + const, 1 more."""
-    return max(SMALL_CHAIN_BUDGET, 1000 * (size // 1024))
+        """``"dense"``, ``"matrix-free"`` (the loops) or ``"krylov"``."""
+        if self.nu.shape[-1] < MATRIX_FREE_SIZE:
+            return "dense"
+        return "krylov" if self.products[member] else "matrix-free"
 
 
 def _residual(quads, nu, column, h) -> np.ndarray:
@@ -490,6 +496,19 @@ def _residual(quads, nu, column, h) -> np.ndarray:
         defect = h - _right_product(quads, h) - column + drift
         residual = np.maximum(residual, np.abs(defect).max(-1))
     return residual
+
+
+def _averaged(nu, quads):
+    """(nu + nu M)/|nu + nu M|_1, the damped round that ends a nu solve."""
+    nu = nu + _left_product(nu, quads)
+    return nu / nu.sum()
+
+
+def _damped(h, v, quads):
+    """(v + h + M h)/2 shifted to end in 0, the damped round that ends an h
+    solve, ``v`` the column shifted to end in 0."""
+    h = 0.5 * (v + h + _right_product(quads, h))
+    return h - h[-1]
 
 
 def _power_iteration(quads, blocks, max_iter: int):
@@ -505,8 +524,7 @@ def _power_iteration(quads, blocks, max_iter: int):
         nxt /= nxt.sum()
         rounds += 2 * STRIDE
         if np.abs(nxt - nu).sum() <= ITERATION_TOL:
-            nu += _left_product(nu, quads)
-            return nu / nu.sum(), rounds + 1, True
+            return _averaged(nu, quads), rounds + 1, True
         nu = nxt
     return nu, max_iter, False
 
@@ -527,14 +545,13 @@ def _poisson_series(quads, blocks, column, max_iter: int):
         h -= h[-1]
         rounds += 2 * STRIDE
         if np.ptp(w) <= ITERATION_TOL * np.abs(h).max():
-            h = 0.5 * (v + h + _right_product(quads, h))
-            return h - h[-1], rounds + 1, True
+            return _damped(h, v, quads), rounds + 1, True
     return h, max_iter, False
 
 
 def iterate_chain(quads, column=None) -> ChainSolve:
     """Matrix-free nu and h of each chain of a (batch, size, 4) stack,
-    memory 2 up, one member at a time.
+    memory 2 up, one member at a time, by two plain loops alone.
 
     Each member runs two plain loops on the blocks of its M^2 from
     :func:`_two_round_blocks`, ``STRIDE`` two-round products per stop test.
@@ -558,15 +575,15 @@ def iterate_chain(quads, column=None) -> ChainSolve:
     3-6 eps |h|_inf (memory 4-7, random and near-tit-for-tat chains).
     ``iterations`` counts chain rounds, the longer of the two loops: a
     two-round product counts 2, u and the damped round 1 each.  Each loop
-    stays within :func:`iteration_budget` rounds, starting no stride that
-    the budget could not hold with the damped round; a member that has not
-    settled keeps its last iterate, ``converged`` False and ``iterations``
-    the budget.  A member's result does not depend on the other members,
-    and no member is solved dense.
+    stays within ``ITERATION_BUDGET`` rounds, one constant at every size,
+    starting no stride that the budget could not hold with the damped
+    round; a member that has not settled keeps its last iterate,
+    ``converged`` False and ``iterations`` the budget, for
+    :func:`solve_chain` to hand to GMRES.  A member's result does not
+    depend on the other members.
     """
     quads = np.asarray(quads, dtype=float)
     batch, size, _ = quads.shape
-    max_iter = iteration_budget(size)
     nu = np.empty((batch, size))
     iterations = np.empty(batch, dtype=int)
     converged = np.empty(batch, dtype=bool)
@@ -576,50 +593,146 @@ def iterate_chain(quads, column=None) -> ChainSolve:
         columns = np.broadcast_to(np.asarray(column, dtype=float), (batch, size))
     for k, chain in enumerate(quads):
         blocks = _two_round_blocks(chain)
-        nu[k], iterations[k], converged[k] = _power_iteration(chain, blocks, max_iter)
+        nu[k], iterations[k], converged[k] = _power_iteration(chain, blocks, ITERATION_BUDGET)
         if h is not None:
-            h[k], rounds, settled = _poisson_series(chain, blocks, columns[k], max_iter)
+            h[k], rounds, settled = _poisson_series(chain, blocks, columns[k], ITERATION_BUDGET)
             iterations[k] = max(iterations[k], rounds)
             converged[k] &= settled
     return ChainSolve(
-        quads, column, nu, h, iterations, converged, np.zeros(batch, dtype=bool)
+        quads, column, nu, h, iterations, converged, np.zeros(batch, dtype=int)
     )
+
+
+def _gmres(apply, b, own=lambda r: r):
+    """x with apply(x) = b by restarted GMRES(``KRYLOV_BASIS``) from x = 0,
+    and the matrix-vector products it took; x is all NaN where it failed.
+
+    Each cycle builds an orthonormal Krylov basis by classical Gram-Schmidt
+    applied twice (CGS2) and keeps its least-squares problem triangular by
+    Givens rotations, whose last entry g is the 2-norm, and so a bound of
+    the max norm, of the residual (Saad & Schultz, SIAM J. Sci. Stat.
+    Comput. 7, 1986).  A cycle ends once |g| is at most ``KRYLOV_TOL``
+    times the max norm of its iterate x, or after ``KRYLOV_BASIS``
+    products.  Then the residual r = b - apply(x) is taken, and ``own``
+    maps it to the chain's own residual: x is accepted once that is at most
+    ``KRYLOV_TOL`` |x|_inf, and otherwise the next cycle starts from x, up
+    to ``KRYLOV_CYCLES`` cycles.  A relative test alone accepts a singular
+    system's huge x: at exact tit-for-tat self-play GMRES settled on |h|
+    about 1e16 with a relative residual of 6e-16.  So an x with |x|_inf >
+    |b|_inf / (size eps) fails: |B^-1|_inf is then above 1/(size eps), the
+    rank-deficiency threshold of ``np.linalg.matrix_rank``.  Chains at
+    eps = 1e-10 from tit-for-tat, the analytic field's margin, have |h|
+    about 5e9 and pass at every size up to memory 9.
+    """
+    size = len(b)
+    x, r = np.zeros(size), b
+    limit = np.abs(b).max() / (size * np.finfo(float).eps)
+    basis = np.empty((KRYLOV_BASIS + 1, size))
+    products = 0
+    # A zero norm leaves NaN: after an exact breakdown, |g| is 0 and the
+    # cycle ends before the NaN vector is read; otherwise the tests below
+    # fail on it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(KRYLOV_CYCLES):
+            hess = np.zeros((KRYLOV_BASIS + 1, KRYLOV_BASIS))
+            cos, sin = np.zeros(KRYLOV_BASIS), np.zeros(KRYLOV_BASIS)
+            g = np.zeros(KRYLOV_BASIS + 1)
+            g[0] = np.linalg.norm(r)
+            if not g[0]:  # x = 0 solves b = 0 exactly
+                return x, products
+            basis[0] = r / g[0]
+            for j in range(KRYLOV_BASIS):
+                w = apply(basis[j])
+                for _ in range(2):
+                    c = basis[: j + 1] @ w
+                    w -= c @ basis[: j + 1]
+                    hess[: j + 1, j] += c
+                col = hess[: j + 2, j]
+                col[j + 1] = np.linalg.norm(w)
+                basis[j + 1] = w / col[j + 1]
+                for i in range(j):
+                    col[i : i + 2] = (
+                        cos[i] * col[i] + sin[i] * col[i + 1],
+                        cos[i] * col[i + 1] - sin[i] * col[i],
+                    )
+                d = np.hypot(col[j], col[j + 1])
+                cos[j], sin[j] = col[j] / d, col[j + 1] / d
+                col[j : j + 2] = d, 0.0
+                g[j : j + 2] = cos[j] * g[j], -sin[j] * g[j]
+                y = solve_systems(hess[: j + 1, : j + 1], g[: j + 1])
+                step = x + y @ basis[: j + 1]
+                if abs(g[j + 1]) <= KRYLOV_TOL * np.abs(step).max():
+                    break
+            x = step
+            r = b - apply(x)
+            products += j + 2
+            scale = np.abs(x).max()
+            if not scale <= limit:  # singular to working precision, or NaN
+                break
+            if np.abs(own(r)).max() <= KRYLOV_TOL * scale:
+                return x, products
+    return np.full(size, np.nan), products
+
+
+def _krylov(quads, column=None):
+    """nu, h (None without a column) and the products of one chain by
+    :func:`_gmres` on the systems that the dense solve factors, with B
+    applied from the quadruples: B^T nu = e_last, B^T x being x M - x with
+    its last entry replaced by x . 1, and B y = -column, B y being M y - y
+    + (1 - M e_last + e_last) y_last, since B's last column is 1.
+
+    The residual of B y = -column is the Poisson defect of h, y with its
+    last entry zeroed, at the drift -y_last.  That of B^T nu = e_last holds
+    the chain's own defect nu M - nu with flipped signs, except at the last
+    state, where it holds 1 - nu . 1; the defect there is minus the sum of
+    the others, so the stop test reads the sum of the residual's other
+    entries in its place.  Each solve ends with the loops' damped round.
+    """
+    size = len(quads)
+    e_last = np.zeros(size)
+    e_last[-1] = 1.0
+
+    def left(x):
+        out = _left_product(x, quads) - x
+        out[-1] = x.sum()
+        return out
+
+    nu, products = _gmres(left, e_last, lambda r: np.append(r[:-1], r[:-1].sum()))
+    nu = _averaged(nu, quads)
+    if column is None:
+        return nu, None, products + 1
+    lift = 1.0 - _right_product(quads, e_last) + e_last
+    y, more = _gmres(lambda y: _right_product(quads, y) - y + lift * y[-1], -column)
+    y[-1] = 0.0
+    return nu, _damped(y, column - column[-1], quads), products + more + 2
 
 
 def solve_chain(quads, column=None) -> ChainSolve:
     """nu and, given a column, h of each chain of a (batch, size, 4) stack.
 
-    The only solve of production code; it alone decides dense against
-    matrix-free.  Below ``MATRIX_FREE_SIZE`` states the whole stack is one
-    stacked dense solve.  From there up each member is iterated
-    (:func:`iterate_chain`); a member that does not converge within its
-    budget is solved dense, alone, so that at most one B is held, up to
-    ``DENSE_FALLBACK_SIZE`` states, and comes back NaN above.  A singular
-    member of a dense solve comes back NaN as well (see :func:`solved`).
+    The only solve of production code; it alone decides how each member is
+    solved (:meth:`ChainSolve.method`).  Below ``MATRIX_FREE_SIZE`` states
+    the whole stack is one stacked dense solve, and a singular member comes
+    back NaN.  From there up each member is iterated (:func:`iterate_chain`);
+    a member that does not converge within ``ITERATION_BUDGET`` rounds is
+    solved by GMRES (:func:`_krylov`), alone, nu and h both, and comes back
+    NaN where GMRES does not converge either (see :func:`solved`).  No
+    dense matrix is built from ``MATRIX_FREE_SIZE`` states up.
     """
     quads = np.asarray(quads, dtype=float)
     batch, size, _ = quads.shape
     if size < MATRIX_FREE_SIZE:
-        converged = np.zeros(batch, dtype=bool)
+        zeros = np.zeros(batch, dtype=int)
         return ChainSolve(
-            quads, column, *_dense_solve(quads, column),
-            np.zeros(batch, dtype=int), converged, ~converged,
+            quads, column, *_dense_solve(quads, column), zeros, zeros.astype(bool), zeros
         )
     solve = iterate_chain(quads, column)
-    failed = np.flatnonzero(~solve.converged)
-    if size > DENSE_FALLBACK_SIZE:
-        solve.nu[failed] = np.nan
-        if solve.h is not None:
-            solve.h[failed] = np.nan
-        return solve
     columns = None if column is None else np.broadcast_to(column, (batch, size))
-    for k in failed:
-        member = slice(k, k + 1)
-        nu, h = _dense_solve(quads[member], None if columns is None else columns[member])
-        solve.nu[member] = nu
+    for k in np.flatnonzero(~solve.converged):
+        nu, h, solve.products[k] = _krylov(quads[k], None if columns is None else columns[k])
+        solve.nu[k] = nu
         if h is not None:
-            solve.h[member] = h
-    solve.dense[failed] = True
+            solve.h[k] = h
     return solve
 
 

@@ -108,9 +108,23 @@ def test_payoff_command_reports_the_solve(strategy_files, tmp_path, capsys):
     assert outputs[0] == outputs[1]
     payload = json.loads(outputs[0])
     assert set(payload) == {"version", "A", "A_s", "A_a", "solve"}
+    assert set(payload["solve"]) == {"method", "iterations", "products", "residual"}
     assert payload["solve"]["method"] == "matrix-free"
-    assert 0 < payload["solve"]["iterations"] < 1000
+    assert 0 < payload["solve"]["iterations"] < 350 and payload["solve"]["products"] == 0
     assert payload["solve"]["residual"] <= 1e-15
+    # near tit-for-tat, erring 1e-3 after the co-player's C and 2e-3 after
+    # its D, against itself: nu takes about 9,600 rounds, past the budget
+    probs = np.where(np.arange(4**5) & 1 == 0, 1 - 1e-3, 2e-3)
+    near = tmp_path / "near5.json"
+    near.write_text(json.dumps({"n": 5, "probs": probs.tolist()}))
+    assert main(["payoff", "--n", "5", "--p", str(near), "--q", str(near)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["solve"]["method"] == "krylov"
+    assert payload["solve"]["iterations"] == 350 and payload["solve"]["products"] > 0
+    assert payload["solve"]["residual"] <= 1e-13
+    x = StrategyVector(5, probs)
+    f = build_payoff_vector(GameParams.donation(2, 1), 5)
+    assert payload["A"] == pytest.approx(payoff_from_column(x, x, f), abs=1e-10)
 
 
 def test_field_command(strategy_files, capsys):

@@ -42,8 +42,8 @@ from memn.errors import BoundaryMarginError, DegeneracyError
 from memn.markov import (
     build_transition_matrix,
     chain_system,
+    ITERATION_BUDGET,
     det_magnitude,
-    iteration_budget,
     payoff_from_column,
     quad_columns,
     quadruples,
@@ -662,10 +662,14 @@ def test_reparam_field_refused_above_4096_states_before_any_solve(monkeypatch):
         field_batch(np.full((1, n_states(7)), 0.5), np.zeros(n_states(7)), reparam=True)
 
 
-def test_slow_member_falls_back_to_dense_alone():
+def test_slow_member_falls_back_to_krylov_alone():
     """A near-tit-for-tat member (eps = 1e-4) of an n = 5 batch exhausts its
-    iteration budget and is solved dense; the other members stay matrix-free
-    and every row equals the dense formula."""
+    iteration budget and is solved by GMRES; the other members stay
+    matrix-free and equal the dense formula entry by entry to 1e-10
+    relative.  The GMRES row equals it to 1e-10 of its largest entry (it
+    measured 1.6e-12): its smallest entries, about 1e-17 of that, are
+    differences of h values of about 5e3, and there two accurate solves
+    agree to about 1e-6 only."""
     rng = np.random.default_rng(506)
     points = np.stack(
         [
@@ -676,10 +680,12 @@ def test_slow_member_falls_back_to_dense_alone():
     )
     column = variant_column(FieldSpec(5, F5, "full"))
     solve = solve_chain(quadruples(points, points[:, bar_permutation(5)]), column)
-    assert solve.dense.tolist() == [False, True, False]
+    assert [solve.method(k) for k in range(3)] == ["matrix-free", "krylov", "matrix-free"]
     assert solve.converged.tolist() == [True, False, True]
-    assert solve.iterations[1] == iteration_budget(n_states(5))
-    np.testing.assert_allclose(field_batch(points, column), dense_field(points, column), rtol=1e-10)
+    assert solve.iterations[1] == ITERATION_BUDGET
+    rows, dense = field_batch(points, column), dense_field(points, column)
+    np.testing.assert_allclose(rows[[0, 2]], dense[[0, 2]], rtol=1e-10)
+    assert np.abs(rows[1] - dense[1]).max() <= 1e-10 * np.abs(dense[1]).max()
 
 
 # per-member speeds of a smooth test field, and the first coordinate past

@@ -20,7 +20,7 @@ from memn.core import (
     reactive_strategy,
     tft_strategy,
 )
-from memn.dynamics import FieldSpec, adaptive_field
+from memn.dynamics import FieldSpec, field_rows
 from memn.errors import ConvergenceError, DegeneracyError
 from memn.markov import (
     build_transition_matrix,
@@ -28,7 +28,6 @@ from memn.markov import (
     decompose_payoff,
     dense_matrix,
     iterate_chain,
-    iteration_budget,
     payoff,
     payoff_from_column,
     payoff_solve,
@@ -36,6 +35,7 @@ from memn.markov import (
     quad_columns,
     reactive_payoff,
     solve_chain,
+    solved,
     stationary_distribution,
 )
 
@@ -318,8 +318,8 @@ def test_iterate_chain_matches_dense_solves(n):
     pairs = [random_pair(rng, n) for _ in columns]
     quads = np.stack([build_transition_matrix(p, q) for p, q in pairs])
     solve = iterate_chain(quads, columns)
-    assert solve.converged.all() and not solve.dense.any()
-    assert np.all((solve.iterations > 0) & (solve.iterations < iteration_budget(n_states(n))))
+    assert solve.converged.all() and not solve.products.any()
+    assert np.all((solve.iterations > 0) & (solve.iterations < markov.ITERATION_BUDGET))
     assert np.all(solve.residual <= 1e-13)
     for k, (p, q) in enumerate(pairs):
         m = build_transition_matrix(p, q)
@@ -400,7 +400,8 @@ def test_solve_chain_below_memory4_is_one_dense_solve(n):
     pairs = [random_pair(rng, n), (tft_strategy(n), tft_strategy(n)), random_pair(rng, n)]
     quads = np.stack([build_transition_matrix(p, q) for p, q in pairs])
     solve = solve_chain(quads, columns)
-    assert solve.dense.all() and not solve.converged.any() and not solve.iterations.any()
+    assert {solve.method(k) for k in range(3)} == {"dense"}
+    assert not solve.converged.any() and not solve.iterations.any() and not solve.products.any()
     assert np.isnan(solve.nu[1]).all() and np.isnan(solve.h[1]).all()
     residual = solve.residual
     for k in (0, 2):
@@ -415,12 +416,14 @@ def test_solve_chain_below_memory4_is_one_dense_solve(n):
     assert solve.residual[0] > 1e-8
 
 
-def test_memory4_stack_is_matrix_free_with_dense_fallback():
+def test_memory4_stack_is_matrix_free_with_krylov_fallback():
     """At 256 states a stack with a column per member is iterated: the
     interior members are matrix-free and equal the dense solves, nu to
     1e-12 and h to 1e-11 relative, and tit-for-tat against itself (a
-    singular chain) exhausts its budget and comes back NaN alone through
-    the dense fallback."""
+    singular chain) exhausts its budget, goes to GMRES alone, and its h
+    comes back NaN: GMRES refuses the huge h of a system singular to
+    working precision, and solved names the failure.  (Its nu settles on
+    one of the reducible chain's many stationary vectors.)"""
     rng = np.random.default_rng(44)
     f = build_payoff_vector(DONATION, 4)
     swapped = f[bar_permutation(4)]
@@ -428,10 +431,13 @@ def test_memory4_stack_is_matrix_free_with_dense_fallback():
     pairs = [random_pair(rng, 4), (tft_strategy(4), tft_strategy(4)), random_pair(rng, 4)]
     quads = np.stack([build_transition_matrix(p, q) for p, q in pairs])
     solve = solve_chain(quads, columns)
-    assert [solve.method(k) for k in range(3)] == ["matrix-free", "dense", "matrix-free"]
+    assert [solve.method(k) for k in range(3)] == ["matrix-free", "krylov", "matrix-free"]
     assert solve.converged.tolist() == [True, False, True]
-    assert solve.iterations[1] == iteration_budget(256)
-    assert np.isnan(solve.nu[1]).all() and np.isnan(solve.h[1]).all()
+    assert solve.iterations[1] == markov.ITERATION_BUDGET
+    assert solve.products[1] > 0 and solve.products[[0, 2]].tolist() == [0, 0]
+    assert np.isnan(solve.h[1]).all()
+    with pytest.raises(ConvergenceError):
+        solved(solve.h[1])
     for k in (0, 2):
         m = build_transition_matrix(*pairs[k])
         nu = stationary_distribution(m)
@@ -503,7 +509,7 @@ def test_a_member_settles_within_its_budget_and_not_past_it(monkeypatch, with_co
     column = build_payoff_vector(DONATION, 4) if with_column else None
     needed = iterate_chain(quads, column).iterations[0]
     for budget, settles in ((needed, True), (needed - 1, False)):
-        monkeypatch.setattr(markov, "iteration_budget", lambda size: budget)
+        monkeypatch.setattr(markov, "ITERATION_BUDGET", budget)
         solve = iterate_chain(quads, column)
         assert solve.converged[0] == settles
         assert solve.iterations[0] == (needed if settles else budget)
@@ -588,41 +594,96 @@ def test_memory6_residuals_on_the_quadruples():
     assert np.abs(h - m_h - (f - nu @ f)).max() <= 1e-12
 
 
-def test_slow_chain_falls_back_to_dense_at_memory5():
-    """A chain that mixes too slowly for the iteration budget is solved
-    dense, and its payoff still equals the determinant quotient."""
+def test_slow_chain_falls_back_to_krylov_at_memory5():
+    """A chain that mixes too slowly for the iteration budget is solved by
+    GMRES, and its payoff still equals the determinant quotient."""
     p = sticky_strategy(5)
     f = build_payoff_vector(DONATION, 5)
     (value, _, _), solve = payoff_solve(p, p, f)
-    assert solve.method() == "dense" and not solve.converged[0]
-    assert solve.iterations[0] == iteration_budget(n_states(5))
+    assert solve.method() == "krylov" and not solve.converged[0]
+    assert solve.iterations[0] == markov.ITERATION_BUDGET and solve.products[0] > 0
     assert value == pytest.approx(payoff_from_column(p, p, f), abs=1e-10)
 
 
+def tft_chain(n, eps=0.0):
+    x = tft_strategy(n, eps=eps)
+    return build_transition_matrix(x, x)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("n", [4, 5])
+def test_krylov_solve_matches_the_dense_references(n, eps):
+    """Near tit-for-tat the loops do not settle within their budget, and
+    GMRES's nu and h equal the dense references to 1e-12 relative."""
+    quads = tft_chain(n, eps)
+    f = build_payoff_vector(DONATION, n)
+    solve = solve_chain(quads[None], f)
+    assert solve.method() == "krylov" and not solve.converged[0]
+    nu, h = stationary_distribution(quads), poisson_vector(quads, f)
+    assert np.abs(solve.nu[0] - nu).max() <= 1e-12 * nu.max()
+    assert np.abs(solve.h[0] - h).max() <= 1e-12 * np.abs(h).max()
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-10])
+@pytest.mark.parametrize("n", [6, 7])
+def test_krylov_residuals_on_the_quadruples(n, eps):
+    """GMRES's nu and h satisfy their equations to 1e-13 relative at n = 6
+    and 7, checked on the quadruples by scattering and gathering at their
+    columns, also 1e-10 from tit-for-tat, the analytic field's margin,
+    where |h| is about 5e9."""
+    quads = tft_chain(n, eps)
+    f = build_payoff_vector(DONATION, n)
+    solve = solve_chain(quads[None], f)
+    assert solve.method() == "krylov"
+    nu, h = solve.nu[0], solve.h[0]
+    cols = quad_columns(len(nu))
+    nu_m = np.zeros_like(nu)
+    np.add.at(nu_m, cols, nu[:, None] * quads)
+    m_h = (quads * h[cols]).sum(axis=1)
+    assert nu.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(nu_m - nu).max() <= 1e-13 * nu.max()
+    assert h[-1] == 0.0
+    assert np.abs(h - m_h - (f - nu @ f)).max() <= 1e-13 * np.abs(h).max()
+
+
+def test_krylov_member_with_a_zero_column_has_h_zero():
+    """A member whose nu needs GMRES also takes h from it, though a zero
+    column settles the Poisson series at once: GMRES starts from 0, which
+    solves B y = 0 exactly, so h is 0, not NaN."""
+    probs = np.where(np.arange(n_states(4)) & 1 == 0, 1 - 1e-3, 2e-3)
+    x = StrategyVector(4, probs)
+    solve = solve_chain(build_transition_matrix(x, x)[None], np.zeros(n_states(4)))
+    assert solve.method() == "krylov"
+    np.testing.assert_array_equal(solve.h[0], 0.0)
+
+
 def test_nonconverging_chain_at_memory7_raises_without_dense_matrix():
-    """Above 4,096 states there is no dense fallback: the payoff ends in a
-    ConvergenceError, and B (2.1 GB at n = 7) is never allocated."""
-    p = sticky_strategy(7)
-    f = build_payoff_vector(DONATION, 7)
-    tracemalloc.start()
-    try:
+    """Exact tit-for-tat self-play with the donation column has a singular
+    B: GMRES's relative residual would pass on an h of about 1e16, so it
+    refuses that h, the member comes back NaN, and solved raises
+    ConvergenceError, at n = 4, 5 and 7, with no dense B (2.1 GB at n =
+    7) allocated."""
+    for n in (4, 5, 7):
+        f = build_payoff_vector(DONATION, n)
+        tracemalloc.start()
+        try:
+            solve = solve_chain(tft_chain(n)[None], f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solve.method() == "krylov" and not np.isfinite(solve.h[0]).any()
         with pytest.raises(ConvergenceError):
-            payoff_solve(p, p, f)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100e6
+            solved(solve.h[0])
+        assert peak < 100e6
 
 
-def test_field_raises_convergence_error_without_dense_fallback(monkeypatch):
-    """A field whose matrix-free solve does not converge and may not fall
-    back to dense raises ConvergenceError, not DegeneracyError: the sticky
-    memory-5 chain, with the fallback capped below its 1,024 states (the
-    cap reads at call time) so that no larger chain is needed."""
-    monkeypatch.setattr(markov, "DENSE_FALLBACK_SIZE", 512)
-    x = sticky_strategy(5)
+def test_field_raises_convergence_error_without_dense_fallback():
+    """A field whose chain neither the loops nor GMRES can settle raises
+    ConvergenceError, not DegeneracyError: exact tit-for-tat at memory 4,
+    evaluated without the margin check."""
+    x = tft_strategy(4).probs[None]
     with pytest.raises(ConvergenceError):
-        adaptive_field(x, FieldSpec(5, build_payoff_vector(DONATION, 5)))
+        field_rows(FieldSpec(4, build_payoff_vector(DONATION, 4)), x)
 
 
 @pytest.mark.parametrize("method", ["determinant", "reference"])
@@ -664,16 +725,18 @@ def _references(path: Path, names) -> set:
 
 
 def test_chains_are_solved_through_solve_chain_alone():
-    """Across the package, iterate_chain and the dense solve are used only
-    inside markov.solve_chain: there is one solve path, and the dense
+    """Across the package, iterate_chain, GMRES and the dense solve are used
+    only inside markov.solve_chain: there is one solve path, and the dense
     references do not take it."""
-    names = {"iterate_chain", "_dense_solve"}
+    names = {"iterate_chain", "_dense_solve", "_krylov", "_gmres"}
     found = set()
     for path in sorted(Path(markov.__file__).parent.glob("*.py")):
         found |= _references(path, names)
     assert found == {
         ("iterate_chain", "markov", "solve_chain"),
         ("_dense_solve", "markov", "solve_chain"),
+        ("_krylov", "markov", "solve_chain"),
+        ("_gmres", "markov", "_krylov"),
     }
 
 
